@@ -31,9 +31,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
-from scipy.sparse import csc_matrix
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .exceptions import ConfigError, EllipticityViolation
+from .exceptions import ConfigError, EllipticityViolation, HessianSingular
 from .forces import PowerForce
 from .potentials import PotentialSpec
 
@@ -41,10 +41,8 @@ __all__ = [
     "RadialGrid",
     "DiscreteOperators",
     "quadrature",
-    "weighted_h1_inner",
-    "energy_J",
-    "energy_gradient",
-    "residual_full",
+    "tridiag_mul",
+    "BorderedTridiagonal",
     "deriv4",
 ]
 
@@ -124,17 +122,60 @@ def quadrature(grid: RadialGrid, samples: np.ndarray) -> float:
     return float(np.dot(grid.simpson_coeffs * grid.radial_weight, samples))
 
 
-def _banded_to_csc(ab: np.ndarray) -> csc_matrix:
-    """Symmetric tridiagonal matrix from scipy upper-banded storage."""
-    m = ab.shape[1]
-    i = np.arange(m)
-    rows = [i, i[:-1], i[1:]]
-    cols = [i, i[1:], i[:-1]]
-    vals = [ab[1], ab[0, 1:], ab[0, 1:]]
-    return csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    )
+def tridiag_mul(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of a symmetric tridiagonal matrix in upper-banded storage with v."""
+    out = ab[1] * v
+    out[1:] += ab[0, 1:] * v[:-1]
+    out[:-1] += ab[0, 1:] * v[1:]
+    return out
+
+
+class BorderedTridiagonal:
+    """Solver for [[A, C], [R^T, 0]] [x; y] = [f; g] by block elimination.
+
+    A is symmetric tridiagonal in upper-banded (2, m) storage, C and R are
+    (m, k) borders with small k (a 1-d array is one column); the transposed
+    system is the same solver with C and R swapped.  A is factored once
+    (LAPACK dgttrf) and each solve eliminates y through the k x k Schur
+    complement R^T A^{-1} C in O(m) (Keller 1977).
+    """
+
+    # Block elimination is not backward stable for nearly singular A, so a
+    # solve whose normwise backward error exceeds this raises.  With a
+    # near-kernel border (zdot for J'') x = A^{-1} f - A^{-1} C y cancels and
+    # the test suite's solves reach 3.1e-13; 1e-10 flags six digits lost.
+    BACKWARD_TOL = 1e-10
+
+    def __init__(self, ab: np.ndarray, cols: np.ndarray, rows: np.ndarray):
+        m = ab.shape[1]
+        self.ab = ab
+        self.cols = np.asarray(cols, dtype=float).reshape(m, -1)
+        self.rows = np.asarray(rows, dtype=float).reshape(m, -1)
+        self.size = m + self.cols.shape[1]
+        *self._lu, info = dgttrf(ab[0, 1:], ab[1], ab[0, 1:])
+        if info > 0:
+            raise HessianSingular(f"zero pivot at row {info} of the tridiagonal block")
+        self._w = dgttrs(*self._lu, self.cols)[0]
+        self._schur = self.rows.T @ self._w
+        row_sums = tridiag_mul(np.abs(ab), np.ones(m)) + np.abs(self.cols).sum(axis=1)
+        self._norm = max(row_sums.max(), np.abs(self.rows).sum(axis=0).max())
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        m = self.ab.shape[1]
+        f, g = rhs[:m], rhs[m:]
+        x = dgttrs(*self._lu, f)[0]
+        try:
+            y = np.linalg.solve(self._schur, self.rows.T @ x - g)
+        except np.linalg.LinAlgError as exc:
+            raise HessianSingular(f"singular Schur complement: {exc}") from exc
+        sol = np.concatenate([x - self._w @ y, y])
+        x = sol[:m]
+        res = np.concatenate([tridiag_mul(self.ab, x) + self.cols @ y - f, self.rows.T @ x - g])
+        scale = self._norm * np.abs(sol).max() + np.abs(rhs).max()
+        backward = np.abs(res).max() / max(scale, np.finfo(float).tiny)
+        if not backward <= self.BACKWARD_TOL:
+            raise HessianSingular(f"bordered solve left backward error {backward:.2e}")
+        return sol
 
 
 def deriv4(grid: RadialGrid, u: np.ndarray, even_origin: bool = True) -> np.ndarray:
@@ -177,8 +218,8 @@ class DiscreteOperators:
             raise EllipticityViolation(
                 f"1 + eps^2 V <= 0 on the grid (eps={eps}, family={spec.family})"
             )
-        self._gram_banded = self._assemble_gram()
-        self._gram_cho = cholesky_banded(self._gram_banded, lower=False)
+        self.gram_banded = self._assemble_gram()
+        self._gram_cho = cholesky_banded(self.gram_banded, lower=False)
 
     # ---- weighted inner product and Gram matrix ----------------------
 
@@ -214,11 +255,7 @@ class DiscreteOperators:
         return ab
 
     def gram_mul(self, v: np.ndarray) -> np.ndarray:
-        ab = self._gram_banded
-        out = ab[1] * v
-        out[1:] += ab[0, 1:] * v[:-1]
-        out[:-1] += ab[0, 1:] * v[1:]
-        return out
+        return tridiag_mul(self.gram_banded, v)
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         """Representative of the functional v -> g.v in the weighted product."""
@@ -226,9 +263,6 @@ class DiscreteOperators:
 
     def dual_norm(self, g: np.ndarray) -> float:
         return float(np.sqrt(max(np.dot(g, self.riesz(g)), 0.0)))
-
-    def gram_csc(self) -> csc_matrix:
-        return _banded_to_csc(self._gram_banded)
 
     # ---- energy picture ----------------------------------------------
 
@@ -245,12 +279,13 @@ class DiscreteOperators:
 
     def hess_banded(self, u: np.ndarray) -> np.ndarray:
         """Upper banded (tridiagonal) form of the symmetric discrete J''(u)."""
-        ab = self._gram_banded.copy()
+        ab = self.gram_banded.copy()
         ab[1] -= self.mass_w * self.force.fp(u)
         return ab
 
-    def hess_csc(self, u: np.ndarray) -> csc_matrix:
-        return _banded_to_csc(self.hess_banded(u))
+    def hess_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """J''(u) v."""
+        return self.gram_mul(v) - self.mass_w * self.force.fp(u) * v
 
     def hess_quadform(self, u: np.ndarray, v: np.ndarray) -> float:
         return self.kinetic_form(v) + float(
@@ -317,35 +352,3 @@ class DiscreteOperators:
     def solve_strong_linear(self, ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return solve_banded((1, 1), ab, rhs)
 
-
-# ---- thin functional wrappers over DiscreteOperators -------------------
-
-
-def weighted_h1_inner(
-    grid: RadialGrid, eps: float, spec: PotentialSpec, u: np.ndarray, v: np.ndarray
-) -> float:
-    return DiscreteOperators(grid, eps, spec, p=2.0).inner(u, v)
-
-
-def energy_J(
-    grid: RadialGrid, eps: float, spec: PotentialSpec, p: float, u: np.ndarray
-) -> float:
-    return DiscreteOperators(grid, eps, spec, p).energy(u)
-
-
-def energy_gradient(
-    grid: RadialGrid, eps: float, spec: PotentialSpec, p: float, u: np.ndarray
-) -> np.ndarray:
-    return DiscreteOperators(grid, eps, spec, p).grad(u)
-
-
-def residual_full(
-    grid: RadialGrid,
-    eps: float,
-    spec: PotentialSpec,
-    p: float,
-    u: np.ndarray,
-    force=None,
-    origin: str = "mirror",
-) -> np.ndarray:
-    return DiscreteOperators(grid, eps, spec, p).strong_residual(u, force, origin)

@@ -10,6 +10,13 @@ multiplier of the tangent constraint and omega the remainder.  The default
 path is a bordered Newton iteration; a fixed-point mode iterating
 omega <- -[P J''(z)]^{-1} P(J'(z) + higher-order terms) is kept as a
 fidelity check, and both must agree at the common fixed point.
+
+Every linear system here, [[J'', -G zdot], [(G zdot)^T, 0]] (both modes,
+and with its transpose the singular-value estimate) and the spectral gap's
+[[J'' - sigma G, G Y], [(G Y)^T, 0]] with Y = [z, zdot], goes through
+grids.BorderedTridiagonal: banded LU plus block elimination of the border,
+guarded by the backward error of each solve (zdot is a near-kernel
+direction of J''), which raises HessianSingular above roundoff level.
 """
 
 from __future__ import annotations
@@ -17,20 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh, null_space
-from scipy.sparse.linalg import splu
 
 from .ansatz import AnsatzParams, build_z, build_zdot, grid_for
 from .exceptions import (
     ConfigError,
     EigensolverError,
-    HessianSingular,
     NewtonDivergence,
     NoSignChange,
     SolverError,
 )
-from .grids import DiscreteOperators, RadialGrid
+from .grids import BorderedTridiagonal, DiscreteOperators, RadialGrid, tridiag_mul
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec, eval_M
 
@@ -61,19 +65,6 @@ class ReducedSolution:
     mode: str
     zdot_norm: float
     contraction_ratios: tuple[float, ...] = ()
-
-
-def _bordered(H: sparse.csc_matrix, gzd: np.ndarray) -> sparse.csc_matrix:
-    col = sparse.csc_matrix(-gzd[:, None])
-    row = sparse.csc_matrix(gzd[None, :])
-    return sparse.bmat([[H, col], [row, None]], format="csc")
-
-
-def _factor(K: sparse.csc_matrix):
-    try:
-        return splu(K)
-    except RuntimeError as exc:  # exactly singular factor
-        raise HessianSingular(str(exc)) from exc
 
 
 def solve_projected(
@@ -139,10 +130,9 @@ def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, tol, max_iter):
             stall += 1
         if res <= tol or stall >= 3:
             break
-        K = _bordered(ops.hess_csc(z + omega), gzd)
-        lu = _factor(K)
+        K = BorderedTridiagonal(ops.hess_banded(z + omega), -gzd, gzd)
         rhs = np.concatenate([r1, [float(np.dot(gzd, omega))]])
-        step = lu.solve(rhs)
+        step = K.solve(rhs)
         t, ok = 1.0, False
         while t > 1e-8:
             cand_o = _project_out(omega - t * step[:-1], zdot, gzd, nzd2)
@@ -162,8 +152,7 @@ def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, tol, max_iter):
 
 def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, tol, max_iter):
     m = len(z)
-    Hz = ops.hess_csc(z)
-    lu = _factor(_bordered(Hz, gzd))
+    K = BorderedTridiagonal(ops.hess_banded(z), -gzd, gzd)
     omega = np.zeros(m)
     alpha = 0.0
     deltas: list[float] = []
@@ -171,8 +160,8 @@ def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, tol, max_it
     for it in range(max_iter):
         # J'(z+omega) = J''(z) omega + (J'(z) + higher order); feed the
         # frozen-Hessian bordered system the full nonlinear right-hand side
-        rhs1 = -(ops.grad(z + omega) - Hz.dot(omega))
-        sol = lu.solve(np.concatenate([rhs1, [0.0]]))
+        rhs1 = -(ops.grad(z + omega) - ops.hess_mul(z, omega))
+        sol = K.solve(np.concatenate([rhs1, [0.0]]))
         new_omega = _project_out(sol[:-1], zdot, gzd, nzd2)
         alpha = float(sol[-1])
         deltas.append(ops.norm(new_omega - omega))
@@ -201,6 +190,8 @@ class SpectralReport:
 
 
 def _complement_min_dense(H, G, gz, gzd) -> float:
+    """Dense reference for _complement_min_sparse, on banded H and G."""
+    H, G = (np.diag(a[1]) + np.diag(a[0, 1:], 1) + np.diag(a[0, 1:], -1) for a in (H, G))
     B = np.column_stack([gz, gzd])
     Z = null_space(B.T)
     Hd = Z.T @ (H @ Z)
@@ -210,8 +201,8 @@ def _complement_min_dense(H, G, gz, gzd) -> float:
 
 
 def _complement_min_sparse(
-    H: sparse.csc_matrix,
-    G: sparse.csc_matrix,
+    H: np.ndarray,
+    G: np.ndarray,
     gz: np.ndarray,
     gzd: np.ndarray,
     tol: float = 1e-11,
@@ -220,40 +211,35 @@ def _complement_min_sparse(
     """Smallest eigenvalue of H v = theta G v restricted to the G-orthogonal
     complement of span{z, zdot}, by shift-invert inverse iteration on the
     bordered pencil (the border enforces the constraints exactly)."""
-    m = H.shape[0]
-    GY = sparse.csc_matrix(np.column_stack([gz, gzd]))
-
-    def factor(sigma: float):
-        return _factor(sparse.bmat([[H - sigma * G, GY], [GY.T, None]], format="csc"))
-
-    sigma = 0.0
-    lu = factor(sigma)
+    m = H.shape[1]
+    GY = np.column_stack([gz, gzd])
+    K = BorderedTridiagonal(H, GY, GY)
     v = np.ones(m)
-    v /= np.sqrt(max(float(v @ (G @ v)), np.finfo(float).tiny))
+    v /= np.sqrt(max(float(v @ tridiag_mul(G, v)), np.finfo(float).tiny))
     theta_prev = np.inf
     for it in range(max_iter):
-        w = lu.solve(np.concatenate([G @ v, [0.0, 0.0]]))[:m]
-        nw = np.sqrt(float(w @ (G @ w)))
+        w = K.solve(np.concatenate([tridiag_mul(G, v), [0.0, 0.0]]))[:m]
+        nw = np.sqrt(float(w @ tridiag_mul(G, w)))
         if not np.isfinite(nw) or nw == 0.0:
             raise EigensolverError("constrained inverse iteration collapsed")
         v = w / nw
-        theta = float(v @ (H @ v))
+        theta = float(v @ tridiag_mul(H, v))
         if abs(theta - theta_prev) <= tol * max(1.0, abs(theta)):
             return theta
         theta_prev = theta
         if it % 6 == 5:  # Rayleigh re-shift; cubic convergence from here
-            sigma = theta
-            lu = factor(sigma)
+            K = BorderedTridiagonal(H - theta * G, GY, GY)
     raise EigensolverError("constrained inverse iteration did not settle")
 
 
-def _bordered_sigma_min(K: sparse.csc_matrix, iters: int = 80) -> float:
-    lu = _factor(K)
-    v = np.ones(K.shape[0])
+def _bordered_sigma_min(H: np.ndarray, gzd: np.ndarray, iters: int = 80) -> float:
+    """Smallest singular value of K = [[H, -G zdot], [(G zdot)^T, 0]]."""
+    K, Kt = BorderedTridiagonal(H, -gzd, gzd), BorderedTridiagonal(H, gzd, -gzd)
+    v = np.ones(K.size)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
-        w = lu.solve(lu.solve(v, trans="T"))
+        w = K.solve(Kt.solve(v))
         lam = float(np.dot(v, w))
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -271,26 +257,23 @@ def projected_hessian_gap(
     ops = DiscreteOperators(grid, params.eps, spec, params.p)
     z = build_z(params, spec, grid)
     zdot = build_zdot(params, spec, grid)
-    H = ops.hess_csc(z)
-    G = ops.gram_csc()
+    H = ops.hess_banded(z)
+    G = ops.gram_banded
     gz = ops.gram_mul(z)
     gzd = ops.gram_mul(zdot)
     form_zz = ops.hess_quadform(z, z)
     form_ref = (1.0 - params.p) * ops.quad(np.abs(z) ** (params.p + 1))
     if grid.size <= dense_limit:
-        comp, method = _complement_min_dense(H.toarray(), G.toarray(), gz, gzd), "dense"
+        comp, method = _complement_min_dense(H, G, gz, gzd), "dense"
     else:
         try:
             comp, method = _complement_min_sparse(H, G, gz, gzd), "shift-invert"
         except EigensolverError:
             if grid.size <= 4000:
-                comp, method = (
-                    _complement_min_dense(H.toarray(), G.toarray(), gz, gzd),
-                    "dense-fallback",
-                )
+                comp, method = _complement_min_dense(H, G, gz, gzd), "dense-fallback"
             else:
                 raise
-    sigma = _bordered_sigma_min(_bordered(H, gzd))
+    sigma = _bordered_sigma_min(H, gzd)
     return SpectralReport(
         form_zz=float(form_zz),
         form_zz_ref=float(form_ref),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shellwave.ansatz import AnsatzParams, build_z, grid_for
-from shellwave.exceptions import ConfigError, ConvergedToZero
+from shellwave.exceptions import ConfigError, ConvergedToZero, NewtonDivergence
 from shellwave.forces import PowerForce, TruncatedForce
 from shellwave.full_solver import (
     asymptotic_terms_check,
@@ -114,6 +114,17 @@ def test_converged_to_zero_guard(sine_spec):
     seed = 1e-8 * np.exp(-((grid.nodes - 15.0) ** 2))
     with pytest.raises(ConvergedToZero):
         solve_full(2, 3.0, 0.4, sine_spec, seed, grid)
+
+
+def test_stall_above_roundoff_floor_diverges(sine_family, sine_spec):
+    # one Newton step from the bare ansatz never reaches the tolerance or
+    # the roundoff floor, so the accept rule must still refuse it
+    m = member_at(sine_family, 0.5)
+    params = AnsatzParams.make(2, 3.0, 0.5, m.rho_star, sine_spec, 0.5, 1.5,
+                               gamma=0.6)
+    seed = build_z(params, sine_spec, m.full.grid)
+    with pytest.raises(NewtonDivergence):
+        solve_full(2, 3.0, 0.5, sine_spec, seed, m.full.grid, max_iter=1)
 
 
 def test_supercritical_acceptance(supercritical_family):
