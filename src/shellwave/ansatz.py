@@ -1,5 +1,5 @@
-"""Layer ansatz: origin cutoff, manifold element z, its rho-derivative,
-remainder-set membership, and the gradient-scaling diagnostic.
+"""Layer ansatz: parameter windows, origin cutoff, the manifold element z,
+its rho-derivative, and the grids that carry them.
 
 z places a 1D ground-state profile at radius rho with local dispersion
 beta = (1 + eps^2 V(eps rho))^(1/2), multiplied by a cutoff vanishing
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ConfigError, OutOfConfigurationSet
-from .grids import DiscreteOperators, RadialGrid
+from .grids import RadialGrid
 from .ground_state import GroundStateProfile
 from .potentials import PotentialSpec
 
@@ -24,21 +24,21 @@ __all__ = [
     "cutoff",
     "build_z",
     "build_zdot",
-    "MembershipReport",
-    "membership_E",
-    "GradientScalingRow",
-    "gradient_norm_scaling",
     "grid_for",
 ]
 
-# p <= ~1 makes the decay-rate window lambda0/min{p,2} < lambda1 < lambda0
+# p <= ~1 makes the remainder decay-rate window (lambda0/min{p,2}, lambda0)
 # collapse; reject early rather than emit garbage profiles
 P_FLOOR = 1.05
 
 
 @dataclass(frozen=True)
 class AnsatzParams:
-    """Frozen parameter bundle for one (eps, rho) manifold element."""
+    """Frozen parameter bundle for one (eps, rho) manifold element.
+
+    gamma is the remainder-set radius, ||omega|| <= gamma eps^3 ||z||; tail
+    is the decay room, in lengths 1/lambda0, that grids keep past the layer.
+    """
 
     n: int
     p: float
@@ -48,8 +48,7 @@ class AnsatzParams:
     C2: float
     gamma: float
     lambda0: float
-    lambda1: float
-    eta: float
+    tail: float
 
     @classmethod
     def make(
@@ -62,31 +61,23 @@ class AnsatzParams:
         C1: float,
         C2: float,
         gamma: float = 2.0,
-        eta: float | None = None,
         eps_max: float | None = None,
+        tail: float = 40.0,
     ) -> "AnsatzParams":
         if p <= P_FLOOR:
             raise ConfigError(
-                f"p={p} rejected: the decay window lambda0/min(p,2) < lambda1 "
+                f"p={p} rejected: the decay window (lambda0/min(p,2), lambda0) "
                 f"nearly closes for p near 1 (floor {P_FLOOR})"
             )
         if n < 2:
             raise ConfigError(f"need n >= 2, got {n}")
-        if not (eps > 0 and C1 > 0 and C2 > 0 and gamma > 0):
-            raise ConfigError("eps, C1, C2, gamma must be positive")
+        if not (eps > 0 and C1 > 0 and C2 > 0 and gamma > 0 and tail > 0):
+            raise ConfigError("eps, C1, C2, gamma, tail must be positive")
         lam0 = spec.lambda0(eps_max if eps_max is not None else eps)
-        if eta is None:
-            eta = 0.05 * lam0
-        lam1 = lam0 - eta
-        if not (lam1 > lam0 / min(p, 2.0)):
-            raise ConfigError(
-                f"eta={eta} leaves lambda1={lam1} outside "
-                f"({lam0 / min(p, 2.0)}, {lam0})"
-            )
         params = cls(
             n=int(n), p=float(p), eps=float(eps), rho=float(rho),
             C1=float(C1), C2=float(C2), gamma=float(gamma),
-            lambda0=float(lam0), lambda1=float(lam1), eta=float(eta),
+            lambda0=float(lam0), tail=float(tail),
         )
         params._check_rho()
         beta = params.beta(spec)
@@ -120,11 +111,10 @@ class AnsatzParams:
         return GroundStateProfile(p=self.p, lam=self.beta(spec))
 
 
-def grid_for(params: AnsatzParams, h: float, rho_max: float | None = None,
-             tail: float = 40.0) -> RadialGrid:
+def grid_for(params: AnsatzParams, h: float, rho_max: float | None = None) -> RadialGrid:
     """Grid from the origin past the layer, with tail/lambda0 of decay room."""
     top = params.rho if rho_max is None else rho_max
-    return RadialGrid.make(params.n, top + tail / params.lambda0, h)
+    return RadialGrid.make(params.n, top + params.tail / params.lambda0, h)
 
 
 def cutoff(params: AnsatzParams, r):
@@ -136,10 +126,10 @@ def cutoff(params: AnsatzParams, r):
 
 
 def _coverage_check(params: AnsatzParams, grid: RadialGrid) -> None:
-    need = params.rho + 40.0 / params.lambda0
+    need = params.rho + params.tail / params.lambda0
     if grid.s_max < need - 1e-9:
         raise ConfigError(
-            f"grid ends at {grid.s_max}, needs to cover rho + 40/lambda0 = {need}"
+            f"grid ends at {grid.s_max}, needs to cover rho + tail/lambda0 = {need}"
         )
     if grid.s_min != 0.0:
         raise ConfigError("ansatz grids start at the origin")
@@ -166,88 +156,3 @@ def build_zdot(params: AnsatzParams, spec: PotentialSpec, grid: RadialGrid) -> n
     dlam2 = params.eps**3 * float(spec.deriv(params.eps * params.rho))
     drift = dlam2 * prof.dvalue_dlambda_sq(s) if dlam2 != 0.0 else 0.0
     return cutoff(params, grid.nodes) * (drift - prof.derivative(s))
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    """Margins of a remainder against the contraction set.
-
-    norm_margin = gamma eps^3 ||z|| - ||omega||  (>= 0 when inside)
-    envelope_margin = gamma - max over r in [0, rho] of
-                      |omega(r)| e^{lambda1 (rho - r)}
-    """
-
-    member: bool
-    norm_value: float
-    norm_bound: float
-    norm_margin: float
-    envelope_sup: float
-    envelope_margin: float
-    worst_node: float
-
-
-def membership_E(
-    params: AnsatzParams,
-    spec: PotentialSpec,
-    grid: RadialGrid,
-    omega: np.ndarray,
-) -> MembershipReport:
-    ops = DiscreteOperators(grid, params.eps, spec, params.p)
-    z = build_z(params, spec, grid)
-    norm_value = ops.norm(omega)
-    norm_bound = params.gamma * params.eps**3 * ops.norm(z)
-    inside = grid.nodes <= params.rho
-    # weighted sup: |omega| against gamma e^{-lambda1 (rho - r)}
-    scaled = np.abs(omega[inside]) * np.exp(
-        params.lambda1 * (params.rho - grid.nodes[inside])
-    )
-    k = int(np.argmax(scaled))
-    envelope_sup = float(scaled[k])
-    report = MembershipReport(
-        member=bool(norm_value <= norm_bound and envelope_sup <= params.gamma),
-        norm_value=float(norm_value),
-        norm_bound=float(norm_bound),
-        norm_margin=float(norm_bound - norm_value),
-        envelope_sup=envelope_sup,
-        envelope_margin=float(params.gamma - envelope_sup),
-        worst_node=float(grid.nodes[inside][k]),
-    )
-    return report
-
-
-@dataclass(frozen=True)
-class GradientScalingRow:
-    eps: float
-    rho: float
-    grad_dual_norm: float
-    z_norm: float
-    ratio: float
-
-
-def gradient_norm_scaling(
-    params_list: list[AnsatzParams],
-    spec: PotentialSpec,
-    h: float = 0.02,
-) -> list[GradientScalingRow]:
-    """Dual norm of the energy gradient at z, against the eps^3 ||z|| scale.
-
-    The ratio staying bounded across an eps-sweep is the discrete analogue
-    of the first a-priori estimate behind the reduction.
-    """
-    rows = []
-    for params in params_list:
-        grid = grid_for(params, h)
-        ops = DiscreteOperators(grid, params.eps, spec, params.p)
-        z = build_z(params, spec, grid)
-        dual = ops.dual_norm(ops.grad(z))
-        zn = ops.norm(z)
-        rows.append(
-            GradientScalingRow(
-                eps=params.eps,
-                rho=params.rho,
-                grad_dual_norm=float(dual),
-                z_norm=float(zn),
-                ratio=float(dual / (params.eps**3 * zn)),
-            )
-        )
-    return rows

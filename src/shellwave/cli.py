@@ -85,6 +85,7 @@ def _member_summary(m) -> dict:
         "newton_iters": f.newton_iters,
         "truncation_active": f.truncation_active,
         "force_cap": f.force_cap,
+        "remainder_ratio": m.reduced.solution.remainder_ratio,
     }
 
 
@@ -92,7 +93,8 @@ def _run_family(cfg: RunConfig, schedule) -> object:
     res = continuation_in_eps(
         cfg.n, cfg.p, cfg.spec(), schedule, cfg.C1, cfg.C2,
         tuple(cfg.t_bracket), gamma=cfg.gamma, trunc_K=cfg.trunc_K,
-        h_reduce=cfg.grid.h_reduce, h_solve=cfg.grid.h_solve)
+        h_reduce=cfg.grid.h_reduce, h_solve=cfg.grid.h_solve,
+        tail=cfg.grid.tail, tol_coeff=cfg.tolerances.solve_tol_coeff)
     if not res.members:
         raise SolverError(f"continuation produced no members: {res.failure}")
     if not res.completed:
@@ -191,8 +193,8 @@ def _stage_scan(cfg, outdir, eps, rho_samples):
     eps_max = max(float(cfg.schedule[0]), e)
     w_lo, w_hi = cfg.C1 / (2.0 * e**3), 2.0 * cfg.C2 / e**3
     params = AnsatzParams.make(cfg.n, cfg.p, e, 0.5 * (w_lo + w_hi), spec,
-                               cfg.C1, cfg.C2, gamma=cfg.gamma, eta=cfg.eta,
-                               eps_max=eps_max)
+                               cfg.C1, cfg.C2, gamma=cfg.gamma,
+                               eps_max=eps_max, tail=cfg.grid.tail)
     curve = reduced_energy_scan(params, spec, k, h=cfg.grid.h_reduce)
     csv_path = os.path.join(outdir, "scan.csv")
     write_csv(csv_path, ("rho", "psi", "alpha", "discrepancy", "ok"),
@@ -259,7 +261,7 @@ def _stage_continue(cfg, outdir, eps, rho_samples):
     csv_path = os.path.join(outdir, "family.csv")
     cols = ("eps", "rho_star", "t_value", "layer_radius", "peak_rho",
             "residual_max", "mass_weighted", "pohozaev_1", "pohozaev_2",
-            "newton_iters")
+            "newton_iters", "remainder_ratio")
     write_csv(csv_path, cols, ([r[c] for c in cols] for r in rows))
     jpath = os.path.join(outdir, "family.json")
     write_json(jpath, {
@@ -279,6 +281,8 @@ def _stage_continue(cfg, outdir, eps, rho_samples):
         "completed": res.completed,
         "pohozaev_all": bool(all(max(m.full.pohozaev_1, m.full.pohozaev_2)
                                  <= 1e-6 for m in res.members)),
+        "remainder_in_set": bool(all(r["remainder_ratio"] <= cfg.gamma
+                                     for r in rows)),
     }
     return outputs, passes
 

@@ -39,9 +39,7 @@ class GridPolicy:
 
 @dataclass(frozen=True)
 class Tolerances:
-    reduce_tol: float = 1e-10      # projected solve residual target
     solve_tol_coeff: float = 1e-10  # full Newton: tol = coeff * (1 + max|u|^p)
-    alpha_factor: float = 1e-9      # |alpha(rho*)| <= factor * ||zdot||
 
 
 @dataclass(frozen=True)
@@ -55,13 +53,11 @@ class RunConfig:
     t_bracket: tuple
     beta_floor: float = 0.05
     gamma: float = 2.0
-    eta: float | None = None
     trunc_K: float | None = None
     rho_samples: int = 33
     grid: GridPolicy = field(default_factory=GridPolicy)
     tolerances: Tolerances = field(default_factory=Tolerances)
     outdir: str = "out"
-    random_free: bool = True
 
     def spec(self) -> PotentialSpec:
         return build_potential(self.potential)
@@ -107,8 +103,6 @@ class RunConfig:
             raise ConfigError("gamma: must be positive")
         if not 0.0 < self.beta_floor < 1.0:
             raise ConfigError("beta_floor: must lie in (0, 1)")
-        if self.eta is not None and not self.eta > 0.0:
-            raise ConfigError("eta: must be positive when given")
         if self.trunc_K is not None and not self.trunc_K > 0.0:
             raise ConfigError("trunc_K: must be positive when given")
         if self.rho_samples < 8:
@@ -118,12 +112,8 @@ class RunConfig:
             raise ConfigError("grid: steps and tail must be positive")
         if g.h_solve > g.h_reduce:
             raise ConfigError("grid: h_solve must not exceed h_reduce")
-        t = self.tolerances
-        if not (t.reduce_tol > 0.0 and t.solve_tol_coeff > 0.0 and t.alpha_factor > 0.0):
-            raise ConfigError("tolerances: must be positive")
-        if self.random_free is not True:
-            raise ConfigError("random_free: the pipeline is deterministic; "
-                              "the flag documents it and must stay true")
+        if not self.tolerances.solve_tol_coeff > 0.0:
+            raise ConfigError("tolerances: solve_tol_coeff must be positive")
         spec = self.spec()
         eps_max = float(sched[0])
         if 1.0 - eps_max**2 * spec.bound_V <= 0.0:
@@ -166,8 +156,8 @@ def build_potential(d: dict) -> PotentialSpec:
 
 
 _TOP_KEYS = ("n", "p", "potential", "schedule", "C1", "C2", "t_bracket",
-             "beta_floor", "gamma", "eta", "trunc_K", "rho_samples",
-             "grid", "tolerances", "outdir", "random_free")
+             "beta_floor", "gamma", "trunc_K", "rho_samples",
+             "grid", "tolerances", "outdir")
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -179,7 +169,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if missing:
         raise ConfigError(f"missing field '{missing[0]}'")
     kw = dict(data)
-    for name in ("p", "C1", "C2", "beta_floor", "gamma", "eta", "trunc_K"):
+    for name in ("p", "C1", "C2", "beta_floor", "gamma", "trunc_K"):
         if name in kw and kw[name] is not None:
             try:
                 kw[name] = float(kw[name])

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .ansatz import AnsatzParams, build_z, grid_for
 from .exceptions import (
@@ -110,8 +111,7 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
         thr = tol_coeff * (1.0 + float(np.abs(best_u).max()) ** ops.p)
         if best_r <= 0.02 * thr or stall >= 3:
             break
-        ab = ops.strong_jacobian(u, force=force)
-        du = ops.solve_strong_linear(ab, R)
+        du = solve_banded((1, 1), ops.strong_jacobian(u, force=force), R)
         t, ok = 1.0, False
         while t > 1e-8:
             cand = u - t * du
@@ -371,6 +371,8 @@ def continuation_in_eps(
     h_reduce: float = 0.02,
     h_solve: float = 2e-3,
     local_width: float = 1.5,
+    tail: float = 40.0,
+    tol_coeff: float = 1e-10,
 ) -> ContinuationResult:
     """Track the layer family down the eps schedule.
 
@@ -378,7 +380,9 @@ def continuation_in_eps(
     members re-center the search in a window of half-width local_width
     around the previous t to stay on the same branch of M'(t) = 0, and the
     full solve is seeded from the previous profile shifted to the new
-    radius (interpolation beyond the old grid pads with zeros).
+    radius (interpolation beyond the old grid pads with zeros).  tail sets
+    the grids' decay room (AnsatzParams.tail) and tol_coeff the full
+    solves' Newton tolerance.
     """
     sched = _validate_schedule(schedule)
     eps_max = float(sched[0])
@@ -390,7 +394,7 @@ def continuation_in_eps(
             lo, hi = C1 / (2.0 * e3), 2.0 * C2 / e3
             params = AnsatzParams.make(
                 n=n, p=p, eps=eps, rho=0.5 * (lo + hi), spec=spec, C1=C1, C2=C2,
-                gamma=gamma, eps_max=eps_max,
+                gamma=gamma, eps_max=eps_max, tail=tail,
             )
             if prev is None:
                 bracket = (t_bracket[0] / eps, t_bracket[1] / eps)
@@ -419,7 +423,8 @@ def continuation_in_eps(
                     left=0.0,
                     right=0.0,
                 )
-            full = solve_full(n, p, eps, spec, seed, fine, trunc_K=trunc_K)
+            full = solve_full(n, p, eps, spec, seed, fine, trunc_K=trunc_K,
+                              tol_coeff=tol_coeff)
             member = FamilyMember(
                 eps=eps, rho_star=rho_star, t_value=eps * rho_star,
                 reduced=red, full=full,

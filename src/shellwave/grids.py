@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .exceptions import ConfigError, EllipticityViolation, HessianSingular
+from .exceptions import ConfigError, EigensolverError, EllipticityViolation, HessianSingular
 from .forces import PowerForce
 from .potentials import PotentialSpec
 
@@ -43,6 +43,7 @@ __all__ = [
     "quadrature",
     "tridiag_mul",
     "BorderedTridiagonal",
+    "constrained_min_eig",
     "deriv4",
 ]
 
@@ -178,6 +179,42 @@ class BorderedTridiagonal:
         return sol
 
 
+def constrained_min_eig(
+    A: np.ndarray,
+    B: np.ndarray,
+    border: np.ndarray,
+    tol: float = 1e-11,
+    max_iter: int = 60,
+) -> float:
+    """Smallest eigenvalue of A v = theta B v on {v : border^T v = 0}.
+
+    A and B are symmetric tridiagonal in upper-banded storage, B positive
+    definite, and border holds the constraint columns (for B-orthogonality
+    to Y, border = B Y).  Shift-invert inverse iteration on the bordered
+    pencil [[A - sigma B, border], [border^T, 0]], which enforces the
+    constraints exactly.
+    """
+    m = A.shape[1]
+    K = BorderedTridiagonal(A, border, border)
+    pad = np.zeros(K.size - m)
+    v = np.ones(m)
+    v /= np.sqrt(max(float(v @ tridiag_mul(B, v)), np.finfo(float).tiny))
+    theta_prev = np.inf
+    for it in range(max_iter):
+        w = K.solve(np.concatenate([tridiag_mul(B, v), pad]))[:m]
+        nw = np.sqrt(float(w @ tridiag_mul(B, w)))
+        if not np.isfinite(nw) or nw == 0.0:
+            raise EigensolverError("constrained inverse iteration collapsed")
+        v = w / nw
+        theta = float(v @ tridiag_mul(A, v))
+        if abs(theta - theta_prev) <= tol * max(1.0, abs(theta)):
+            return theta
+        theta_prev = theta
+        if it % 6 == 5:  # Rayleigh re-shift; cubic convergence from here
+            K = BorderedTridiagonal(A - theta * B, border, border)
+    raise EigensolverError("constrained inverse iteration did not settle")
+
+
 def deriv4(grid: RadialGrid, u: np.ndarray, even_origin: bool = True) -> np.ndarray:
     """Fourth-order first derivative, used only by integral audits.
 
@@ -294,12 +331,12 @@ class DiscreteOperators:
 
     # ---- collocation picture ------------------------------------------
 
-    def strong_residual(self, u: np.ndarray, force=None, origin: str = "mirror") -> np.ndarray:
+    def strong_residual(self, u: np.ndarray, force=None) -> np.ndarray:
         """Pointwise residual of -u'' - (n-1)/s u' + w u - f(u) with BC rows.
 
         Needs the grid to start at the origin; the first row uses the
-        symmetric limit -n u''(0) (mirror node) unless origin="dirichlet",
-        and the last row is the Dirichlet condition u(s_max) = 0.
+        symmetric limit -n u''(0) (mirror node), and the last row is the
+        Dirichlet condition u(s_max) = 0.
         """
         if self.grid.s_min != 0.0:
             raise ConfigError("collocation residual requires a grid starting at 0")
@@ -317,16 +354,11 @@ class DiscreteOperators:
             (n - 1) / s[1:-1]
         ) * (u[2:] - u[:-2]) / (2.0 * h)
         R[1:-1] = -lap + self.w[1:-1] * u[1:-1] - force.f(u[1:-1])
-        if origin == "mirror":
-            R[0] = -2.0 * n * (u[1] - u[0]) / h**2 + self.w[0] * u[0] - force.f(u[0])
-        elif origin == "dirichlet":
-            R[0] = u[0]
-        else:
-            raise ConfigError(f"unknown origin treatment {origin!r}")
+        R[0] = -2.0 * n * (u[1] - u[0]) / h**2 + self.w[0] * u[0] - force.f(u[0])
         R[-1] = u[-1]
         return R
 
-    def strong_jacobian(self, u: np.ndarray, force=None, origin: str = "mirror") -> np.ndarray:
+    def strong_jacobian(self, u: np.ndarray, force=None) -> np.ndarray:
         """Tridiagonal Jacobian of strong_residual in solve_banded (1,1) layout."""
         if force is None:
             force = self.force
@@ -339,16 +371,9 @@ class DiscreteOperators:
         ab[0, 2:] = -1.0 / h**2 - transport          # superdiagonal for rows 1..m-2
         ab[1, 1:-1] = 2.0 / h**2 + self.w[1:-1] - force.fp(u[1:-1])
         ab[2, :-2] = -1.0 / h**2 + transport          # subdiagonal
-        if origin == "mirror":
-            ab[1, 0] = 2.0 * n / h**2 + self.w[0] - force.fp(np.asarray(u[0]))
-            ab[0, 1] = -2.0 * n / h**2
-        else:
-            ab[1, 0] = 1.0
-            ab[0, 1] = 0.0
+        ab[1, 0] = 2.0 * n / h**2 + self.w[0] - force.fp(np.asarray(u[0]))
+        ab[0, 1] = -2.0 * n / h**2
         ab[1, -1] = 1.0
         ab[2, -2] = 0.0
         return ab
-
-    def solve_strong_linear(self, ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), ab, rhs)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, null_space
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gamma as _gamma
 
 from .exceptions import (
@@ -24,13 +24,13 @@ from .exceptions import (
     ShootingBracketError,
     ToleranceNotReached,
 )
+from .grids import constrained_min_eig, tridiag_mul
 
 __all__ = [
     "GroundStateProfile",
     "GroundStateConstants",
     "NondegeneracyReport",
     "sphere_area",
-    "eval_ground_state",
     "ground_state_constants",
     "shoot_ground_state",
     "linearized_spectrum",
@@ -106,11 +106,6 @@ class GroundStateProfile:
             base.value(self.lam * s) / (self.p - 1.0)
             + 0.5 * self.lam * s * base.derivative(self.lam * s)
         )
-
-
-def eval_ground_state(profile: GroundStateProfile, s) -> np.ndarray:
-    """Evaluate the closed-form profile at s (scalar or array)."""
-    return profile.value(s)
 
 
 @dataclass(frozen=True)
@@ -336,6 +331,25 @@ class NondegeneracyReport:
     complement_floor: float      # min Rayleigh quotient orthogonal to {Q, Q'}
 
 
+def _floor_pencil(
+    profile: GroundStateProfile, half_width: float, step: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L and the flat H^1 Gram matrix B on the interior nodes of (-W, W), in
+    upper-banded storage, and the border B [Q, Q'] whose null space is the
+    H^1-orthogonal complement of span{Q, Q'}."""
+    m = int(round(2.0 * half_width / step))
+    nodes = -half_width + step * np.arange(1, m)
+    main = 2.0 / step**2
+    L = np.zeros((2, m - 1))
+    L[0, 1:] = -1.0 / step**2
+    L[1] = main + profile.lam**2 - profile.p * profile.value(nodes) ** (profile.p - 1.0)
+    B = L.copy()
+    B[1] = main + 1.0
+    border = np.column_stack([tridiag_mul(B, profile.value(nodes)),
+                              tridiag_mul(B, profile.derivative(nodes))])
+    return L, B, border
+
+
 def nondegeneracy_report(
     profile: GroundStateProfile,
     half_width: float | None = None,
@@ -373,32 +387,14 @@ def nondegeneracy_report(
         / (np.linalg.norm(vecs[:, 1]) * np.linalg.norm(qp_nodes))
     )
 
-    # complement Rayleigh floor on a coarser grid (dense reduced eigenproblem)
-    mf = int(round(2.0 * half_width / floor_step))
-    nf = -half_width + floor_step * np.arange(1, mf)
-    hf = floor_step
-    pot = profile.lam**2 - profile.p * profile.value(nf) ** (profile.p - 1.0)
-    main = 2.0 / hf**2
-    L = np.diag(main + pot)
-    B = np.diag(np.full(mf - 1, main + 1.0))
-    idx = np.arange(mf - 2)
-    L[idx, idx + 1] = L[idx + 1, idx] = -1.0 / hf**2
-    B[idx, idx + 1] = B[idx + 1, idx] = -1.0 / hf**2
-    qf = profile.value(nf)
-    qpf = profile.derivative(nf)
-    constraints = np.vstack([qf @ B, qpf @ B])
-    Z = null_space(constraints)
-    try:
-        floor_vals = eigh(
-            Z.T @ L @ Z, Z.T @ B @ Z, subset_by_index=[0, 0], eigvals_only=True
-        )
-    except Exception as exc:  # pragma: no cover
-        raise EigensolverError(str(exc)) from exc
+    # complement Rayleigh floor on a coarser grid
+    L, B, border = _floor_pencil(profile, half_width, floor_step)
+    floor = constrained_min_eig(L, B, border)
 
     return NondegeneracyReport(
         quad_form_qq=form_qq,
         quad_form_qq_ref=form_ref,
         eigenvalues=vals,
         kernel_cosine=cos,
-        complement_floor=float(floor_vals[0]),
+        complement_floor=floor,
     )

@@ -183,14 +183,6 @@ class PotentialSpec:
             )
         return float(np.sqrt(floor))
 
-    def validate_bounds(self, r_max: float = 200.0, samples: int = 20001) -> None:
-        """Spot-check the declared bounds on a dense grid (raises ConfigError)."""
-        r = np.linspace(0.0, r_max, samples)
-        if np.max(np.abs(self.value(r))) > self.bound_V * (1 + 1e-12) + 1e-15:
-            raise ConfigError("declared bound_V violated")
-        if np.max(np.abs(self.deriv(r))) > self.bound_Vp * (1 + 1e-12) + 1e-15:
-            raise ConfigError("declared bound_Vp violated")
-
 
 @dataclass(frozen=True)
 class EffectivePotentialPoint:
@@ -219,7 +211,7 @@ def eval_M(
     Vp = spec.deriv(r)
 
     rn1 = r ** (n - 1)
-    rn2 = r ** (n - 2) if n >= 2 else r ** (n - 2)
+    rn2 = r ** (n - 2)
     M = pref * rn1 * W**q
     Mp = pref * ((n - 1) * rn2 * W**q + rn1 * q * W ** (q - 1.0) * eps**2 * Vp)
 

@@ -13,10 +13,14 @@ fidelity check, and both must agree at the common fixed point.
 
 Every linear system here, [[J'', -G zdot], [(G zdot)^T, 0]] (both modes,
 and with its transpose the singular-value estimate) and the spectral gap's
-[[J'' - sigma G, G Y], [(G Y)^T, 0]] with Y = [z, zdot], goes through
-grids.BorderedTridiagonal: banded LU plus block elimination of the border,
-guarded by the backward error of each solve (zdot is a near-kernel
-direction of J''), which raises HessianSingular above roundoff level.
+[[J'' - sigma G, G Y], [(G Y)^T, 0]] with Y = [z, zdot] (inside
+grids.constrained_min_eig), goes through grids.BorderedTridiagonal: banded
+LU plus block elimination of the border, guarded by the backward error of
+each solve (zdot is a near-kernel direction of J''), which raises
+HessianSingular above roundoff level.
+
+Each solve records remainder_ratio = ||omega|| / (eps^3 ||z||), the
+quantity the remainder set ||omega|| <= gamma eps^3 ||z|| bounds.
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from .exceptions import (
     NoSignChange,
     SolverError,
 )
-from .grids import BorderedTridiagonal, DiscreteOperators, RadialGrid, tridiag_mul
+from .grids import (
+    BorderedTridiagonal,
+    DiscreteOperators,
+    RadialGrid,
+    constrained_min_eig,
+)
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec, eval_M
 
@@ -64,6 +73,7 @@ class ReducedSolution:
     converged: bool
     mode: str
     zdot_norm: float
+    remainder_ratio: float
     contraction_ratios: tuple[float, ...] = ()
 
 
@@ -108,6 +118,7 @@ def solve_projected(
         converged=converged,
         mode=mode,
         zdot_norm=float(nzd),
+        remainder_ratio=float(ops.norm(omega) / (params.eps**3 * ops.norm(z))),
         contraction_ratios=tuple(ratios),
     )
 
@@ -189,47 +200,14 @@ class SpectralReport:
     method: str
 
 
-def _complement_min_dense(H, G, gz, gzd) -> float:
-    """Dense reference for _complement_min_sparse, on banded H and G."""
+def _complement_min_dense(H, G, border) -> float:
+    """Dense reference for grids.constrained_min_eig, on banded H and G."""
     H, G = (np.diag(a[1]) + np.diag(a[0, 1:], 1) + np.diag(a[0, 1:], -1) for a in (H, G))
-    B = np.column_stack([gz, gzd])
-    Z = null_space(B.T)
+    Z = null_space(border.T)
     Hd = Z.T @ (H @ Z)
     Gd = Z.T @ (G @ Z)
     vals = eigh(Hd, Gd, subset_by_index=[0, 0], eigvals_only=True)
     return float(vals[0])
-
-
-def _complement_min_sparse(
-    H: np.ndarray,
-    G: np.ndarray,
-    gz: np.ndarray,
-    gzd: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 60,
-) -> float:
-    """Smallest eigenvalue of H v = theta G v restricted to the G-orthogonal
-    complement of span{z, zdot}, by shift-invert inverse iteration on the
-    bordered pencil (the border enforces the constraints exactly)."""
-    m = H.shape[1]
-    GY = np.column_stack([gz, gzd])
-    K = BorderedTridiagonal(H, GY, GY)
-    v = np.ones(m)
-    v /= np.sqrt(max(float(v @ tridiag_mul(G, v)), np.finfo(float).tiny))
-    theta_prev = np.inf
-    for it in range(max_iter):
-        w = K.solve(np.concatenate([tridiag_mul(G, v), [0.0, 0.0]]))[:m]
-        nw = np.sqrt(float(w @ tridiag_mul(G, w)))
-        if not np.isfinite(nw) or nw == 0.0:
-            raise EigensolverError("constrained inverse iteration collapsed")
-        v = w / nw
-        theta = float(v @ tridiag_mul(H, v))
-        if abs(theta - theta_prev) <= tol * max(1.0, abs(theta)):
-            return theta
-        theta_prev = theta
-        if it % 6 == 5:  # Rayleigh re-shift; cubic convergence from here
-            K = BorderedTridiagonal(H - theta * G, GY, GY)
-    raise EigensolverError("constrained inverse iteration did not settle")
 
 
 def _bordered_sigma_min(H: np.ndarray, gzd: np.ndarray, iters: int = 80) -> float:
@@ -259,18 +237,18 @@ def projected_hessian_gap(
     zdot = build_zdot(params, spec, grid)
     H = ops.hess_banded(z)
     G = ops.gram_banded
-    gz = ops.gram_mul(z)
     gzd = ops.gram_mul(zdot)
+    GY = np.column_stack([ops.gram_mul(z), gzd])
     form_zz = ops.hess_quadform(z, z)
     form_ref = (1.0 - params.p) * ops.quad(np.abs(z) ** (params.p + 1))
     if grid.size <= dense_limit:
-        comp, method = _complement_min_dense(H, G, gz, gzd), "dense"
+        comp, method = _complement_min_dense(H, G, GY), "dense"
     else:
         try:
-            comp, method = _complement_min_sparse(H, G, gz, gzd), "shift-invert"
+            comp, method = constrained_min_eig(H, G, GY), "shift-invert"
         except EigensolverError:
             if grid.size <= 4000:
-                comp, method = _complement_min_dense(H, G, gz, gzd), "dense-fallback"
+                comp, method = _complement_min_dense(H, G, GY), "dense-fallback"
             else:
                 raise
     sigma = _bordered_sigma_min(H, gzd)
@@ -445,11 +423,7 @@ def calibrate_gamma(
     safety: float = 2.0,
 ) -> float:
     """Fix the remainder-set radius from the observed ||omega||/(eps^3 ||z||)."""
-    grid = grid_for(params, h)
-    sol = solve_projected(params, spec, grid)
+    sol = solve_projected(params, spec, grid_for(params, h))
     if not sol.converged:
         raise NewtonDivergence("projected solve stalled during gamma calibration")
-    ops = DiscreteOperators(grid, params.eps, spec, params.p)
-    z = build_z(params, spec, grid)
-    ratio = ops.norm(sol.omega) / (params.eps**3 * ops.norm(z))
-    return float(safety * ratio)
+    return float(safety * sol.remainder_ratio)

@@ -41,8 +41,6 @@ def test_parameter_validation():
         AnsatzParams.make(1, 3.0, 0.4, 21.0, spec, 0.5, 1.5)
     with pytest.raises(ConfigError):
         AnsatzParams.make(2, 1.01, 0.4, 21.0, spec, 0.5, 1.5)
-    with pytest.raises(ConfigError):
-        AnsatzParams.make(2, 3.0, 0.4, 21.0, spec, 0.5, 1.5, eta=10.0)
 
 
 def test_beta_floor_guard():

@@ -153,3 +153,44 @@ def test_mpot_artifacts(tmp_path):
     assert rec["passes"]["nondegenerate"] is True
     files = {f for f in os.listdir(out)}
     assert {"mpot.csv", "mpot.dat", "mpot.svg", "mpot.json"} <= files
+
+
+def run_stage(tmp_path, stage, name, **over):
+    """Run one stage on a one-member schedule; return its JSON artifact and
+    its ledger pass flags."""
+    cfg = write_cfg(tmp_path, name=f"{name}.json", schedule=[0.5], **over)
+    out = tmp_path / name
+    assert main([stage, "--config", cfg, "--out", str(out)]) == 0
+    artifact = {"solve": "solve.json", "continue": "family.json"}[stage]
+    rec = json.loads((out / "runs.jsonl").read_text())
+    return json.loads((out / artifact).read_text()), rec["passes"]
+
+
+def test_grid_tail_changes_solve_grid(tmp_path):
+    # h_solve = 0.004 halves the nodes of both solves and keeps the test short
+    short, _ = run_stage(tmp_path, "solve", "t30",
+                         grid={"tail": 30.0, "h_solve": 0.004})
+    full, _ = run_stage(tmp_path, "solve", "t40",
+                        grid={"tail": 40.0, "h_solve": 0.004})
+    assert short["grid_size"] < full["grid_size"]
+
+
+def test_solve_tol_coeff_changes_family_member(tmp_path):
+    loose, _ = run_stage(tmp_path, "continue", "loose",
+                         tolerances={"solve_tol_coeff": 1e-6})
+    tight, _ = run_stage(tmp_path, "continue", "tight",
+                         tolerances={"solve_tol_coeff": 1e-10})
+    a, b = loose["members"][0], tight["members"][0]
+    assert (a["residual_max"], a["newton_iters"]) != \
+        (b["residual_max"], b["newton_iters"])
+
+
+def test_gamma_decides_remainder_in_set(tmp_path):
+    # ||omega|| / (eps^3 ||z||) reads 0.283 at eps = 0.5
+    small, flags_small = run_stage(tmp_path, "continue", "g01", gamma=0.1)
+    large, flags_large = run_stage(tmp_path, "continue", "g06", gamma=0.6)
+    ratio = large["members"][0]["remainder_ratio"]
+    assert small["members"][0]["remainder_ratio"] == ratio
+    assert 0.1 < ratio < 0.6
+    assert flags_small["remainder_in_set"] is False
+    assert flags_large["remainder_in_set"] is True

@@ -40,7 +40,6 @@ def test_roundtrip_defaults():
     assert cfg.beta_floor == 0.05
     assert cfg.grid == GridPolicy()
     assert cfg.tolerances == Tolerances()
-    assert cfg.random_free is True
     assert isinstance(cfg.p, float) and isinstance(cfg.n, int)
 
 
@@ -107,8 +106,7 @@ def test_missing_field_rejected():
         ({"beta_floor": 1.5}, "beta_floor"),
         ({"rho_samples": 4}, "rho_samples"),
         ({"grid": {"h_reduce": 1e-3, "h_solve": 2e-3}}, "h_solve"),
-        ({"tolerances": {"reduce_tol": 0.0}}, "tolerances"),
-        ({"random_free": False}, "random_free"),
+        ({"tolerances": {"solve_tol_coeff": 0.0}}, "tolerances"),
     ],
 )
 def test_validation_errors_name_the_field(over, field):

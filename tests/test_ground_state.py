@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from shellwave.ground_state import (
     GroundStateProfile,
+    _floor_pencil,
     ground_state_constants,
     linearized_spectrum,
     nondegeneracy_report,
     shoot_ground_state,
     sphere_area,
 )
+from shellwave.reduction import _complement_min_dense
 
 FROZEN_P3_LAM1 = {
     # exact sech-integral values for p=3, lam=1
@@ -144,3 +146,13 @@ def test_nondegeneracy_report_structure():
     # quadratic form at Q equals (1-p) int Q^(p+1)
     assert rep.quad_form_qq == pytest.approx(rep.quad_form_qq_ref, rel=1e-6)
     assert rep.quad_form_qq == pytest.approx(-2.0 * 16.0 / 3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
+def test_complement_floor_matches_dense(p):
+    # the banded shift-invert floor against the dense null-space eigh, on
+    # the same L and B the report builds (half width 20/lam, step 0.05)
+    prof = GroundStateProfile(p=p, lam=1.0)
+    dense = _complement_min_dense(*_floor_pencil(prof, 20.0, 0.05))
+    floor = nondegeneracy_report(prof).complement_floor
+    assert floor == pytest.approx(dense, rel=1e-10)
