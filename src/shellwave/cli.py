@@ -83,6 +83,8 @@ def _member_summary(m) -> dict:
         "pohozaev_1": f.pohozaev_1,
         "pohozaev_2": f.pohozaev_2,
         "newton_iters": f.newton_iters,
+        "residual_evals": f.residual_evals,
+        "roundoff_floor": f.roundoff_floor,
         "truncation_active": f.truncation_active,
         "force_cap": f.force_cap,
         "remainder_ratio": m.reduced.solution.remainder_ratio,
@@ -261,7 +263,8 @@ def _stage_continue(cfg, outdir, eps, rho_samples):
     csv_path = os.path.join(outdir, "family.csv")
     cols = ("eps", "rho_star", "t_value", "layer_radius", "peak_rho",
             "residual_max", "mass_weighted", "pohozaev_1", "pohozaev_2",
-            "newton_iters", "remainder_ratio")
+            "newton_iters", "residual_evals", "roundoff_floor",
+            "remainder_ratio")
     write_csv(csv_path, cols, ([r[c] for c in cols] for r in rows))
     jpath = os.path.join(outdir, "family.json")
     write_json(jpath, {

@@ -20,7 +20,15 @@ Newton accepts a residual max-norm below max(tol_coeff (1 + max|u|^p),
 2 eps_mach max|u| / h^2).  The second term is the roundoff floor of the
 three-point residual of a float64 iterate, which exceeds the tolerance on
 the refinement audit's h = 1e-3 grid; stalls above both raise
-NewtonDivergence.
+NewtonDivergence, and so does a non-finite seed, residual or Jacobian.
+
+Stopping rules.  Each Newton step is damped by an Armijo line search that
+halves t from 1, so every accepted iterate has a strictly smaller residual
+than the one before and the current iterate is always the best.  Halving
+stops once u - t du equals u bit for bit: rounding is monotone, so no
+smaller t can move u again.  The first line search that fails ends the
+loop (repeating it from the same u would repeat it exactly), as do a
+residual below 2% of the tolerance and max_iter accepted steps.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .ansatz import AnsatzParams, build_z, grid_for
 from .exceptions import (
@@ -74,11 +82,20 @@ class FullSolution:
     residual_max: float
     peak_rho: float
     mass_weighted: float
-    pohozaev_1: float
-    pohozaev_2: float
+    audit: PohozaevAudit
     truncation_active: bool
-    newton_iters: int
+    newton_iters: int         # accepted Newton steps
+    residual_evals: int       # strong_residual evaluations, line searches included
+    roundoff_floor: float     # 2 eps_mach max|u| / h^2
     force_cap: float | None
+
+    @property
+    def pohozaev_1(self) -> float:
+        return self.audit.defect_1
+
+    @property
+    def pohozaev_2(self) -> float:
+        return self.audit.defect_2
 
 
 def _peak_location(grid: RadialGrid, u: np.ndarray) -> float:
@@ -92,39 +109,69 @@ def _peak_location(grid: RadialGrid, u: np.ndarray) -> float:
     return float(grid.nodes[i])
 
 
+def _sup(v: np.ndarray) -> float:
+    """max|v| without a temporary; NaN propagates through max and min."""
+    return float(max(v.max(), -v.min()))
+
+
+def _newton_step(ops: DiscreteOperators, force, u: np.ndarray, R: np.ndarray,
+                 J: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Newton direction J(u)^-1 R into du, overwriting the (3, m) buffer J.
+
+    LAPACK dgtsv on the three diagonals of strong_jacobian is the routine
+    solve_banded((1, 1), ...) calls, so the step has the same bits.
+    """
+    ops.strong_jacobian(u, force=force, out=J)
+    if not np.isfinite(_sup(J[1])):
+        raise NewtonDivergence("Newton Jacobian is not finite")
+    np.copyto(du, R)
+    *_, du, info = dgtsv(J[2, :-1], J[1], J[0, 1:], du, overwrite_dl=1,
+                         overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        raise NewtonDivergence(f"Newton Jacobian is singular (zero pivot at row {info})")
+    return du
+
+
 def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
                    tol_coeff: float, max_iter: int):
     u = np.array(u0, dtype=float)
     u[-1] = 0.0
-    seed_peak = float(np.abs(u).max())
-    best_u, best_r = u.copy(), np.inf
-    stall = 0
-    it = 0
-    for it in range(max_iter):
-        R = ops.strong_residual(u, force=force)
-        rmax = float(np.abs(R).max())
-        if rmax < best_r:
-            best_u, best_r = u.copy(), rmax
-            stall = 0
-        else:
-            stall += 1
-        thr = tol_coeff * (1.0 + float(np.abs(best_u).max()) ** ops.p)
-        if best_r <= 0.02 * thr or stall >= 3:
-            break
-        du = solve_banded((1, 1), ops.strong_jacobian(u, force=force), R)
-        t, ok = 1.0, False
-        while t > 1e-8:
-            cand = u - t * du
-            rc = float(np.abs(ops.strong_residual(cand, force=force)).max())
-            if rc <= (1.0 - 1e-4 * t) * rmax:
-                ok = True
+    seed_peak = _sup(u)
+    if not np.isfinite(seed_peak):
+        raise NewtonDivergence("Newton seed is not finite")
+    R, Rc, cand, du = (np.empty_like(u) for _ in range(4))
+    J = np.empty((3, u.size))
+    iters = 0
+    # overflow in a rejected candidate is expected; a non-finite state raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        rmax = _sup(ops.strong_residual(u, force=force, out=R))
+        evals = 1
+        if not np.isfinite(rmax):
+            raise NewtonDivergence("residual of the Newton seed is not finite")
+        while iters < max_iter:
+            thr = tol_coeff * (1.0 + _sup(u) ** ops.p)
+            if rmax <= 0.02 * thr:
                 break
-            t /= 2.0
-        if ok:
-            u = u - t * du
-        else:
-            stall += 1
-    peak = float(np.abs(best_u).max())
+            du = _newton_step(ops, force, u, R, J, du)
+            t, ok = 1.0, False
+            while t > 1e-8:
+                np.multiply(du, t, out=cand)
+                np.subtract(u, cand, out=cand)
+                if np.array_equal(cand, u):
+                    break
+                rc = _sup(ops.strong_residual(cand, force=force, out=Rc))
+                evals += 1
+                if rc <= (1.0 - 1e-4 * t) * rmax:
+                    ok = True
+                    break
+                t /= 2.0
+            if not ok:
+                break
+            u, cand = cand, u
+            R, Rc = Rc, R
+            rmax = rc
+            iters += 1
+    peak = _sup(u)
     if peak < 1e-3 * seed_peak:
         raise ConvergedToZero("iterates collapsed toward the zero solution")
     thr = tol_coeff * (1.0 + peak**ops.p)
@@ -132,12 +179,12 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
     # difference by up to (1 + 2 + 1) eps_mach/2 max|u| / h^2 (measured
     # stalls on the refinement grid sit at 1.2 eps_mach max|u| / h^2)
     floor = 2.0 * np.finfo(float).eps * peak / ops.h**2
-    if best_r > max(thr, floor):
+    if rmax > max(thr, floor):
         raise NewtonDivergence(
-            f"residual {best_r:.3e} stayed above the tolerance {thr:.3e} "
+            f"residual {rmax:.3e} stayed above the tolerance {thr:.3e} "
             f"and the roundoff floor {floor:.3e}"
         )
-    return best_u, best_r, it + 1
+    return u, rmax, iters, evals, floor
 
 
 def solve_full(
@@ -160,7 +207,8 @@ def solve_full(
     else:
         K = None
         force = ops.force
-    u, rmax, iters = _newton_strong(ops, force, seed, tol_coeff, max_iter)
+    u, rmax, iters, evals, floor = _newton_strong(ops, force, seed, tol_coeff,
+                                                  max_iter)
     if float(u[:-1].min()) <= 0.0:
         raise SolverError("solution lost positivity")
     if K is not None and float(u.max()) >= K:
@@ -177,10 +225,11 @@ def solve_full(
         residual_max=rmax,
         peak_rho=_peak_location(grid, u),
         mass_weighted=ops.quad(u * u),
-        pohozaev_1=audit.defect_1,
-        pohozaev_2=audit.defect_2,
+        audit=audit,
         truncation_active=bool(K is not None and np.any(force.active_on(u))),
         newton_iters=iters,
+        residual_evals=evals,
+        roundoff_floor=float(floor),
         force_cap=K,
     )
 
@@ -234,7 +283,10 @@ def pohozaev_refinement_check(
     trunc_K: float | None = None,
     tol_coeff: float = 1e-10,
 ) -> tuple[PohozaevAudit, PohozaevAudit, tuple[float, float]]:
-    """Re-solve on the half-step grid and report the defect shrink factors."""
+    """Re-solve on the half-step grid and report the defect shrink factors.
+
+    Both audits are the ones solve_full attached to the two solutions.
+    """
     fine = full.grid.refine()
     seed = np.interp(fine.nodes, full.grid.nodes, full.profile)
     refined = solve_full(
@@ -242,13 +294,12 @@ def pohozaev_refinement_check(
         trunc_K=trunc_K if trunc_K is not None else full.force_cap,
         tol_coeff=tol_coeff,
     )
-    coarse_audit = pohozaev_audit(full.n, full.p, full.eps, spec, full.grid, full.profile)
-    fine_audit = pohozaev_audit(full.n, full.p, full.eps, spec, fine, refined.profile)
+    tiny = np.finfo(float).tiny
     ratios = (
-        coarse_audit.defect_1 / max(fine_audit.defect_1, np.finfo(float).tiny),
-        coarse_audit.defect_2 / max(fine_audit.defect_2, np.finfo(float).tiny),
+        full.audit.defect_1 / max(refined.audit.defect_1, tiny),
+        full.audit.defect_2 / max(refined.audit.defect_2, tiny),
     )
-    return coarse_audit, fine_audit, ratios
+    return full.audit, refined.audit, ratios
 
 
 @dataclass(frozen=True)

@@ -256,7 +256,10 @@ class DiscreteOperators:
                 f"1 + eps^2 V <= 0 on the grid (eps={eps}, family={spec.family})"
             )
         self.gram_banded = self._assemble_gram()
-        self._gram_cho = cholesky_banded(self.gram_banded, lower=False)
+
+    @cached_property
+    def _gram_cho(self) -> np.ndarray:
+        return cholesky_banded(self.gram_banded, lower=False)
 
     # ---- weighted inner product and Gram matrix ----------------------
 
@@ -331,49 +334,87 @@ class DiscreteOperators:
 
     # ---- collocation picture ------------------------------------------
 
-    def strong_residual(self, u: np.ndarray, force=None) -> np.ndarray:
+    @cached_property
+    def _colloc(self) -> "_CollocationWork":
+        return _CollocationWork(self.grid, self.w)
+
+    def strong_residual(self, u: np.ndarray, force=None,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """Pointwise residual of -u'' - (n-1)/s u' + w u - f(u) with BC rows.
 
         Needs the grid to start at the origin; the first row uses the
         symmetric limit -n u''(0) (mirror node), and the last row is the
-        Dirichlet condition u(s_max) = 0.
+        Dirichlet condition u(s_max) = 0.  Writes into out when given;
+        temporaries live in the operators' workspace, so one residual
+        allocates at most its result.
         """
         if self.grid.s_min != 0.0:
             raise ConfigError("collocation residual requires a grid starting at 0")
         if force is None:
             force = self.force
-        s = self.grid.nodes
+        ws = self._colloc
         h = self.h
         n = self.grid.n
-        R = np.empty_like(u)
+        R = np.empty_like(u) if out is None else out
         # difference-of-differences: on monotone stretches the first
         # differences are exact, so the evaluation floor is ~eps*|u''|
         # instead of ~eps*|u|/h^2 (matters for the residual invariant)
-        fwd = u[1:] - u[:-1]
-        lap = (fwd[1:] - fwd[:-1]) / h**2 + (
-            (n - 1) / s[1:-1]
-        ) * (u[2:] - u[:-2]) / (2.0 * h)
-        R[1:-1] = -lap + self.w[1:-1] * u[1:-1] - force.f(u[1:-1])
+        fwd = np.subtract(u[1:], u[:-1], out=ws.fwd)
+        lap = np.subtract(fwd[1:], fwd[:-1], out=ws.lap)
+        lap /= ws.h2
+        transport = np.subtract(u[2:], u[:-2], out=ws.tmp)
+        transport *= ws.curv
+        transport /= ws.two_h
+        lap += transport
+        # w u - lap - f(u), in the rounding order of -lap + w u - f(u)
+        mid = np.multiply(self.w[1:-1], u[1:-1], out=R[1:-1])
+        mid -= lap
+        mid -= force.f(u[1:-1], out=ws.tmp)
         R[0] = -2.0 * n * (u[1] - u[0]) / h**2 + self.w[0] * u[0] - force.f(u[0])
         R[-1] = u[-1]
         return R
 
-    def strong_jacobian(self, u: np.ndarray, force=None) -> np.ndarray:
-        """Tridiagonal Jacobian of strong_residual in solve_banded (1,1) layout."""
+    def strong_jacobian(self, u: np.ndarray, force=None,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """Tridiagonal Jacobian of strong_residual in solve_banded (1,1) layout.
+
+        Only the diagonal depends on u; the stencil part is precomputed.
+        """
         if force is None:
             force = self.force
-        s = self.grid.nodes
-        h = self.h
-        n = self.grid.n
-        m = self.grid.size
-        ab = np.zeros((3, m))
-        transport = (n - 1) / (2.0 * h * s[1:-1])
-        ab[0, 2:] = -1.0 / h**2 - transport          # superdiagonal for rows 1..m-2
-        ab[1, 1:-1] = 2.0 / h**2 + self.w[1:-1] - force.fp(u[1:-1])
-        ab[2, :-2] = -1.0 / h**2 + transport          # subdiagonal
-        ab[1, 0] = 2.0 * n / h**2 + self.w[0] - force.fp(np.asarray(u[0]))
-        ab[0, 1] = -2.0 * n / h**2
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
-        return ab
+        ws = self._colloc
+        J = np.empty_like(ws.jac) if out is None else out
+        np.copyto(J, ws.jac)
+        J[1, 1:-1] -= force.fp(u[1:-1], out=ws.tmp)
+        J[1, 0] -= force.fp(np.asarray(u[0]))
+        return J
 
+
+class _CollocationWork:
+    """Stencil coefficients and scratch arrays of the collocation kernels.
+
+    Each coefficient is computed by the same expression the kernels used
+    inline, so precomputing it changes no bit of a residual or Jacobian.
+    The scratch arrays are overwritten by every kernel call.
+    """
+
+    def __init__(self, grid: RadialGrid, w: np.ndarray):
+        s = grid.nodes
+        h = grid.h
+        n = grid.n
+        m = grid.size
+        self.h2 = h**2
+        self.two_h = 2.0 * h
+        self.curv = (n - 1) / s[1:-1]
+        self.fwd = np.empty(m - 1)
+        self.lap = np.empty(m - 2)
+        self.tmp = np.empty(m - 2)
+        transport = (n - 1) / (2.0 * h * s[1:-1])
+        jac = np.zeros((3, m))
+        jac[0, 2:] = -1.0 / h**2 - transport          # superdiagonal for rows 1..m-2
+        jac[1, 1:-1] = 2.0 / h**2 + w[1:-1]          # minus f'(u) per call
+        jac[2, :-2] = -1.0 / h**2 + transport          # subdiagonal
+        jac[1, 0] = 2.0 * n / h**2 + w[0]
+        jac[0, 1] = -2.0 * n / h**2
+        jac[1, -1] = 1.0
+        self.jac = jac

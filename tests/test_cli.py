@@ -194,3 +194,15 @@ def test_gamma_decides_remainder_in_set(tmp_path):
     assert 0.1 < ratio < 0.6
     assert flags_small["remainder_in_set"] is False
     assert flags_large["remainder_in_set"] is True
+
+
+def test_continue_and_solve_report_newton_work(tmp_path):
+    family, _ = run_stage(tmp_path, "continue", "work")
+    member = family["members"][0]
+    assert member["residual_evals"] > member["newton_iters"] >= 1
+    assert 0.0 < member["roundoff_floor"] < 1e-8
+    header = (tmp_path / "work" / "family.csv").read_text().splitlines()[0]
+    assert {"residual_evals", "roundoff_floor"} <= set(header.split(","))
+    solve, _ = run_stage(tmp_path, "solve", "work_solve")
+    assert (solve["residual_evals"], solve["roundoff_floor"]) == \
+        (member["residual_evals"], member["roundoff_floor"])

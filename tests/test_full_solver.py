@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from shellwave.ansatz import AnsatzParams, build_z, grid_for
 from shellwave.exceptions import ConfigError, ConvergedToZero, NewtonDivergence
 from shellwave.forces import PowerForce, TruncatedForce
 from shellwave.full_solver import (
+    _newton_step,
+    _newton_strong,
     asymptotic_terms_check,
     continuation_in_eps,
     is_supercritical,
@@ -15,7 +18,7 @@ from shellwave.full_solver import (
     solve_full,
     tail_decay_check,
 )
-from shellwave.grids import RadialGrid
+from shellwave.grids import DiscreteOperators, RadialGrid
 from shellwave.potentials import PotentialSpec
 
 
@@ -77,6 +80,7 @@ def test_peak_tracks_critical_radius(sine_family, sine_spec):
 def test_pohozaev_refinement_shrink(sine_family, sine_spec):
     m = member_at(sine_family, 0.5)
     coarse, fine, ratios = pohozaev_refinement_check(m.full, sine_spec)
+    assert coarse is m.full.audit  # reused, not recomputed
     assert min(ratios) >= 3.5
     assert fine.defect_1 < coarse.defect_1
     assert fine.defect_2 < coarse.defect_2
@@ -171,3 +175,77 @@ def test_pohozaev_audit_scales(sine_family, sine_spec):
     assert audit.defect_1 == pytest.approx(m.full.pohozaev_1, rel=1e-12)
     assert audit.defect_2 == pytest.approx(m.full.pohozaev_2, rel=1e-12)
     assert audit.kinetic > 0 and audit.potential > 0
+
+
+def test_newton_work_count(sine_family):
+    # the first failed line search ends the loop and halving stops once the
+    # step no longer moves u; the loop that repeated failed line searches
+    # spent 66 residual evaluations on this member
+    f = member_at(sine_family, 0.5).full
+    assert f.residual_evals <= 20
+    assert f.newton_iters >= 1
+    assert f.residual_max <= max(1e-10 * (1.0 + f.profile.max() ** 3),
+                                 f.roundoff_floor)
+    assert f.roundoff_floor == 2.0 * np.finfo(float).eps * f.profile.max() / f.grid.h**2
+
+
+def test_newton_step_matches_solve_banded(sine_family, sine_spec):
+    m = member_at(sine_family, 0.5)
+    params = AnsatzParams.make(2, 3.0, 0.5, m.rho_star, sine_spec, 0.5, 1.5,
+                               gamma=0.6)
+    grid = m.full.grid
+    ops = DiscreteOperators(grid, 0.5, sine_spec, 3.0)
+    u = build_z(params, sine_spec, grid)
+    R = ops.strong_residual(u)
+    want = solve_banded((1, 1), ops.strong_jacobian(u), R)
+    J, du = np.empty((3, grid.size)), np.empty(grid.size)
+    got = _newton_step(ops, ops.force, u, R, J, du)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [np.nan, 1e120])
+def test_non_finite_seed_diverges(sine_family, sine_spec, scale):
+    # NaN used to escape as a bare ValueError from solve_banded and the
+    # scaled seed as an OverflowError; both are solver failures (exit 3)
+    m = member_at(sine_family, 0.5)
+    seed = m.full.profile.copy()
+    if np.isnan(scale):
+        seed[len(seed) // 2] = np.nan
+    else:
+        seed *= scale
+    with pytest.raises(NewtonDivergence, match="not finite"):
+        solve_full(2, 3.0, 0.5, sine_spec, seed, m.full.grid)
+
+
+class _Slope(PowerForce):
+    """Power force whose derivative is replaced by fixed values."""
+
+    def __init__(self, p, first, rest):
+        super().__init__(p)
+        self.first, self.rest = first, rest
+
+    def fp(self, u, out=None):
+        if np.ndim(u) == 0:
+            return self.first
+        out[...] = self.rest
+        return out
+
+
+def test_non_finite_jacobian_diverges():
+    grid = RadialGrid.make(2, 10.0, 0.05)
+    ops = DiscreteOperators(grid, 0.4, PotentialSpec.zero(), 3.0)
+    seed = np.exp(-((grid.nodes - 5.0) ** 2))
+    with pytest.raises(NewtonDivergence, match="Jacobian is not finite"):
+        _newton_strong(ops, _Slope(3.0, 0.0, np.nan), seed, 1e-10, 80)
+
+
+def test_singular_jacobian_diverges():
+    # nodes 0, 0.5, 1 with V = 0, n = 2: the stencil gives the rows
+    # [17 - f'0, -16, 0], [-2, 9 - f'1, -6], [0, 0, 1]; f' = (19, 25) makes
+    # the diagonal (-2, -16), so the leading 2x2 block is exactly singular
+    # and dgtsv meets a zero pivot without row interchange
+    grid = RadialGrid.make(2, 1.0, 0.5)
+    ops = DiscreteOperators(grid, 0.4, PotentialSpec.zero(), 3.0)
+    seed = np.array([1.0, 0.5, 0.0])
+    with pytest.raises(NewtonDivergence, match="singular"):
+        _newton_strong(ops, _Slope(3.0, 19.0, 25.0), seed, 1e-10, 80)

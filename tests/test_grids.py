@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from shellwave.exceptions import EllipticityViolation, HessianSingular
+from shellwave.forces import PowerForce, TruncatedForce
 from shellwave.grids import (
     BorderedTridiagonal,
     DiscreteOperators,
@@ -138,6 +139,92 @@ def test_strong_residual_order_two():
 
     r1, r2 = residual_sup(0.02), residual_sup(0.01)
     assert r2 <= r1 / 3.5
+
+
+def plain_power(p, u):
+    return np.abs(u) ** (p - 1.0) * u
+
+
+def plain_power_slope(p, u):
+    return p * np.abs(u) ** (p - 1.0)
+
+
+def plain_truncated(p, K, u):
+    u = np.asarray(u, dtype=float)
+    a = np.abs(u)
+    slope = p * K ** (p - 1.0)
+    tau = np.clip(a - K, 0.0, 1.0)
+    blend = K**p + slope * (tau - tau**2 + tau**3 / 3.0)
+    mag = np.where(a <= K, a ** (p - 1.0) * a,
+                   np.where(a <= K + 1.0, blend, K**p + slope / 3.0))
+    return np.sign(u) * mag
+
+
+def plain_truncated_slope(p, K, u):
+    u = np.asarray(u, dtype=float)
+    a = np.abs(u)
+    tau = np.clip(a - K, 0.0, 1.0)
+    return np.where(a <= K, p * a ** (p - 1.0),
+                    np.where(a <= K + 1.0, p * K ** (p - 1.0) * (1.0 - tau) ** 2, 0.0))
+
+
+def plain_residual(ops, u, f):
+    """The collocation residual as one numpy expression per row, with no
+    workspace: the reference the workspace kernel must match bit for bit."""
+    s, h, n = ops.grid.nodes, ops.h, ops.grid.n
+    R = np.empty_like(u)
+    fwd = u[1:] - u[:-1]
+    lap = (fwd[1:] - fwd[:-1]) / h**2 + (
+        (n - 1) / s[1:-1]
+    ) * (u[2:] - u[:-2]) / (2.0 * h)
+    R[1:-1] = -lap + ops.w[1:-1] * u[1:-1] - f(u[1:-1])
+    R[0] = -2.0 * n * (u[1] - u[0]) / h**2 + ops.w[0] * u[0] - f(u[0])
+    R[-1] = u[-1]
+    return R
+
+
+def plain_jacobian(ops, u, fp):
+    s, h, n, m = ops.grid.nodes, ops.h, ops.grid.n, ops.grid.size
+    ab = np.zeros((3, m))
+    transport = (n - 1) / (2.0 * h * s[1:-1])
+    ab[0, 2:] = -1.0 / h**2 - transport
+    ab[1, 1:-1] = 2.0 / h**2 + ops.w[1:-1] - fp(u[1:-1])
+    ab[2, :-2] = -1.0 / h**2 + transport
+    ab[1, 0] = 2.0 * n / h**2 + ops.w[0] - fp(np.asarray(u[0]))
+    ab[0, 1] = -2.0 * n / h**2
+    ab[1, -1] = 1.0
+    return ab
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p", [2.0, 7.0 / 3.0, 3.0, 6.0])
+@pytest.mark.parametrize("capped", [False, True])
+def test_collocation_kernels_bitwise(n, p, capped):
+    grid, ops = make_ops(n=n, rho_max=30.0, h=0.01, p=p)
+    # peak 3.5 against the cap K = 2 crosses the blend and the constant part
+    u = bump(grid, 15.0, width=2.0, amp=3.5) - bump(grid, 22.0, amp=0.5)
+    if capped:
+        force = TruncatedForce(p, 2.0)
+        f = lambda v: plain_truncated(p, 2.0, v)  # noqa: E731
+        fp = lambda v: plain_truncated_slope(p, 2.0, v)  # noqa: E731
+    else:
+        force = PowerForce(p)
+        f = lambda v: plain_power(p, v)  # noqa: E731
+        fp = lambda v: plain_power_slope(p, v)  # noqa: E731
+    first = ops.strong_residual(u, force=force)
+    kept = first.copy()
+    second = ops.strong_residual(0.5 * u, force=force)
+    assert first.tobytes() == kept.tobytes()
+    assert first.tobytes() == plain_residual(ops, u, f).tobytes()
+    assert second.tobytes() == plain_residual(ops, 0.5 * u, f).tobytes()
+    out = np.empty_like(u)
+    assert ops.strong_residual(u, force=force, out=out) is out
+    assert out.tobytes() == kept.tobytes()
+    want = plain_jacobian(ops, u, fp)
+    assert ops.strong_jacobian(u, force=force).tobytes() == want.tobytes()
+    J = np.full((3, grid.size), np.nan)
+    assert ops.strong_jacobian(u, force=force, out=J) is J
+    assert J.tobytes() == want.tobytes()
 
 
 def test_solve_strong_linear_manufactured():
