@@ -88,6 +88,8 @@ def _member_summary(m) -> dict:
         "truncation_active": f.truncation_active,
         "force_cap": f.force_cap,
         "remainder_ratio": m.reduced.solution.remainder_ratio,
+        "rho_evaluations": m.reduced.evaluations,
+        "dpsi_ok": m.reduced.dpsi_ok,
     }
 
 
@@ -264,7 +266,7 @@ def _stage_continue(cfg, outdir, eps, rho_samples):
     cols = ("eps", "rho_star", "t_value", "layer_radius", "peak_rho",
             "residual_max", "mass_weighted", "pohozaev_1", "pohozaev_2",
             "newton_iters", "residual_evals", "roundoff_floor",
-            "remainder_ratio")
+            "remainder_ratio", "rho_evaluations", "dpsi_ok")
     write_csv(csv_path, cols, ([r[c] for c in cols] for r in rows))
     jpath = os.path.join(outdir, "family.json")
     write_json(jpath, {

@@ -47,7 +47,7 @@ from .exceptions import (
     TruncationSaturated,
 )
 from .forces import PowerForce, TruncatedForce
-from .grids import DiscreteOperators, RadialGrid, deriv4
+from .grids import DiscreteOperators, RadialGrid, deriv4, quadrature
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec
 from .reduction import RhoStarResult, find_rho_star
@@ -215,7 +215,7 @@ def solve_full(
         raise TruncationSaturated(
             f"solution peak {u.max():.6f} reached the force cap {K}"
         )
-    audit = pohozaev_audit(n, p, eps, spec, grid, u)
+    audit = _pohozaev_audit(ops, u)
     return FullSolution(
         eps=eps,
         n=n,
@@ -259,7 +259,13 @@ def pohozaev_audit(
                                      - n (1/2 - 1/(p+1)) P = 0
     normalized by the largest term entering each.
     """
-    ops = DiscreteOperators(grid, eps, spec, p)
+    return _pohozaev_audit(DiscreteOperators(grid, eps, spec, p), u)
+
+
+def _pohozaev_audit(ops: DiscreteOperators, u: np.ndarray) -> PohozaevAudit:
+    """pohozaev_audit on the operators of the solution's own solve."""
+    grid, eps, spec, p = ops.grid, ops.eps, ops.spec, ops.p
+    n = grid.n
     du = deriv4(grid, u)
     scale = eps**n
     K1 = scale * ops.quad(du * du)
@@ -323,7 +329,6 @@ def asymptotic_terms_check(
     grid, u = full.grid, full.profile
     if rho is None:
         rho = full.peak_rho
-    ops = DiscreteOperators(grid, eps, spec, p)
     beta = float(np.sqrt(1.0 + eps**2 * spec.value(eps * rho)))
     consts = ground_state_constants(GroundStateProfile(p=p, lam=1.0), n=n)
     A = consts.kinetic_half
@@ -333,21 +338,21 @@ def asymptotic_terms_check(
     e2 = 4.0 / (p - 1.0) - 1.0
 
     rows = []
-    meas = eps**2 * eps ** (n - 2) * ops.quad(du * du)
+    meas = eps**2 * eps ** (n - 2) * quadrature(grid, du * du)
     pred = 2.0 * A * beta**e1 * shell
     rows.append(AsymptoticTermRow("kinetic", meas, pred, abs(meas - pred) / abs(pred)))
 
-    meas = eps**n * ops.quad(u * u)
+    meas = eps**n * quadrature(grid, u * u)
     pred = 2.0 * (p + 3.0) / (p - 1.0) * A * beta**e2 * shell
     rows.append(AsymptoticTermRow("mass", meas, pred, abs(meas - pred) / abs(pred)))
 
-    meas = eps**n * ops.quad(np.abs(u) ** (p + 1))
+    meas = eps**n * quadrature(grid, np.abs(u) ** (p + 1))
     pred = 4.0 * (p + 1.0) / (p - 1.0) * A * beta**e1 * shell
     rows.append(AsymptoticTermRow("power", meas, pred, abs(meas - pred) / abs(pred)))
 
     vp = float(spec.deriv(eps * rho))
-    meas = eps ** (3 + n) * ops.quad(
-        u * u, extra=grid.nodes * spec.deriv(eps * grid.nodes)
+    meas = eps ** (3 + n) * quadrature(
+        grid, grid.nodes * spec.deriv(eps * grid.nodes) * (u * u)
     )
     if abs(vp) < 1e-12:
         rows.append(AsymptoticTermRow("v-moment", meas, 0.0, np.nan, skipped=True))

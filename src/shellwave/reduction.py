@@ -68,7 +68,7 @@ class ReducedSolution:
     omega: np.ndarray
     alpha: float
     psi: float
-    newton_iters: int
+    newton_iters: int         # accepted Newton steps (fixed-point mode: iterations)
     residual_norm: float
     converged: bool
     mode: str
@@ -84,8 +84,22 @@ def solve_projected(
     mode: str = "newton",
     tol: float = 1e-10,
     max_iter: int = 60,
+    ops: DiscreteOperators | None = None,
+    warm: ReducedSolution | None = None,
 ) -> ReducedSolution:
-    ops = DiscreteOperators(grid, params.eps, spec, params.p)
+    """Remainder omega and multiplier alpha at params.rho on grid.
+
+    ops are the operators of (grid, params.eps, spec, params.p), built here
+    when not given; solves on one grid may share them, which changes no
+    bit.  Without warm the iteration starts from omega = 0, alpha = 0;
+    with warm, a solution on the same grid at another radius, it starts
+    from warm's omega shifted by params.rho - warm.rho (projected back onto
+    the constraint) and warm's alpha.
+    """
+    if ops is None:
+        ops = DiscreteOperators(grid, params.eps, spec, params.p)
+    elif ops.grid is not grid or ops.eps != params.eps or ops.p != params.p:
+        raise ConfigError("operators belong to another grid, eps or p")
     z = build_z(params, spec, grid)
     zdot = build_zdot(params, spec, grid)
     gzd = ops.gram_mul(zdot)
@@ -103,10 +117,16 @@ def solve_projected(
     else:
         raise ConfigError(f"unknown mode {mode!r}")
 
-    omega, alpha, iters, converged, ratios = solver(
-        ops, z, zdot, gzd, nzd2, residual_measure, tol, max_iter
+    if warm is None:
+        omega0, alpha0 = np.zeros(grid.size), 0.0
+    elif warm.omega.shape != grid.nodes.shape:
+        raise ConfigError("warm start comes from another grid")
+    else:
+        shifted = np.interp(grid.nodes - (params.rho - warm.rho), grid.nodes, warm.omega)
+        omega0, alpha0 = _project_out(shifted, zdot, gzd, nzd2), warm.alpha
+    omega, alpha, res, iters, converged, ratios = solver(
+        ops, z, zdot, gzd, nzd2, residual_measure, omega0, alpha0, tol, max_iter
     )
-    _, res = residual_measure(omega, alpha)
     return ReducedSolution(
         eps=params.eps,
         rho=params.rho,
@@ -127,16 +147,15 @@ def _project_out(omega: np.ndarray, zdot: np.ndarray, gzd: np.ndarray, nzd2: flo
     return omega - (float(np.dot(gzd, omega)) / nzd2) * zdot
 
 
-def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, tol, max_iter):
-    m = len(z)
-    omega = np.zeros(m)
-    alpha = 0.0
+def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, tol, max_iter):
     best = (omega, alpha, np.inf)
-    stall = 0
-    for it in range(max_iter):
-        r1, res = residual_measure(omega, alpha)
+    stall = accepted = 0
+    r1 = None
+    for _ in range(max_iter):
+        if r1 is None:
+            r1, res = residual_measure(omega, alpha)
         if res < best[2]:
-            best, stall = (omega.copy(), alpha, res), 0
+            best, stall = (omega, alpha, res), 0
         else:
             stall += 1
         if res <= tol or stall >= 3:
@@ -148,24 +167,25 @@ def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, tol, max_iter):
         while t > 1e-8:
             cand_o = _project_out(omega - t * step[:-1], zdot, gzd, nzd2)
             cand_a = alpha - t * step[-1]
-            _, cres = residual_measure(cand_o, cand_a)
-            if cres <= (1.0 - 1e-4 * t) * res:
+            cand_r1, cand_res = residual_measure(cand_o, cand_a)
+            if cand_res <= (1.0 - 1e-4 * t) * res:
                 ok = True
                 break
             t /= 2
-        if not ok:
+        if ok:  # the accepted candidate's residual is the next iterate's
+            omega, alpha, r1, res = cand_o, cand_a, cand_r1, cand_res
+            accepted += 1
+        else:
             stall += 1
-        omega = _project_out(omega - t * step[:-1], zdot, gzd, nzd2)
-        alpha = alpha - t * step[-1]
+            omega = _project_out(omega - t * step[:-1], zdot, gzd, nzd2)
+            alpha = alpha - t * step[-1]
+            r1 = None
     omega, alpha, res = best
-    return omega, alpha, it + 1, bool(res <= tol), ()
+    return omega, alpha, res, accepted, bool(res <= tol), ()
 
 
-def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, tol, max_iter):
-    m = len(z)
+def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, tol, max_iter):
     K = BorderedTridiagonal(ops.hess_banded(z), -gzd, gzd)
-    omega = np.zeros(m)
-    alpha = 0.0
     deltas: list[float] = []
     converged = False
     for it in range(max_iter):
@@ -185,7 +205,8 @@ def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, tol, max_it
     ratios = tuple(
         deltas[k] / deltas[k - 1] for k in range(1, len(deltas)) if deltas[k - 1] > 0
     )
-    return omega, alpha, it + 1, converged, ratios
+    _, res = residual_measure(omega, alpha)
+    return omega, alpha, res, it + 1, converged, ratios
 
 
 # alpha sign depends on the sign of zdot; the root is what matters.
@@ -284,6 +305,7 @@ def reduced_energy_scan(
     lo, hi = params.omega_window
     rhos = np.linspace(lo, hi, rho_samples)
     grid = grid_for(params, h, rho_max=hi)
+    ops = DiscreteOperators(grid, params.eps, spec, params.p)
     consts = ground_state_constants(GroundStateProfile(p=params.p, lam=1.0), params.n)
     eps = params.eps
     psi = np.full(rho_samples, np.nan)
@@ -292,7 +314,7 @@ def reduced_energy_scan(
     ok = np.zeros(rho_samples, dtype=bool)
     for i, rho in enumerate(rhos):
         try:
-            sol = solve_projected(params.with_rho(rho), spec, grid, mode=mode)
+            sol = solve_projected(params.with_rho(rho), spec, grid, mode=mode, ops=ops)
         except SolverError:
             continue
         if not sol.converged:
@@ -323,28 +345,51 @@ def find_rho_star(
     h: float = 0.02,
     mode: str = "newton",
     alpha_factor: float = 1e-9,
-    max_bisect: int = 200,
+    max_steps: int = 200,
     check_dpsi: bool = True,
     pre_scan: int = 9,
 ) -> RhoStarResult:
     """Root of alpha(rho) in the bracket, down to |alpha| <= factor * ||zdot||.
 
-    A short scan walks the bracket first and bisection runs on the first
-    subinterval with an alpha sign change, so brackets enclosing an even
-    number of roots (wide windows over an oscillatory potential) still
+    A short scan walks the bracket first and the root is refined on the
+    first subinterval with an alpha sign change, so brackets enclosing an
+    even number of roots (wide windows over an oscillatory potential) still
     resolve; the scan order makes the choice deterministic and keeps
     continuation runs on the branch nearest the lower edge.
+
+    The refinement is the Illinois variant of regula falsi on
+    alpha / ||zdot|| (superlinear, order about 1.44): it keeps the
+    sign-change bracket, halves the retained end's value when the same end
+    is kept twice, and takes the midpoint when the interpolated point
+    leaves the bracket.  Every solve is a solve_projected on one grid with
+    one set of operators.  The first is cold; each later one is
+    warm-started from the evaluated solution nearest in rho (the earliest
+    on ties).  A warm start that fails or does not converge is retried
+    cold, and both count in evaluations.
     """
     a, b = float(bracket[0]), float(bracket[1])
     grid = grid_for(params, h, rho_max=b)
+    ops = DiscreteOperators(grid, params.eps, spec, params.p)
+    solved: list[ReducedSolution] = []
     evals = 0
 
     def at(rho: float) -> ReducedSolution:
         nonlocal evals
-        evals += 1
-        sol = solve_projected(params.with_rho(rho), spec, grid, mode=mode)
-        if not sol.converged:
-            raise NewtonDivergence(f"projected solve stalled at rho={rho}")
+        rp = params.with_rho(rho)
+        sol = None
+        if solved:
+            evals += 1
+            warm = min(solved, key=lambda s: abs(s.rho - rho))
+            try:
+                sol = solve_projected(rp, spec, grid, mode=mode, ops=ops, warm=warm)
+            except SolverError:
+                pass
+        if sol is None or not sol.converged:
+            evals += 1
+            sol = solve_projected(rp, spec, grid, mode=mode, ops=ops)
+            if not sol.converged:
+                raise NewtonDivergence(f"projected solve stalled at rho={rho}")
+        solved.append(sol)
         return sol
 
     sa = at(a)
@@ -363,19 +408,30 @@ def find_rho_star(
             f"alpha keeps the sign of alpha({bracket[0]})={sa.alpha:.3e} "
             f"across [{bracket[0]}, {bracket[1]}] ({evals} samples)"
         )
-    for _ in range(max_bisect):
+    fa, fb = sa.alpha / sa.zdot_norm, sb.alpha / sb.zdot_norm
+    kept = 0  # -1: a was kept by the last step, +1: b was
+    for _ in range(max_steps):
         if abs(best.alpha) <= alpha_factor * best.zdot_norm:
             break
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            break
-        sm = at(mid)
-        if abs(sm.alpha) < abs(best.alpha):
-            best = sm
-        if np.sign(sm.alpha) == np.sign(sa.alpha):
-            a, sa = mid, sm
+        x = (a * fb - b * fa) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if x in (a, b):
+                break
+        sx = at(x)
+        if abs(sx.alpha) < abs(best.alpha):
+            best = sx
+        fx = sx.alpha / sx.zdot_norm
+        if np.sign(fx) == np.sign(fa):
+            a, fa = x, fx
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
         else:
-            b, sb = mid, sm
+            b, fb = x, fx
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
     star = best
     dpsi = np.nan
     dpsi_ok = False
@@ -406,12 +462,12 @@ def domega_drho(
     """Centered difference of the remainder in rho, and its size against zdot."""
     if delta is None:
         delta = 1e-3 * params.rho
-    up = solve_projected(params.with_rho(params.rho + delta), spec, grid, mode=mode)
-    dn = solve_projected(params.with_rho(params.rho - delta), spec, grid, mode=mode)
+    ops = DiscreteOperators(grid, params.eps, spec, params.p)
+    up = solve_projected(params.with_rho(params.rho + delta), spec, grid, mode=mode, ops=ops)
+    dn = solve_projected(params.with_rho(params.rho - delta), spec, grid, mode=mode, ops=ops)
     if not (up.converged and dn.converged):
         raise NewtonDivergence("projected solve stalled during rho differencing")
     dod = (up.omega - dn.omega) / (2.0 * delta)
-    ops = DiscreteOperators(grid, params.eps, spec, params.p)
     zdot = build_zdot(params, spec, grid)
     return dod, float(ops.norm(dod) / ops.norm(zdot))
 

@@ -112,7 +112,10 @@ def test_replay_is_byte_identical(tmp_path):
         assert main(["mpot", "--config", cfg, "--out", out]) == 0
         assert main(["scan", "--config", cfg, "--out", out,
                      "--eps", "0.4", "--rho-samples", "9"]) == 0
+        for stage in ("solve", "continue", "normalize"):
+            assert main([stage, "--config", cfg, "--out", out]) == 0
     b1, b2 = artifact_bytes(d1), artifact_bytes(d2)
+    assert {"solve.json", "family.json", "records.json"} <= b1.keys()
     assert b1.keys() == b2.keys()
     for name in b1:
         assert b1[name] == b2[name], f"{name} differs between replays"
@@ -206,3 +209,17 @@ def test_continue_and_solve_report_newton_work(tmp_path):
     solve, _ = run_stage(tmp_path, "solve", "work_solve")
     assert (solve["residual_evals"], solve["roundoff_floor"]) == \
         (member["residual_evals"], member["roundoff_floor"])
+
+
+def test_continue_and_solve_report_rho_search(tmp_path):
+    family, _ = run_stage(tmp_path, "continue", "rho")
+    member = family["members"][0]
+    assert 3 <= member["rho_evaluations"] <= 12
+    assert member["dpsi_ok"] is True
+    lines = (tmp_path / "rho" / "family.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["rho_evaluations"] == str(member["rho_evaluations"])
+    assert row["dpsi_ok"] == "true"
+    solve, _ = run_stage(tmp_path, "solve", "rho_solve")
+    assert (solve["rho_evaluations"], solve["dpsi_ok"]) == \
+        (member["rho_evaluations"], True)

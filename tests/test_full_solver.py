@@ -177,6 +177,34 @@ def test_pohozaev_audit_scales(sine_family, sine_spec):
     assert audit.kinetic > 0 and audit.potential > 0
 
 
+def test_audits_reuse_the_solve_operators(sine_family, sine_spec, monkeypatch):
+    # solve_full audits on its own operators and asymptotic_terms_check
+    # needs only the quadrature, so neither builds another DiscreteOperators
+    m = member_at(sine_family, 0.5)
+    built = []
+    init = DiscreteOperators.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteOperators, "__init__", counting)
+    full = solve_full(2, 3.0, m.eps, sine_spec, m.full.profile, m.full.grid)
+    assert built == [m.full.grid]
+    rows = asymptotic_terms_check(full, sine_spec)
+    assert len(built) == 1
+    public = pohozaev_audit(2, 3.0, m.eps, sine_spec, full.grid, full.profile)
+    assert (public.defect_1, public.defect_2) == (full.pohozaev_1, full.pohozaev_2)
+    assert public == full.audit
+    # the quadrature gives the same bits as the operators' weights
+    ops = DiscreteOperators(full.grid, m.eps, sine_spec, 3.0)
+    u, s = full.profile, full.grid.nodes
+    measured = {r.name: r.measured for r in rows}
+    assert measured["mass"] == m.eps**2 * ops.quad(u * u)
+    assert measured["v-moment"] == m.eps**5 * ops.quad(
+        u * u, extra=s * sine_spec.deriv(m.eps * s))
+
+
 def test_newton_work_count(sine_family):
     # the first failed line search ends the loop and halving stops once the
     # step no longer moves u; the loop that repeated failed line searches

@@ -1,11 +1,14 @@
 """Projected solves, the bordered spectral gap, the energy scan, and rho*."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from shellwave import reduction
 from shellwave.ansatz import AnsatzParams, build_z, build_zdot, grid_for
-from shellwave.exceptions import ConfigError, NoSignChange
-from shellwave.grids import DiscreteOperators
+from shellwave.exceptions import ConfigError, HessianSingular, NewtonDivergence, NoSignChange
+from shellwave.grids import BorderedTridiagonal, DiscreteOperators
 from shellwave.potentials import PotentialSpec, find_critical_radius
 from shellwave.reduction import (
     calibrate_gamma,
@@ -138,3 +141,183 @@ def test_domega_drho_bounded(setup):
     vec, rel = domega_drho(params, spec, grid)
     assert np.all(np.isfinite(vec))
     assert 0.0 < rel < 10.0
+
+
+def _plain_projected_newton(params, spec, grid, tol=1e-10, max_iter=60):
+    """The projected Newton solve written out plainly: its own operators,
+    a residual evaluated at the top of every iteration and again for the
+    returned iterate.  Returns (omega, alpha, residual, loop iterations,
+    accepted steps)."""
+    ops = DiscreteOperators(grid, params.eps, spec, params.p)
+    z = build_z(params, spec, grid)
+    zdot = build_zdot(params, spec, grid)
+    gzd = ops.gram_mul(zdot)
+    nzd2 = float(np.dot(zdot, gzd))
+    nzd = np.sqrt(nzd2)
+
+    def measure(omega, alpha):
+        r1 = ops.grad(z + omega) - alpha * gzd
+        return r1, ops.dual_norm(r1) + abs(float(np.dot(gzd, omega))) / nzd
+
+    def project(omega):
+        return omega - (float(np.dot(gzd, omega)) / nzd2) * zdot
+
+    omega = np.zeros(len(z))
+    alpha = 0.0
+    best = (omega, alpha, np.inf)
+    stall = accepted = 0
+    for it in range(max_iter):
+        r1, res = measure(omega, alpha)
+        if res < best[2]:
+            best, stall = (omega.copy(), alpha, res), 0
+        else:
+            stall += 1
+        if res <= tol or stall >= 3:
+            break
+        K = BorderedTridiagonal(ops.hess_banded(z + omega), -gzd, gzd)
+        step = K.solve(np.concatenate([r1, [float(np.dot(gzd, omega))]]))
+        t, ok = 1.0, False
+        while t > 1e-8:
+            _, cres = measure(project(omega - t * step[:-1]), alpha - t * step[-1])
+            if cres <= (1.0 - 1e-4 * t) * res:
+                ok = True
+                break
+            t /= 2
+        if ok:
+            accepted += 1
+        else:
+            stall += 1
+        omega = project(omega - t * step[:-1])
+        alpha = alpha - t * step[-1]
+    omega, alpha, _ = best
+    return omega, alpha, measure(omega, alpha)[1], it + 1, accepted
+
+
+def test_cold_projected_solve_bitwise_with_shared_ops():
+    spec = PotentialSpec.sine()
+    params = AnsatzParams.make(2, 3.0, 0.5, 16.0, spec, 0.5, 1.5,
+                               gamma=0.6, eps_max=0.5)
+    grid = grid_for(params, 0.02, rho_max=params.omega_window[1])
+    ops = DiscreteOperators(grid, 0.5, spec, 3.0)
+    # rho = 2.0 sits on the window edge, where the solve stalls unconverged
+    for rho, converged in ((16.0, True), (2.0, False), (17.25, True)):
+        p = params.with_rho(rho)
+        sol = solve_projected(p, spec, grid, ops=ops)
+        omega, alpha, res, loops, accepted = _plain_projected_newton(p, spec, grid)
+        assert sol.converged is converged
+        assert np.array_equal(sol.omega, omega)
+        assert (sol.alpha, sol.residual_norm) == (alpha, res)
+        # newton_iters counts accepted steps; the loop count also counted
+        # the final convergence check
+        assert sol.newton_iters == accepted
+        if converged:
+            assert loops == accepted + 1
+        cold = solve_projected(p, spec, grid)
+        assert np.array_equal(cold.omega, sol.omega)
+        assert (cold.psi, cold.remainder_ratio) == (sol.psi, sol.remainder_ratio)
+
+
+def test_operators_and_warm_start_must_match_the_grid(setup):
+    params, spec, grid = setup
+    other = DiscreteOperators(grid, 0.45, spec, 3.0)
+    with pytest.raises(ConfigError):
+        solve_projected(params, spec, grid, ops=other)
+    coarse = grid_for(params, 0.04, rho_max=params.omega_window[1])
+    elsewhere = solve_projected(params, spec, coarse)
+    with pytest.raises(ConfigError):
+        solve_projected(params, spec, grid, warm=elsewhere)
+
+
+def test_warm_and_cold_solves_agree(setup):
+    params, spec, grid = setup
+    ops = DiscreteOperators(grid, EPS, spec, 3.0)
+    # the step find_rho_star takes for its dpsi check
+    near = solve_projected(params.with_rho(RHO - 3e-4 * RHO), spec, grid, ops=ops)
+    warm = solve_projected(params, spec, grid, ops=ops, warm=near)
+    cold = solve_projected(params, spec, grid, ops=ops)
+    assert warm.converged and cold.converged
+    assert warm.newton_iters < cold.newton_iters
+    assert warm.residual_norm <= 1e-10
+    assert ops.norm(warm.omega - cold.omega) <= 1e-10
+    assert abs(warm.alpha - cold.alpha) <= 1e-10
+    assert abs(warm.psi - cold.psi) <= 1e-12 * abs(cold.psi)
+    # max_iter=1 returns the starting iterate: shifting omega by the change
+    # in rho starts closer than reusing it in place or starting cold
+    start = [solve_projected(params, spec, grid, ops=ops, warm=w, max_iter=1)
+             for w in (near, dataclasses.replace(near, rho=RHO), None)]
+    assert start[0].residual_norm < start[1].residual_norm < start[2].residual_norm
+
+
+def test_rho_star_work_count(sine_family):
+    # warm-started Illinois steps after the pre-scan; bisection took 25-27
+    evals = [m.reduced.evaluations for m in sine_family.members]
+    assert max(evals) <= 12, evals
+
+
+def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
+    # alpha = exp(rho - 20.3) - 1 bends strongly across the bracket, so
+    # plain regula falsi keeps one end and takes 182 solves to reach the
+    # stopping rule, bisection 33, the Illinois steps 13 (the two bracket
+    # ends included)
+    params, spec, _ = setup
+
+    def fake(p, spec, grid, mode="newton", ops=None, warm=None):
+        return reduction.ReducedSolution(
+            eps=p.eps, rho=p.rho, omega=np.zeros(grid.size),
+            alpha=float(np.expm1(p.rho - 20.3)), psi=0.0, newton_iters=0,
+            residual_norm=0.0, converged=True, mode=mode, zdot_norm=1.0,
+            remainder_ratio=0.0)
+
+    monkeypatch.setattr(reduction, "solve_projected", fake)
+    res = find_rho_star(params, spec, (18.75, 23.75), pre_scan=2, check_dpsi=False)
+    assert abs(res.alpha) <= 1e-9
+    assert res.rho_star == pytest.approx(20.3, abs=1e-8)
+    assert res.evaluations <= 15
+
+
+def _fail_warm_starts(monkeypatch, how, limit):
+    """Make the first `limit` warm-started solves fail; returns the call log."""
+    calls = []
+    real = reduction.solve_projected
+
+    def patched(*args, warm=None, **kwargs):
+        calls.append(warm is not None)
+        if warm is not None and sum(calls) <= limit:
+            if how == "raises":
+                raise HessianSingular("injected")
+            sol = real(*args, warm=warm, **kwargs)
+            return dataclasses.replace(sol, converged=False)
+        return real(*args, warm=warm, **kwargs)
+
+    monkeypatch.setattr(reduction, "solve_projected", patched)
+    return calls
+
+
+@pytest.mark.parametrize("how", ["unconverged", "raises"])
+def test_failed_warm_start_retries_cold(setup, monkeypatch, how):
+    params, spec, _ = setup
+    bracket = (7.5 / EPS, 9.5 / EPS)
+    plain = find_rho_star(params, spec, bracket)
+    calls = _fail_warm_starts(monkeypatch, how, limit=1)
+    res = find_rho_star(params, spec, bracket)
+    assert res.evaluations == len(calls)
+    # the second solve was warm, failed, and was retried cold
+    assert calls[:3] == [False, True, False]
+    assert abs(res.alpha) <= 1e-9 * res.solution.zdot_norm
+    assert res.rho_star == pytest.approx(plain.rho_star, rel=1e-7)
+
+
+def test_cold_retry_that_stalls_raises(setup, monkeypatch):
+    params, spec, _ = setup
+    real = reduction.solve_projected
+    calls = []
+
+    def patched(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        calls.append(sol)
+        return sol if len(calls) == 1 else dataclasses.replace(sol, converged=False)
+
+    monkeypatch.setattr(reduction, "solve_projected", patched)
+    with pytest.raises(NewtonDivergence):
+        find_rho_star(params, spec, (7.5 / EPS, 9.5 / EPS))
+    assert len(calls) == 3  # cold, then warm and its cold retry at the second radius
