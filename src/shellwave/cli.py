@@ -201,9 +201,10 @@ def _stage_scan(cfg, outdir, eps, rho_samples):
                                eps_max=eps_max, tail=cfg.grid.tail)
     curve = reduced_energy_scan(params, spec, k, h=cfg.grid.h_reduce)
     csv_path = os.path.join(outdir, "scan.csv")
-    write_csv(csv_path, ("rho", "psi", "alpha", "discrepancy", "ok"),
+    write_csv(csv_path, ("rho", "psi", "alpha", "discrepancy", "residual",
+                         "cause", "ok"),
               zip(curve.rho, curve.psi, curve.alpha, curve.discrepancy,
-                  curve.ok))
+                  curve.residual, curve.cause, curve.ok))
     a_dat = os.path.join(outdir, "scan_alpha.dat")
     write_plot_data(a_dat, "rho", "alpha", curve.rho, curve.alpha)
     p_dat = os.path.join(outdir, "scan_psi.dat")

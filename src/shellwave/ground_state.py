@@ -12,11 +12,11 @@ shooting cross-check used to validate the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gamma as _gamma
 
 from .exceptions import (
     ConfigError,
@@ -42,7 +42,7 @@ def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     if n < 1:
         raise ConfigError(f"dimension must be >= 1, got {n}")
-    return float(2.0 * np.pi ** (n / 2.0) / _gamma(n / 2.0))
+    return float(2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import (
     ConfigError,
@@ -258,6 +257,44 @@ def stationarity_identity(
     return 2.0 * (n - 1) * W**e1 + (p + 3.0) / (p - 1.0) * W**e2 * eps**2 * t * spec.deriv(t)
 
 
+def _illinois(f, a: float, fa: float, b: float, fb: float, xtol: float = 0.0,
+              done=None) -> float:
+    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on [a, b].
+
+    fa = f(a) and fb = f(b) differ in sign.  Each step evaluates f at the
+    secant root of the two ends, keeps the sign change, and halves the
+    value at an end kept twice in a row (superlinear, order about 1.44);
+    a secant point outside the bracket is replaced by the midpoint.  Stops
+    when done() holds, when the secant point is within xtol of the last
+    point evaluated, when the bracket cannot be split, or after 200 steps.
+    Returns the evaluated point (the ends included) with the smallest |f|.
+    """
+    best, fbest = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    prev = None
+    kept = 0  # -1: a was kept by the last step, +1: b was
+    for _ in range(200):
+        if done is not None and done():
+            break
+        x = (a * fb - b * fa) / (fb - fa)
+        if prev is not None and abs(x - prev) < xtol:
+            break
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if x in (a, b):
+                break
+        fx = f(x)
+        if abs(fx) < abs(fbest):
+            best, fbest = x, fx
+        prev = x
+        if np.sign(fx) == np.sign(fa):
+            a, fa, fb = x, fx, 0.5 * fb if kept == 1 else fb
+            kept = 1
+        else:
+            b, fb, fa = x, fx, 0.5 * fa if kept == -1 else fa
+            kept = -1
+    return best
+
+
 @dataclass(frozen=True)
 class CriticalRadiusResult:
     t_eps: float
@@ -277,11 +314,12 @@ def find_critical_radius(
 ) -> CriticalRadiusResult:
     """Locate the smallest nondegenerate critical radius of M_eps in bracket.
 
-    Scans M' on a uniform grid, bisects every sign change, and polishes with
-    Newton on M' using the analytic curvature.  Roots whose |M''| falls below
-    beta_floor are reported but not eligible.  Raises NoCriticalPoint when the
-    scan finds no sign change, DegenerateCriticalPoint when roots exist but
-    all are flatter than the floor.
+    Scans M' on a uniform grid, refines every sign change with Illinois
+    steps, and polishes with Newton on M' using the analytic curvature.
+    Roots whose |M''| falls below beta_floor are reported but not eligible.
+    Raises NoCriticalPoint when the scan finds no sign change,
+    DegenerateCriticalPoint when roots exist but all are flatter than the
+    floor.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
@@ -295,13 +333,14 @@ def find_critical_radius(
     roots: list[float] = []
     sign = np.sign(mp)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        root = brentq(mp_scalar, grid[i], grid[i + 1], xtol=1e-13, rtol=1e-14)
-        roots.append(float(root))
+        a, b = float(grid[i]), float(grid[i + 1])
+        roots.append(_illinois(mp_scalar, a, float(mp[i]), b, float(mp[i + 1]),
+                               xtol=1e-13 + 1e-14 * b))
     for i in np.nonzero(sign == 0)[0]:
         roots.append(float(grid[i]))
 
     # Newton polish on M' using M''
-    polished: list[float] = []
+    polished: list[tuple[float, float]] = []  # (t, M''(t))
     for t in roots:
         for _ in range(8):
             pt = eval_M(spec, n, p, eps, np.array([t]))
@@ -311,28 +350,32 @@ def find_critical_radius(
             t -= dt
             if abs(dt) <= 1e-14 * max(1.0, abs(t)):
                 break
+        # of t and its neighbour toward the root keep the smaller |M'| across
+        # the sign change (the smaller t on ties): the polish start drops out
+        pt = eval_M(spec, n, p, eps, np.array([t]))
+        nb = float(np.nextafter(t, -np.inf if pt.Mp[0] * pt.Mpp[0] > 0.0 else np.inf))
+        pn = eval_M(spec, n, p, eps, np.array([nb]))
+        if pn.Mp[0] * pt.Mp[0] <= 0.0 and (abs(pn.Mp[0]), nb) < (abs(pt.Mp[0]), t):
+            t, pt = nb, pn
         if lo <= t <= hi:
-            polished.append(float(t))
+            polished.append((float(t), float(pt.Mpp[0])))
 
-    uniq: list[float] = []
-    for t in sorted(polished):
-        if not uniq or abs(t - uniq[-1]) > 1e-7 * (hi - lo):
-            uniq.append(t)
+    uniq: list[tuple[float, float]] = []
+    for t, curv in sorted(polished):
+        if not uniq or abs(t - uniq[-1][0]) > 1e-7 * (hi - lo):
+            uniq.append((t, curv))
 
     if not uniq:
         raise NoCriticalPoint(
             f"M' has no sign change in [{lo}, {hi}] (eps={eps}, family={spec.family})"
         )
 
-    eligible = [
-        t for t in uniq if abs(float(eval_M(spec, n, p, eps, np.array([t])).Mpp[0])) >= beta_floor
-    ]
+    eligible = [(t, curv) for t, curv in uniq if abs(curv) >= beta_floor]
     if not eligible:
         raise DegenerateCriticalPoint(
             f"all critical radii in [{lo}, {hi}] have |M''| < {beta_floor}"
         )
-    t_star = eligible[0]
-    curv = float(eval_M(spec, n, p, eps, np.array([t_star])).Mpp[0])
+    t_star, curv = eligible[0]
     return CriticalRadiusResult(
-        t_eps=t_star, curvature=curv, roots=tuple(uniq), bracket=(lo, hi)
+        t_eps=t_star, curvature=curv, roots=tuple(t for t, _ in uniq), bracket=(lo, hi)
     )

@@ -11,8 +11,8 @@ path is a bordered Newton iteration; a fixed-point mode iterating
 omega <- -[P J''(z)]^{-1} P(J'(z) + higher-order terms) is kept as a
 fidelity check, and both must agree at the common fixed point.
 
-Every linear system here, [[J'', -G zdot], [(G zdot)^T, 0]] (both modes,
-and with its transpose the singular-value estimate) and the spectral gap's
+Every linear system here, [[J'', -G zdot], [(G zdot)^T, 0]] (both modes)
+and the spectral gap's
 [[J'' - sigma G, G Y], [(G Y)^T, 0]] with Y = [z, zdot] (inside
 grids.constrained_min_eig), goes through grids.BorderedTridiagonal: banded
 LU plus block elimination of the border, guarded by the backward error of
@@ -28,12 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, null_space
 
 from .ansatz import AnsatzParams, build_z, build_zdot, grid_for
 from .exceptions import (
     ConfigError,
-    EigensolverError,
     NewtonDivergence,
     NoSignChange,
     SolverError,
@@ -45,7 +43,7 @@ from .grids import (
     constrained_min_eig,
 )
 from .ground_state import GroundStateProfile, ground_state_constants
-from .potentials import PotentialSpec, eval_M
+from .potentials import PotentialSpec, _illinois, eval_M
 
 __all__ = [
     "ReducedSolution",
@@ -217,68 +215,21 @@ class SpectralReport:
     form_zz: float
     form_zz_ref: float
     complement_min: float
-    bordered_sigma_min: float
-    method: str
-
-
-def _complement_min_dense(H, G, border) -> float:
-    """Dense reference for grids.constrained_min_eig, on banded H and G."""
-    H, G = (np.diag(a[1]) + np.diag(a[0, 1:], 1) + np.diag(a[0, 1:], -1) for a in (H, G))
-    Z = null_space(border.T)
-    Hd = Z.T @ (H @ Z)
-    Gd = Z.T @ (G @ Z)
-    vals = eigh(Hd, Gd, subset_by_index=[0, 0], eigvals_only=True)
-    return float(vals[0])
-
-
-def _bordered_sigma_min(H: np.ndarray, gzd: np.ndarray, iters: int = 80) -> float:
-    """Smallest singular value of K = [[H, -G zdot], [(G zdot)^T, 0]]."""
-    K, Kt = BorderedTridiagonal(H, -gzd, gzd), BorderedTridiagonal(H, gzd, -gzd)
-    v = np.ones(K.size)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = K.solve(Kt.solve(v))
-        lam = float(np.dot(v, w))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise EigensolverError("inverse iteration collapsed")
-        v = w / nw
-    return 1.0 / np.sqrt(lam)
 
 
 def projected_hessian_gap(
     params: AnsatzParams,
     spec: PotentialSpec,
     grid: RadialGrid,
-    dense_limit: int = 1500,
 ) -> SpectralReport:
     ops = DiscreteOperators(grid, params.eps, spec, params.p)
     z = build_z(params, spec, grid)
     zdot = build_zdot(params, spec, grid)
-    H = ops.hess_banded(z)
-    G = ops.gram_banded
-    gzd = ops.gram_mul(zdot)
-    GY = np.column_stack([ops.gram_mul(z), gzd])
-    form_zz = ops.hess_quadform(z, z)
-    form_ref = (1.0 - params.p) * ops.quad(np.abs(z) ** (params.p + 1))
-    if grid.size <= dense_limit:
-        comp, method = _complement_min_dense(H, G, GY), "dense"
-    else:
-        try:
-            comp, method = constrained_min_eig(H, G, GY), "shift-invert"
-        except EigensolverError:
-            if grid.size <= 4000:
-                comp, method = _complement_min_dense(H, G, GY), "dense-fallback"
-            else:
-                raise
-    sigma = _bordered_sigma_min(H, gzd)
+    GY = np.column_stack([ops.gram_mul(z), ops.gram_mul(zdot)])
     return SpectralReport(
-        form_zz=float(form_zz),
-        form_zz_ref=float(form_ref),
-        complement_min=float(comp),
-        bordered_sigma_min=float(sigma),
-        method=method,
+        form_zz=float(ops.hess_quadform(z, z)),
+        form_zz_ref=float((1.0 - params.p) * ops.quad(np.abs(z) ** (params.p + 1))),
+        complement_min=float(constrained_min_eig(ops.hess_banded(z), ops.gram_banded, GY)),
     )
 
 
@@ -289,6 +240,8 @@ class ScanCurve:
     psi: np.ndarray
     alpha: np.ndarray
     discrepancy: np.ndarray
+    residual: np.ndarray       # final residual norm; NaN where the solve raised
+    cause: tuple[str, ...]     # "", "unconverged", or the exception class name
     ok: np.ndarray
 
 
@@ -299,7 +252,8 @@ def reduced_energy_scan(
     h: float = 0.02,
     mode: str = "newton",
 ) -> ScanCurve:
-    """Psi, alpha, and the leading-order discrepancy over the rho window."""
+    """Psi, alpha, and the leading-order discrepancy over the rho window,
+    with each sample's final residual and, where it failed, the cause."""
     if rho_samples < 8:
         raise ConfigError(f"need at least 8 rho samples, got {rho_samples}")
     lo, hi = params.omega_window
@@ -311,20 +265,26 @@ def reduced_energy_scan(
     psi = np.full(rho_samples, np.nan)
     alpha = np.full(rho_samples, np.nan)
     disc = np.full(rho_samples, np.nan)
+    residual = np.full(rho_samples, np.nan)
+    cause = [""] * rho_samples
     ok = np.zeros(rho_samples, dtype=bool)
     for i, rho in enumerate(rhos):
         try:
             sol = solve_projected(params.with_rho(rho), spec, grid, mode=mode, ops=ops)
-        except SolverError:
+        except SolverError as exc:
+            cause[i] = type(exc).__name__
             continue
+        residual[i] = sol.residual_norm
         if not sol.converged:
+            cause[i] = "unconverged"
             continue
         psi[i] = sol.psi
         alpha[i] = sol.alpha
         M = eval_M(spec, params.n, params.p, eps, eps * rho).M
         disc[i] = abs(eps ** (3 * params.n - 3) * sol.psi - consts.energy_const * eps**2 * M)
         ok[i] = True
-    return ScanCurve(eps=eps, rho=rhos, psi=psi, alpha=alpha, discrepancy=disc, ok=ok)
+    return ScanCurve(eps=eps, rho=rhos, psi=psi, alpha=alpha, discrepancy=disc,
+                     residual=residual, cause=tuple(cause), ok=ok)
 
 
 @dataclass(frozen=True)
@@ -345,7 +305,6 @@ def find_rho_star(
     h: float = 0.02,
     mode: str = "newton",
     alpha_factor: float = 1e-9,
-    max_steps: int = 200,
     check_dpsi: bool = True,
     pre_scan: int = 9,
 ) -> RhoStarResult:
@@ -358,10 +317,8 @@ def find_rho_star(
     continuation runs on the branch nearest the lower edge.
 
     The refinement is the Illinois variant of regula falsi on
-    alpha / ||zdot|| (superlinear, order about 1.44): it keeps the
-    sign-change bracket, halves the retained end's value when the same end
-    is kept twice, and takes the midpoint when the interpolated point
-    leaves the bracket.  Every solve is a solve_projected on one grid with
+    alpha / ||zdot|| (potentials._illinois, which find_critical_radius
+    also uses for M').  Every solve is a solve_projected on one grid with
     one set of operators.  The first is cold; each later one is
     warm-started from the evaluated solution nearest in rho (the earliest
     on ties).  A warm start that fails or does not converge is retried
@@ -371,10 +328,11 @@ def find_rho_star(
     grid = grid_for(params, h, rho_max=b)
     ops = DiscreteOperators(grid, params.eps, spec, params.p)
     solved: list[ReducedSolution] = []
+    best: ReducedSolution | None = None  # smallest |alpha| so far
     evals = 0
 
     def at(rho: float) -> ReducedSolution:
-        nonlocal evals
+        nonlocal best, evals
         rp = params.with_rho(rho)
         sol = None
         if solved:
@@ -390,15 +348,14 @@ def find_rho_star(
             if not sol.converged:
                 raise NewtonDivergence(f"projected solve stalled at rho={rho}")
         solved.append(sol)
+        if best is None or abs(sol.alpha) < abs(best.alpha):
+            best = sol
         return sol
 
     sa = at(a)
-    best = sa
     sb = None
     for rho in np.linspace(a, b, max(pre_scan, 2))[1:]:
         cand = at(float(rho))
-        if abs(cand.alpha) < abs(best.alpha):
-            best = cand
         if np.sign(cand.alpha) != np.sign(sa.alpha):
             b, sb = float(rho), cand
             break
@@ -408,30 +365,13 @@ def find_rho_star(
             f"alpha keeps the sign of alpha({bracket[0]})={sa.alpha:.3e} "
             f"across [{bracket[0]}, {bracket[1]}] ({evals} samples)"
         )
-    fa, fb = sa.alpha / sa.zdot_norm, sb.alpha / sb.zdot_norm
-    kept = 0  # -1: a was kept by the last step, +1: b was
-    for _ in range(max_steps):
-        if abs(best.alpha) <= alpha_factor * best.zdot_norm:
-            break
-        x = (a * fb - b * fa) / (fb - fa)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-            if x in (a, b):
-                break
-        sx = at(x)
-        if abs(sx.alpha) < abs(best.alpha):
-            best = sx
-        fx = sx.alpha / sx.zdot_norm
-        if np.sign(fx) == np.sign(fa):
-            a, fa = x, fx
-            if kept == 1:
-                fb *= 0.5
-            kept = 1
-        else:
-            b, fb = x, fx
-            if kept == -1:
-                fa *= 0.5
-            kept = -1
+
+    def scaled_alpha(rho: float) -> float:
+        sx = at(rho)
+        return sx.alpha / sx.zdot_norm
+
+    _illinois(scaled_alpha, a, sa.alpha / sa.zdot_norm, b, sb.alpha / sb.zdot_norm,
+              done=lambda: abs(best.alpha) <= alpha_factor * best.zdot_norm)
     star = best
     dpsi = np.nan
     dpsi_ok = False

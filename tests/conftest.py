@@ -2,7 +2,9 @@
 computed once per session and reused by the solver, normalization, and
 acceptance tests."""
 
+import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space
 
 from shellwave.full_solver import continuation_in_eps
 from shellwave.normalization import to_original
@@ -38,3 +40,17 @@ def supercritical_family(sine_spec):
         3, 6.0, sine_spec, (0.5,), 0.5, 3.0, (2.0, 12.0), trunc_K=3.0)
     assert res.completed, res.failure
     return res
+
+
+@pytest.fixture(scope="session")
+def complement_min_dense():
+    """Dense reference for grids.constrained_min_eig: the smallest
+    eigenvalue of the banded pencil (H, G) on the null space of border^T."""
+
+    def dense(H, G, border) -> float:
+        H, G = (np.diag(a[1]) + np.diag(a[0, 1:], 1) + np.diag(a[0, 1:], -1) for a in (H, G))
+        Z = null_space(border.T)
+        vals = eigh(Z.T @ (H @ Z), Z.T @ (G @ Z), subset_by_index=[0, 0], eigvals_only=True)
+        return float(vals[0])
+
+    return dense

@@ -144,6 +144,21 @@ def test_scan_artifacts(tmp_path):
     assert len(dat[1].split()) == 2
 
 
+def test_scan_records_stall_causes(tmp_path):
+    # on the shipped window at eps = 0.5 the two innermost samples stall
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out),
+                 "--rho-samples", "33"]) == 0
+    header, *rows = (out / "scan.csv").read_text().splitlines()
+    assert header == "rho,psi,alpha,discrepancy,residual,cause,ok"
+    rows = [row.split(",") for row in rows]
+    stalled = [r for r in rows if r[6] == "false"]
+    assert [(r[0], r[5]) for r in stalled] == [("2.0", "unconverged"), ("2.6875", "unconverged")]
+    assert [float(r[4]) for r in stalled] == pytest.approx([0.4442, 0.2223], abs=1e-4)
+    assert all(r[5] == "" and float(r[4]) <= 1e-10 for r in rows if r[6] == "true")
+
+
 def test_mpot_artifacts(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

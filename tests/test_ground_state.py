@@ -19,7 +19,6 @@ from shellwave.ground_state import (
     shoot_ground_state,
     sphere_area,
 )
-from shellwave.reduction import _complement_min_dense
 
 FROZEN_P3_LAM1 = {
     # exact sech-integral values for p=3, lam=1
@@ -149,10 +148,10 @@ def test_nondegeneracy_report_structure():
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
-def test_complement_floor_matches_dense(p):
+def test_complement_floor_matches_dense(p, complement_min_dense):
     # the banded shift-invert floor against the dense null-space eigh, on
     # the same L and B the report builds (half width 20/lam, step 0.05)
     prof = GroundStateProfile(p=p, lam=1.0)
-    dense = _complement_min_dense(*_floor_pencil(prof, 20.0, 0.05))
+    dense = complement_min_dense(*_floor_pencil(prof, 20.0, 0.05))
     floor = nondegeneracy_report(prof).complement_floor
     assert floor == pytest.approx(dense, rel=1e-10)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shellwave import potentials
 from shellwave.exceptions import (
     ConfigError,
     EllipticityViolation,
@@ -126,3 +127,56 @@ def test_stationarity_identity_vanishes_at_root():
     off = stationarity_identity(spec, 2, 3.0, 0.4, res.t_eps + 0.3)
     assert abs(val) < 1e-9
     assert abs(off) > 1e-3
+
+
+# t_eps of configs/sine_n2.json (schedule, t_bracket [7.5, 9.5]) as the
+# earlier brentq root finder returned it after the same Newton polish
+SINE_N2_T_EPS = {
+    0.5: "0x1.08629e93183d3p+3",
+    0.45: "0x1.0ad32c3dc77bap+3",
+    0.4: "0x1.0e4c8b0f1a1d7p+3",
+    0.35: "0x1.139bd0cee33dep+3",
+    0.3: "0x1.1d0332e92ea43p+3",
+}
+
+
+def test_critical_radius_bitwise_on_shipped_schedule():
+    spec = PotentialSpec.sine()
+    for eps, t_hex in SINE_N2_T_EPS.items():
+        res = find_critical_radius(spec, 2, 3.0, eps, (7.5, 9.5))
+        assert res.t_eps.hex() == t_hex, eps
+
+
+def test_critical_radius_work_count(monkeypatch):
+    # one vectorized scan, then per root the Illinois steps, the polish,
+    # the last-bit comparison and the two curvature reads; bisecting each
+    # sign change of the scan down to 1e-13 alone takes about 31 calls
+    calls = []
+    real = potentials.eval_M
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(potentials, "eval_M", counted)
+    spec = PotentialSpec.sine()
+    for eps in SINE_N2_T_EPS:
+        calls.clear()
+        find_critical_radius(spec, 2, 3.0, eps, (7.5, 9.5))
+        assert len(calls) <= 10, (eps, len(calls))
+
+
+def test_critical_radius_last_bit_is_the_sign_change():
+    # t_eps is the float next to the sign change of the computed M' with
+    # the smaller |M'| (the smaller t on ties), wherever the polish starts:
+    # a wide bracket gives the same root as the shipped one
+    spec = PotentialSpec.sine()
+    for bracket in ((7.5, 9.5), (2.0, 33.0)):
+        res = find_critical_radius(spec, 2, 3.0, 0.3, bracket)
+        assert res.t_eps.hex() == SINE_N2_T_EPS[0.3]
+    t = res.t_eps
+    mp = [float(eval_M(spec, 2, 3.0, 0.3, x).Mp)
+          for x in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf))]
+    # M' changes sign just above t, with |M'| tied across it
+    assert mp[1] * mp[2] < 0.0 < mp[0] * mp[1]
+    assert abs(mp[1]) == abs(mp[2])

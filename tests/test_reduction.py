@@ -9,7 +9,7 @@ from shellwave import reduction
 from shellwave.ansatz import AnsatzParams, build_z, build_zdot, grid_for
 from shellwave.exceptions import ConfigError, HessianSingular, NewtonDivergence, NoSignChange
 from shellwave.grids import BorderedTridiagonal, DiscreteOperators
-from shellwave.potentials import PotentialSpec, find_critical_radius
+from shellwave.potentials import PotentialSpec, _illinois, find_critical_radius
 from shellwave.reduction import (
     calibrate_gamma,
     domega_drho,
@@ -75,13 +75,15 @@ def test_residual_small(setup):
     assert sol.residual_norm <= 1e-10
 
 
-def test_spectral_gap_dense_vs_sparse(setup):
+def test_spectral_gap_dense_vs_sparse(setup, complement_min_dense):
     params, spec, _ = setup
     coarse = grid_for(params, 0.25, rho_max=params.rho + 10.0)
-    dense = projected_hessian_gap(params, spec, coarse, dense_limit=10**6)
-    sparse = projected_hessian_gap(params, spec, coarse, dense_limit=1)
-    assert dense.method == "dense" and sparse.method == "shift-invert"
-    assert sparse.complement_min == pytest.approx(dense.complement_min, rel=1e-6)
+    ops = DiscreteOperators(coarse, EPS, spec, 3.0)
+    z = build_z(params, spec, coarse)
+    gy = np.column_stack([ops.gram_mul(z), ops.gram_mul(build_zdot(params, spec, coarse))])
+    dense = complement_min_dense(ops.hess_banded(z), ops.gram_banded, gy)
+    sparse = projected_hessian_gap(params, spec, coarse)
+    assert sparse.complement_min == pytest.approx(dense, rel=1e-6)
 
 
 def test_spectral_gap_properties(setup):
@@ -251,7 +253,7 @@ def test_warm_and_cold_solves_agree(setup):
 def test_rho_star_work_count(sine_family):
     # warm-started Illinois steps after the pre-scan; bisection took 25-27
     evals = [m.reduced.evaluations for m in sine_family.members]
-    assert max(evals) <= 12, evals
+    assert evals == [9, 12, 12, 12, 12]
 
 
 def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
@@ -273,6 +275,17 @@ def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
     assert abs(res.alpha) <= 1e-9
     assert res.rho_star == pytest.approx(20.3, abs=1e-8)
     assert res.evaluations <= 15
+
+    # the shared root finder itself, as find_critical_radius calls it
+    xs = []
+
+    def alpha(rho):
+        xs.append(rho)
+        return float(np.expm1(rho - 20.3))
+
+    root = _illinois(alpha, 18.75, alpha(18.75), 23.75, alpha(23.75), xtol=1e-13)
+    assert root == pytest.approx(20.3, abs=1e-12)
+    assert len(xs) <= 15, len(xs)
 
 
 def _fail_warm_starts(monkeypatch, how, limit):
