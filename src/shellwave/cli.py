@@ -85,6 +85,7 @@ def _member_summary(m) -> dict:
         "newton_iters": f.newton_iters,
         "residual_evals": f.residual_evals,
         "roundoff_floor": f.roundoff_floor,
+        "newton_stop": f.newton_stop,
         "truncation_active": f.truncation_active,
         "force_cap": f.force_cap,
         "remainder_ratio": m.reduced.solution.remainder_ratio,
@@ -266,7 +267,7 @@ def _stage_continue(cfg, outdir, eps, rho_samples):
     csv_path = os.path.join(outdir, "family.csv")
     cols = ("eps", "rho_star", "t_value", "layer_radius", "peak_rho",
             "residual_max", "mass_weighted", "pohozaev_1", "pohozaev_2",
-            "newton_iters", "residual_evals", "roundoff_floor",
+            "newton_iters", "residual_evals", "roundoff_floor", "newton_stop",
             "remainder_ratio", "rho_evaluations", "dpsi_ok")
     write_csv(csv_path, cols, ([r[c] for c in cols] for r in rows))
     jpath = os.path.join(outdir, "family.json")

@@ -22,13 +22,17 @@ three-point residual of a float64 iterate, which exceeds the tolerance on
 the refinement audit's h = 1e-3 grid; stalls above both raise
 NewtonDivergence, and so does a non-finite seed, residual or Jacobian.
 
-Stopping rules.  Each Newton step is damped by an Armijo line search that
-halves t from 1, so every accepted iterate has a strictly smaller residual
-than the one before and the current iterate is always the best.  Halving
-stops once u - t du equals u bit for bit: rounding is monotone, so no
-smaller t can move u again.  The first line search that fails ends the
-loop (repeating it from the same u would repeat it exactly), as do a
-residual below 2% of the tolerance and max_iter accepted steps.
+Stopping rules.  Each Newton step is damped by an Armijo line search, so
+every accepted iterate has a strictly smaller residual than the one before
+and the current iterate is always the best.  While the residual is above
+the accept rule the search halves t from 1, and halving stops once
+u - t du equals u bit for bit: rounding is monotone, so no smaller t can
+move u again.  Once the iterate is acceptable the search tries t = 1 only:
+below that point halving finds only noise-level decreases.  The first line
+search that fails ends the loop (repeating it from the same u would repeat
+it exactly), as do a residual below 2% of the tolerance and max_iter
+accepted steps; newton_stop records which ("roundoff", "tolerance",
+"max_iter").
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class FullSolution:
     newton_iters: int         # accepted Newton steps
     residual_evals: int       # strong_residual evaluations, line searches included
     roundoff_floor: float     # 2 eps_mach max|u| / h^2
+    newton_stop: str          # "tolerance", "roundoff" or "max_iter"
     force_cap: float | None
 
     @property
@@ -132,6 +137,19 @@ def _newton_step(ops: DiscreteOperators, force, u: np.ndarray, R: np.ndarray,
     return du
 
 
+def _accept_bounds(ops: DiscreteOperators, u: np.ndarray,
+                   tol_coeff: float) -> tuple[float, float, float]:
+    """(max|u|, tolerance, roundoff floor) of the accept rule at u.
+
+    kappa = 2 in the floor: rounding each stored node by eps_mach/2 |u| moves
+    the second difference by up to (1 + 2 + 1) eps_mach/2 max|u| / h^2
+    (measured stalls on the refinement grid sit at 1.2 eps_mach max|u| / h^2).
+    """
+    peak = _sup(u)
+    return (peak, tol_coeff * (1.0 + peak**ops.p),
+            2.0 * np.finfo(float).eps * peak / ops.h**2)
+
+
 def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
                    tol_coeff: float, max_iter: int):
     u = np.array(u0, dtype=float)
@@ -141,7 +159,7 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
         raise NewtonDivergence("Newton seed is not finite")
     R, Rc, cand, du = (np.empty_like(u) for _ in range(4))
     J = np.empty((3, u.size))
-    iters = 0
+    iters, stop = 0, "max_iter"
     # overflow in a rejected candidate is expected; a non-finite state raises
     with np.errstate(over="ignore", invalid="ignore"):
         rmax = _sup(ops.strong_residual(u, force=force, out=R))
@@ -149,9 +167,12 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
         if not np.isfinite(rmax):
             raise NewtonDivergence("residual of the Newton seed is not finite")
         while iters < max_iter:
-            thr = tol_coeff * (1.0 + _sup(u) ** ops.p)
+            _, thr, floor = _accept_bounds(ops, u, tol_coeff)
             if rmax <= 0.02 * thr:
+                stop = "tolerance"
                 break
+            # once u is acceptable, a shorter step only finds noise
+            settled = rmax <= max(thr, floor)
             du = _newton_step(ops, force, u, R, J, du)
             t, ok = 1.0, False
             while t > 1e-8:
@@ -164,27 +185,25 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
                 if rc <= (1.0 - 1e-4 * t) * rmax:
                     ok = True
                     break
+                if settled:
+                    break
                 t /= 2.0
             if not ok:
+                stop = "roundoff"
                 break
             u, cand = cand, u
             R, Rc = Rc, R
             rmax = rc
             iters += 1
-    peak = _sup(u)
+    peak, thr, floor = _accept_bounds(ops, u, tol_coeff)
     if peak < 1e-3 * seed_peak:
         raise ConvergedToZero("iterates collapsed toward the zero solution")
-    thr = tol_coeff * (1.0 + peak**ops.p)
-    # kappa = 2: rounding each stored node by eps_mach/2 |u| moves the second
-    # difference by up to (1 + 2 + 1) eps_mach/2 max|u| / h^2 (measured
-    # stalls on the refinement grid sit at 1.2 eps_mach max|u| / h^2)
-    floor = 2.0 * np.finfo(float).eps * peak / ops.h**2
     if rmax > max(thr, floor):
         raise NewtonDivergence(
             f"residual {rmax:.3e} stayed above the tolerance {thr:.3e} "
             f"and the roundoff floor {floor:.3e}"
         )
-    return u, rmax, iters, evals, floor
+    return u, rmax, iters, evals, floor, stop
 
 
 def solve_full(
@@ -207,8 +226,8 @@ def solve_full(
     else:
         K = None
         force = ops.force
-    u, rmax, iters, evals, floor = _newton_strong(ops, force, seed, tol_coeff,
-                                                  max_iter)
+    u, rmax, iters, evals, floor, stop = _newton_strong(ops, force, seed,
+                                                        tol_coeff, max_iter)
     if float(u[:-1].min()) <= 0.0:
         raise SolverError("solution lost positivity")
     if K is not None and float(u.max()) >= K:
@@ -230,6 +249,7 @@ def solve_full(
         newton_iters=iters,
         residual_evals=evals,
         roundoff_floor=float(floor),
+        newton_stop=stop,
         force_cap=K,
     )
 

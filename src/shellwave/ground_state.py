@@ -12,6 +12,7 @@ shooting cross-check used to validate the closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,9 +151,19 @@ def ground_state_constants(
 
     The tail bound exp(-2 lam S) with S = tail/lam is far below tol, so the
     truncation never dominates.  Raises ToleranceNotReached if halving the
-    step three times fails to stabilize the integrals.
+    step three times fails to stabilize the integrals.  Results are cached
+    per (p, lam, n, tol, tail, step); p and lam are keyed as floats, so the
+    returned p field is a float whatever type the caller passed.
     """
-    S = tail / profile.lam
+    return _ground_state_constants(float(profile.p), float(profile.lam), int(n),
+                                   float(tol), float(tail), float(step))
+
+
+@functools.lru_cache(maxsize=None)
+def _ground_state_constants(p: float, lam: float, n: int, tol: float,
+                            tail: float, step: float) -> GroundStateConstants:
+    profile = GroundStateProfile(p, lam)
+    S = tail / lam
 
     def integrals(h: float) -> tuple[float, float, float]:
         m = int(np.ceil(S / h))
@@ -182,10 +193,9 @@ def ground_state_constants(
         )
 
     mass_full, kinetic_half, lp1_full = cur
-    p = profile.p
     return GroundStateConstants(
         p=p,
-        lam=profile.lam,
+        lam=lam,
         n=n,
         mass_full=mass_full,
         kinetic_half=kinetic_half,

@@ -201,6 +201,8 @@ def test_solve_tol_coeff_changes_family_member(tmp_path):
     a, b = loose["members"][0], tight["members"][0]
     assert (a["residual_max"], a["newton_iters"]) != \
         (b["residual_max"], b["newton_iters"])
+    # the loose tolerance is met before the roundoff floor matters
+    assert (a["newton_stop"], b["newton_stop"]) == ("tolerance", "roundoff")
 
 
 def test_gamma_decides_remainder_in_set(tmp_path):
@@ -219,11 +221,17 @@ def test_continue_and_solve_report_newton_work(tmp_path):
     member = family["members"][0]
     assert member["residual_evals"] > member["newton_iters"] >= 1
     assert 0.0 < member["roundoff_floor"] < 1e-8
-    header = (tmp_path / "work" / "family.csv").read_text().splitlines()[0]
-    assert {"residual_evals", "roundoff_floor"} <= set(header.split(","))
+    # the default tolerance sits below the roundoff floor, so the solve ends
+    # on a rejected full step of an acceptable iterate
+    assert member["newton_stop"] == "roundoff"
+    lines = (tmp_path / "work" / "family.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert {"residual_evals", "roundoff_floor", "newton_stop"} <= set(row)
+    assert row["newton_stop"] == "roundoff"
     solve, _ = run_stage(tmp_path, "solve", "work_solve")
-    assert (solve["residual_evals"], solve["roundoff_floor"]) == \
-        (member["residual_evals"], member["roundoff_floor"])
+    assert (solve["residual_evals"], solve["roundoff_floor"],
+            solve["newton_stop"]) == \
+        (member["residual_evals"], member["roundoff_floor"], "roundoff")
 
 
 def test_continue_and_solve_report_rho_search(tmp_path):

@@ -7,9 +7,11 @@ from scipy.linalg import solve_banded
 from shellwave.ansatz import AnsatzParams, build_z, grid_for
 from shellwave.exceptions import ConfigError, ConvergedToZero, NewtonDivergence
 from shellwave.forces import PowerForce, TruncatedForce
+import shellwave.full_solver as full_solver
 from shellwave.full_solver import (
     _newton_step,
     _newton_strong,
+    _sup,
     asymptotic_terms_check,
     continuation_in_eps,
     is_supercritical,
@@ -20,6 +22,8 @@ from shellwave.full_solver import (
 )
 from shellwave.grids import DiscreteOperators, RadialGrid
 from shellwave.potentials import PotentialSpec
+
+from conftest import SINE_C1, SINE_C2, SINE_SCHEDULE, SINE_T_BRACKET
 
 
 def member_at(family, eps):
@@ -206,12 +210,13 @@ def test_audits_reuse_the_solve_operators(sine_family, sine_spec, monkeypatch):
 
 
 def test_newton_work_count(sine_family):
-    # the first failed line search ends the loop and halving stops once the
-    # step no longer moves u; the loop that repeated failed line searches
-    # spent 66 residual evaluations on this member
+    # once the iterate is acceptable a rejected full step ends the loop; the
+    # loop that repeated failed line searches spent 66 residual evaluations
+    # on this member, and halving down to an unchanged u spent 8
     f = member_at(sine_family, 0.5).full
-    assert f.residual_evals <= 20
+    assert f.residual_evals <= 5
     assert f.newton_iters >= 1
+    assert f.newton_stop == "roundoff"
     assert f.residual_max <= max(1e-10 * (1.0 + f.profile.max() ** 3),
                                  f.roundoff_floor)
     assert f.roundoff_floor == 2.0 * np.finfo(float).eps * f.profile.max() / f.grid.h**2
@@ -277,3 +282,117 @@ def test_singular_jacobian_diverges():
     seed = np.array([1.0, 0.5, 0.0])
     with pytest.raises(NewtonDivergence, match="singular"):
         _newton_strong(ops, _Slope(3.0, 19.0, 25.0), seed, 1e-10, 80)
+
+
+def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
+    """The full-solve Newton loop before the settled-iterate rule: every
+    line search halves t until Armijo holds or the step stops moving u."""
+    u = np.array(u0, dtype=float)
+    u[-1] = 0.0
+    R, Rc, cand, du = (np.empty_like(u) for _ in range(4))
+    J = np.empty((3, u.size))
+    iters = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rmax = _sup(ops.strong_residual(u, force=force, out=R))
+        evals = 1
+        while iters < max_iter:
+            thr = tol_coeff * (1.0 + _sup(u) ** ops.p)
+            if rmax <= 0.02 * thr:
+                break
+            du = _newton_step(ops, force, u, R, J, du)
+            t, ok = 1.0, False
+            while t > 1e-8:
+                np.multiply(du, t, out=cand)
+                np.subtract(u, cand, out=cand)
+                if np.array_equal(cand, u):
+                    break
+                rc = _sup(ops.strong_residual(cand, force=force, out=Rc))
+                evals += 1
+                if rc <= (1.0 - 1e-4 * t) * rmax:
+                    ok = True
+                    break
+                t /= 2.0
+            if not ok:
+                break
+            u, cand = cand, u
+            R, Rc = Rc, R
+            rmax = rc
+            iters += 1
+    floor = 2.0 * np.finfo(float).eps * _sup(u) / ops.h**2
+    return u, rmax, iters, evals, floor, "halving"
+
+
+@pytest.fixture(scope="module")
+def halving_families(sine_spec):
+    """The shipped families solved by the halving loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(full_solver, "_newton_strong", _halving_newton_strong)
+        sine = continuation_in_eps(
+            2, 3.0, sine_spec, SINE_SCHEDULE, SINE_C1, SINE_C2, SINE_T_BRACKET,
+            gamma=0.6)
+        sup = continuation_in_eps(
+            3, 6.0, sine_spec, (0.5,), 0.5, 3.0, (2.0, 12.0), trunc_K=3.0)
+    return sine, sup
+
+
+def test_settled_stop_matches_halving_loop(sine_family, supercritical_family,
+                                           halving_families):
+    # the halving that follows a rejected full step of an acceptable iterate
+    # only finds noise-level decreases, so stopping there moves nothing
+    # beyond roundoff
+    pairs = list(zip(sine_family.members, halving_families[0].members))
+    pairs += list(zip(supercritical_family.members, halving_families[1].members))
+    assert len(pairs) == len(SINE_SCHEDULE) + 1
+    for new, old in pairs:
+        a, b = new.full, old.full
+        assert b.newton_stop == "halving" and a.newton_stop == "roundoff"
+        assert new.rho_star == old.rho_star
+        assert np.max(np.abs(a.profile - b.profile)) <= 1e-13 * np.max(b.profile)
+        assert abs(a.pohozaev_1 - b.pohozaev_1) <= 1e-14
+        assert abs(a.pohozaev_2 - b.pohozaev_2) <= 1e-14
+        assert a.residual_evals <= b.residual_evals
+    sup_new, sup_old = pairs[-1][0].full, pairs[-1][1].full
+    assert sup_new.profile.tobytes() == sup_old.profile.tobytes()
+
+
+def test_family_newton_work(sine_family, sine_spec, monkeypatch):
+    # the halving loop spent 87 evaluations on the coarse members and up to
+    # 20 on one refinement re-solve
+    assert sum(m.full.residual_evals for m in sine_family.members) <= 40
+    refined = []
+    solve = full_solver.solve_full
+
+    def recording(*args, **kwargs):
+        refined.append(solve(*args, **kwargs))
+        return refined[-1]
+
+    monkeypatch.setattr(full_solver, "solve_full", recording)
+    for m in sine_family.members:
+        pohozaev_refinement_check(m.full, sine_spec)
+    assert len(refined) == len(SINE_SCHEDULE)
+    for f in refined:
+        assert f.residual_evals <= 5, (f.eps, f.residual_evals)
+        assert f.newton_stop == "roundoff"
+
+
+def test_resolve_from_converged_profile(sine_family, sine_spec):
+    # an acceptable seed costs one residual and one rejected full step
+    for m in sine_family.members:
+        f = solve_full(2, 3.0, m.eps, sine_spec, m.full.profile, m.full.grid)
+        assert f.residual_evals <= 2, (m.eps, f.residual_evals)
+        assert f.profile.tobytes() == m.full.profile.tobytes()
+        assert f.audit == m.full.audit
+
+
+@pytest.mark.parametrize("delta", [-6e-8, -3e-8, 3e-8, 6e-8])
+def test_member_work_stable_under_seed_shift(sine_family, sine_spec, delta):
+    # the eps = 0.3 member's seed is the eps = 0.35 profile shifted by the
+    # change in rho*; moving that shift by the last bits of rho* took the
+    # halving loop from 10 to 51 residual evaluations
+    prev, m = sine_family.members[-2], sine_family.members[-1]
+    shift = m.rho_star - prev.rho_star + delta * m.rho_star
+    seed = np.interp(m.full.grid.nodes - shift, prev.full.grid.nodes,
+                     prev.full.profile, left=0.0, right=0.0)
+    f = solve_full(2, 3.0, m.eps, sine_spec, seed, m.full.grid)
+    assert 6 <= f.residual_evals <= 8
+    assert max(f.pohozaev_1, f.pohozaev_2) <= 1e-6

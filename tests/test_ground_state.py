@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from shellwave.ground_state import (
     GroundStateProfile,
     _floor_pencil,
+    _ground_state_constants,
     ground_state_constants,
     linearized_spectrum,
     nondegeneracy_report,
@@ -87,6 +88,19 @@ def test_constants_lambda_scaling():
             assert c.mass_full == pytest.approx(s_mass * base.mass_full, rel=1e-9)
             assert c.kinetic_half == pytest.approx(s_kin * base.kinetic_half, rel=1e-9)
             assert c.lp1_full == pytest.approx(s_lp1 * base.lp1_full, rel=1e-9)
+
+
+def test_constants_cached_per_p_and_n():
+    # the audits ask for the same (p, n) constants once per family member
+    c = ground_state_constants(GroundStateProfile(p=3.0, lam=1.0), n=2)
+    assert ground_state_constants(GroundStateProfile(p=3.0, lam=1.0), n=2) is c
+    fresh = _ground_state_constants.__wrapped__(3.0, 1.0, 2, 1e-10, 40.0, 1e-3)
+    assert fresh == c
+    # an int exponent shares the float key and never leaks its type
+    for p in (3, 3.0, 2.5, 2):
+        got = ground_state_constants(GroundStateProfile(p=p, lam=1.0), n=2)
+        assert type(got.p) is float and type(got.lam) is float
+    assert ground_state_constants(GroundStateProfile(p=3, lam=1), n=2) is c
 
 
 def test_half_line_identities_agree():
