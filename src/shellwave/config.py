@@ -23,6 +23,22 @@ from .potentials import PotentialSpec
 _POTENTIAL_FAMILIES = ("zero", "sine", "cosine", "poly", "tabulated")
 
 
+def _number(name: str, value) -> float:
+    """value as a float, or ConfigError naming the field (bools included)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name}: must be a number")
+
+
+def _numbers(name: str, seq) -> tuple[float, ...]:
+    if not isinstance(seq, (list, tuple)):
+        raise ConfigError(f"{name}: need a list")
+    return tuple(_number(name, v) for v in seq)
+
+
 @dataclass(frozen=True)
 class GridPolicy:
     """Step sizes and tail padding shared by all stages.
@@ -140,17 +156,18 @@ def build_potential(d: dict) -> PotentialSpec:
     if fam in ("sine", "cosine"):
         kw = take(("amplitude", "frequency", "phase"))
         ctor = PotentialSpec.sine if fam == "sine" else PotentialSpec.cosine
-        return ctor(**kw)
+        return ctor(**{k: _number(f"potential.{k}", v) for k, v in kw.items()})
     if fam == "poly":
         kw = take(("coeffs",))
         if "coeffs" not in kw:
             raise ConfigError("potential: family 'poly' needs 'coeffs'")
-        return PotentialSpec.bounded_poly(kw["coeffs"])
+        return PotentialSpec.bounded_poly(_numbers("potential.coeffs", kw["coeffs"]))
     if fam == "tabulated":
         kw = take(("r", "v"))
         if "r" not in kw or "v" not in kw:
             raise ConfigError("potential: family 'tabulated' needs 'r' and 'v'")
-        return PotentialSpec.tabulated(kw["r"], kw["v"])
+        return PotentialSpec.tabulated(_numbers("potential.r", kw["r"]),
+                                       _numbers("potential.v", kw["v"]))
     raise ConfigError(
         f"potential: unknown family '{fam}' (choose from {', '.join(_POTENTIAL_FAMILIES)})")
 
@@ -170,11 +187,8 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"missing field '{missing[0]}'")
     kw = dict(data)
     for name in ("p", "C1", "C2", "beta_floor", "gamma", "trunc_K"):
-        if name in kw and kw[name] is not None:
-            try:
-                kw[name] = float(kw[name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name}: must be a number") from None
+        if name in kw and not (name == "trunc_K" and kw[name] is None):
+            kw[name] = _number(name, kw[name])
     for name in ("n", "rho_samples"):
         if name in kw:
             if not isinstance(kw[name], int) or isinstance(kw[name], bool):
@@ -187,15 +201,9 @@ def config_from_dict(data: dict) -> RunConfig:
             bad = set(sub) - {f for f in cls.__dataclass_fields__}
             if bad:
                 raise ConfigError(f"{name}: unknown field '{sorted(bad)[0]}'")
-            kw[name] = cls(**sub)
+            kw[name] = cls(**{k: _number(f"{name}.{k}", v) for k, v in sub.items()})
     for name in ("schedule", "t_bracket"):
-        seq = kw[name]
-        if not isinstance(seq, (list, tuple)):
-            raise ConfigError(f"{name}: need a list")
-        try:
-            kw[name] = tuple(float(v) for v in seq)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}: entries must be numbers") from None
+        kw[name] = _numbers(name, kw[name])
     if len(kw["t_bracket"]) != 2:
         raise ConfigError("t_bracket: need exactly [lo, hi]")
     try:

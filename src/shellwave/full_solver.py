@@ -446,17 +446,16 @@ def continuation_in_eps(
     trunc_K: float | None = None,
     h_reduce: float = 0.02,
     h_solve: float = 2e-3,
-    local_width: float = 1.5,
     tail: float = 40.0,
     tol_coeff: float = 1e-10,
 ) -> ContinuationResult:
     """Track the layer family down the eps schedule.
 
     The first member brackets the critical radius inside t_bracket; later
-    members re-center the search in a window of half-width local_width
-    around the previous t to stay on the same branch of M'(t) = 0, and the
-    full solve is seeded from the previous profile shifted to the new
-    radius (interpolation beyond the old grid pads with zeros).  tail sets
+    members re-center the search in a window of half-width 1.5 around the
+    previous t to stay on the same branch of M'(t) = 0, and the full solve
+    is seeded from the previous profile shifted to the new radius
+    (interpolation beyond the old grid pads with zeros).  tail sets
     the grids' decay room (AnsatzParams.tail) and tol_coeff the full
     solves' Newton tolerance.
     """
@@ -476,8 +475,8 @@ def continuation_in_eps(
                 bracket = (t_bracket[0] / eps, t_bracket[1] / eps)
             else:
                 bracket = (
-                    max((prev.t_value - local_width) / eps, lo),
-                    min((prev.t_value + local_width) / eps, hi),
+                    max((prev.t_value - 1.5) / eps, lo),
+                    min((prev.t_value + 1.5) / eps, hi),
                 )
             red = find_rho_star(params.with_rho(0.5 * (bracket[0] + bracket[1])),
                                 spec, bracket, h=h_reduce)

@@ -75,22 +75,10 @@ class RadialGrid:
 
     @cached_property
     def simpson_coeffs(self) -> np.ndarray:
-        m = len(self.nodes) - 1
-        c = np.empty(m + 1)
-        if m % 2 == 0:
-            c[:] = 2.0
-            c[1::2] = 4.0
-            c[0] = c[-1] = 1.0
-            c *= self.h / 3.0
-        else:
-            # composite Simpson on the first m-3 intervals, 3/8 rule on the rest
-            c[:] = 0.0
-            head = m - 3
-            ch = np.full(head + 1, 2.0)
-            ch[1::2] = 4.0
-            ch[0] = ch[-1] = 1.0
-            c[: head + 1] += ch * self.h / 3.0
-            c[head:] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * self.h / 8.0
+        c = np.full(len(self.nodes), 2.0)
+        c[1::2] = 4.0
+        c[0] = c[-1] = 1.0
+        c *= self.h / 3.0
         return c
 
     @cached_property
@@ -179,20 +167,15 @@ class BorderedTridiagonal:
         return sol
 
 
-def constrained_min_eig(
-    A: np.ndarray,
-    B: np.ndarray,
-    border: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 60,
-) -> float:
+def constrained_min_eig(A: np.ndarray, B: np.ndarray, border: np.ndarray) -> float:
     """Smallest eigenvalue of A v = theta B v on {v : border^T v = 0}.
 
     A and B are symmetric tridiagonal in upper-banded storage, B positive
     definite, and border holds the constraint columns (for B-orthogonality
     to Y, border = B Y).  Shift-invert inverse iteration on the bordered
     pencil [[A - sigma B, border], [border^T, 0]], which enforces the
-    constraints exactly.
+    constraints exactly, until theta settles to 1e-11 relative within 60
+    iterations.
     """
     m = A.shape[1]
     K = BorderedTridiagonal(A, border, border)
@@ -200,14 +183,14 @@ def constrained_min_eig(
     v = np.ones(m)
     v /= np.sqrt(max(float(v @ tridiag_mul(B, v)), np.finfo(float).tiny))
     theta_prev = np.inf
-    for it in range(max_iter):
+    for it in range(60):
         w = K.solve(np.concatenate([tridiag_mul(B, v), pad]))[:m]
         nw = np.sqrt(float(w @ tridiag_mul(B, w)))
         if not np.isfinite(nw) or nw == 0.0:
             raise EigensolverError("constrained inverse iteration collapsed")
         v = w / nw
         theta = float(v @ tridiag_mul(A, v))
-        if abs(theta - theta_prev) <= tol * max(1.0, abs(theta)):
+        if abs(theta - theta_prev) <= 1e-11 * max(1.0, abs(theta)):
             return theta
         theta_prev = theta
         if it % 6 == 5:  # Rayleigh re-shift; cubic convergence from here
@@ -215,7 +198,7 @@ def constrained_min_eig(
     raise EigensolverError("constrained inverse iteration did not settle")
 
 
-def deriv4(grid: RadialGrid, u: np.ndarray, even_origin: bool = True) -> np.ndarray:
+def deriv4(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     """Fourth-order first derivative, used only by integral audits.
 
     Assumes an even extension through s=0 when the grid starts at the origin
@@ -225,7 +208,7 @@ def deriv4(grid: RadialGrid, u: np.ndarray, even_origin: bool = True) -> np.ndar
     h = grid.h
     du = np.empty_like(u)
     du[2:-2] = (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * h)
-    if even_origin and grid.s_min == 0.0:
+    if grid.s_min == 0.0:
         du[0] = 0.0
         du[1] = (-u[3] + 8.0 * u[2] - 8.0 * u[0] + u[1]) / (12.0 * h)
     else:

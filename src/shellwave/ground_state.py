@@ -140,30 +140,25 @@ def _simpson(vals: np.ndarray, h: float) -> float:
     return float(acc * h / 3.0)
 
 
-def ground_state_constants(
-    profile: GroundStateProfile,
-    n: int,
-    tol: float = 1e-10,
-    tail: float = 40.0,
-    step: float = 1e-3,
-) -> GroundStateConstants:
-    """Integrate the profile on [0, tail/lam] with step refinement until stable.
+def ground_state_constants(profile: GroundStateProfile, n: int) -> GroundStateConstants:
+    """Integrate the profile on [0, 40/lam], halving the step from 1e-3 until
+    the integrals agree to 1e-10.
 
-    The tail bound exp(-2 lam S) with S = tail/lam is far below tol, so the
-    truncation never dominates.  Raises ToleranceNotReached if halving the
-    step three times fails to stabilize the integrals.  Results are cached
-    per (p, lam, n, tol, tail, step); p and lam are keyed as floats, so the
-    returned p field is a float whatever type the caller passed.
+    The tail bound exp(-2 lam S) with S = 40/lam is far below that
+    tolerance, so the truncation never dominates.  Raises
+    ToleranceNotReached if halving the step three times fails to stabilize
+    the integrals.  Results are cached per (p, lam, n); p and lam are keyed
+    as floats, so the returned p field is a float whatever type the caller
+    passed.
     """
-    return _ground_state_constants(float(profile.p), float(profile.lam), int(n),
-                                   float(tol), float(tail), float(step))
+    return _ground_state_constants(float(profile.p), float(profile.lam), int(n))
 
 
 @functools.lru_cache(maxsize=None)
-def _ground_state_constants(p: float, lam: float, n: int, tol: float,
-                            tail: float, step: float) -> GroundStateConstants:
+def _ground_state_constants(p: float, lam: float, n: int) -> GroundStateConstants:
     profile = GroundStateProfile(p, lam)
-    S = tail / lam
+    S = 40.0 / lam
+    tol = 1e-10
 
     def integrals(h: float) -> tuple[float, float, float]:
         m = int(np.ceil(S / h))
@@ -178,8 +173,8 @@ def _ground_state_constants(p: float, lam: float, n: int, tol: float,
             2.0 * _simpson(q ** (profile.p + 1.0), hh),
         )
 
-    prev = integrals(step)
-    h = step
+    h = 1e-3
+    prev = integrals(h)
     for _ in range(3):
         h /= 2.0
         cur = integrals(h)
@@ -247,13 +242,9 @@ class ShotProfile:
     amplitude: float
 
 
-def shoot_ground_state(
-    p: float,
-    lam: float,
-    step: float = 1e-3,
-    s_out: float | None = None,
-) -> ShotProfile:
-    """Independent shooting construction of the even ground state on [0, s_out].
+def shoot_ground_state(p: float, lam: float) -> ShotProfile:
+    """Independent shooting construction of the even ground state on
+    [0, 10/lam], with step 1e-3.
 
     Bisects the initial amplitude between undershoot (orbit turns back up)
     and overshoot (orbit crosses zero).  Deliberately avoids the closed form;
@@ -261,8 +252,8 @@ def shoot_ground_state(
     Integration is second order (explicit midpoint), so the returned profile
     deviates from the exact one by O(step^2).
     """
-    if s_out is None:
-        s_out = 10.0 / lam
+    step = 1e-3
+    s_out = 10.0 / lam
     s_end = s_out + 5.0 / lam
 
     equilibrium = lam ** (2.0 / (p - 1.0))
@@ -364,7 +355,6 @@ def nondegeneracy_report(
     profile: GroundStateProfile,
     half_width: float | None = None,
     step: float = 1e-2,
-    floor_step: float = 0.05,
 ) -> NondegeneracyReport:
     """Spectral audit of L = -d^2/ds^2 + lam^2 - p Q^(p-1).
 
@@ -372,7 +362,8 @@ def nondegeneracy_report(
     eigenvalues (one negative, one numerically zero with eigenfunction
     parallel to Q'), and the minimum H^1 Rayleigh quotient on the complement
     of span{Q, Q'}, which must be strictly positive.  Orthogonality and the
-    quotient both use the flat H^1 inner product int(v'w' + vw).
+    quotient both use the flat H^1 inner product int(v'w' + vw); the
+    quotient's minimum comes from a coarser grid of step 0.05.
     """
     if half_width is None:
         half_width = 20.0 / profile.lam
@@ -398,7 +389,7 @@ def nondegeneracy_report(
     )
 
     # complement Rayleigh floor on a coarser grid
-    L, B, border = _floor_pencil(profile, half_width, floor_step)
+    L, B, border = _floor_pencil(profile, half_width, 0.05)
     floor = constrained_min_eig(L, B, border)
 
     return NondegeneracyReport(

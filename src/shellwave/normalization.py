@@ -57,12 +57,10 @@ def mass_to_a(mass_full_nd: float, eps: float, n: int, p: float) -> float:
     return float((mass_full_nd * eps ** (n - 4.0 / (p - 1.0))) ** ((p - 1.0) / 2.0))
 
 
-def to_original(
-    full: FullSolution, spec: PotentialSpec, rho: float | None = None
-) -> NormalizedRecord:
+def to_original(full: FullSolution, spec: PotentialSpec) -> NormalizedRecord:
+    """Unit-mass record of full, with the layer at its peak radius."""
     n, p, eps = full.n, full.p, full.eps
-    if rho is None:
-        rho = full.peak_rho
+    rho = full.peak_rho
     area = sphere_area(n)
     m_nd = area * full.mass_weighted
     a = mass_to_a(m_nd, eps, n, p)
@@ -95,13 +93,12 @@ class ScalingLawReport:
     deviation_decreasing: bool
 
 
-def scaling_law_check(
-    records: list[NormalizedRecord], band: tuple[float, float] = (0.85, 1.15)
-) -> ScalingLawReport:
+def scaling_law_check(records: list[NormalizedRecord]) -> ScalingLawReport:
     """Compare a^(2/(p-1)) with its shell prediction across the family.
 
     The prediction is C_mass * area * t^(n-1) * eps^(1 - 4/(p-1)) with
-    t = eps rho; the ratio tends to 1 like beta(t)^(4/(p-1) - 1).
+    t = eps rho; the ratio tends to 1 like beta(t)^(4/(p-1) - 1), and the
+    smallest eps is in band when its ratio lies in [0.85, 1.15].
     """
     if len(records) < 3:
         raise InsufficientFamily(
@@ -123,7 +120,7 @@ def scaling_law_check(
     return ScalingLawReport(
         eps=tuple(r.eps for r in recs),
         ratios=tuple(float(x) for x in ratios),
-        in_band_at_smallest=bool(band[0] <= ratios[-1] <= band[1]),
+        in_band_at_smallest=bool(0.85 <= ratios[-1] <= 1.15),
         deviation_decreasing=bool(np.all(np.diff(dev) < 0.0)),
     )
 
@@ -142,16 +139,16 @@ def solve_F_for_eps(
     spec: PotentialSpec,
     a_target: float,
     rel_tol: float = 1e-8,
-    max_iter: int = 40,
     h_solve: float = 2e-3,
-    trunc_K: float | None = None,
 ) -> SolveForEpsResult:
-    """Solve a(eps) = a_target by inverse interpolation with fresh solves.
+    """Solve a(eps) = a_target by inverse interpolation with at most 40
+    fresh solves.
 
     Family members provide the initial samples; every new probe is a full
     Newton solve at the proposed eps, seeded from the nearest member's
     profile shifted to the radius predicted by linear interpolation of
-    t(eps).  A member already within tolerance short-circuits.
+    t(eps).  The probe keeps that member's grid padding past the layer and
+    its force cap.  A member already within tolerance short-circuits.
     """
     members = list(family.members)
     if len(members) < 2:
@@ -178,13 +175,12 @@ def solve_F_for_eps(
     t_of_eps_y = np.array([m.t_value for m in members])[::-1]
     history = list(samples)
 
-    lam0 = spec.lambda0(float(t_of_eps_x[-1]))
-
     def probe(eps_new: float) -> tuple[FullSolution, NormalizedRecord]:
         t_pred = float(np.interp(eps_new, t_of_eps_x, t_of_eps_y))
         rho_pred = t_pred / eps_new
         near = min(members, key=lambda m: abs(m.eps - eps_new))
-        grid = RadialGrid.make(n, rho_pred + 40.0 / lam0, h_solve)
+        pad = near.full.grid.s_max - near.rho_star
+        grid = RadialGrid.make(n, rho_pred + pad, h_solve)
         seed = np.interp(
             grid.nodes - (rho_pred - near.full.peak_rho),
             near.full.grid.nodes,
@@ -192,10 +188,10 @@ def solve_F_for_eps(
             left=0.0,
             right=0.0,
         )
-        full = solve_full(n, p, eps_new, spec, seed, grid, trunc_K=trunc_K)
+        full = solve_full(n, p, eps_new, spec, seed, grid, trunc_K=near.full.force_cap)
         return full, to_original(full, spec)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, 41):
         # inverse interpolation of the monotone sample cloud
         pts = sorted(history, key=lambda ea: ea[1])
         xs = np.array([a for _, a in pts])
@@ -209,7 +205,7 @@ def solve_F_for_eps(
                 history=tuple(history),
             )
     raise ToleranceNotReached(
-        f"a(eps) did not reach {a_target:.6e} within {max_iter} probes"
+        f"a(eps) did not reach {a_target:.6e} within 40 probes"
     )
 
 

@@ -310,12 +310,12 @@ def find_critical_radius(
     eps: float,
     bracket: tuple[float, float],
     beta_floor: float = 0.05,
-    scan_points: int = 10_000,
 ) -> CriticalRadiusResult:
     """Locate the smallest nondegenerate critical radius of M_eps in bracket.
 
-    Scans M' on a uniform grid, refines every sign change with Illinois
-    steps, and polishes with Newton on M' using the analytic curvature.
+    Scans M' on a uniform grid of 10,000 points, refines every sign change
+    with Illinois steps, and polishes with Newton on M' using the analytic
+    curvature.
     Roots whose |M''| falls below beta_floor are reported but not eligible.
     Raises NoCriticalPoint when the scan finds no sign change,
     DegenerateCriticalPoint when roots exist but all are flatter than the
@@ -324,7 +324,7 @@ def find_critical_radius(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise ConfigError(f"invalid bracket {bracket}")
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, 10_000)
     mp = eval_M(spec, n, p, eps, grid).Mp
 
     def mp_scalar(r: float) -> float:

@@ -45,6 +45,9 @@ from .grids import (
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec, _illinois, eval_M
 
+# residual norm at which a projected solve has converged
+TOL = 1e-10
+
 __all__ = [
     "ReducedSolution",
     "solve_projected",
@@ -69,7 +72,6 @@ class ReducedSolution:
     newton_iters: int         # accepted Newton steps (fixed-point mode: iterations)
     residual_norm: float
     converged: bool
-    mode: str
     zdot_norm: float
     remainder_ratio: float
     contraction_ratios: tuple[float, ...] = ()
@@ -80,12 +82,15 @@ def solve_projected(
     spec: PotentialSpec,
     grid: RadialGrid,
     mode: str = "newton",
-    tol: float = 1e-10,
     max_iter: int = 60,
     ops: DiscreteOperators | None = None,
     warm: ReducedSolution | None = None,
 ) -> ReducedSolution:
     """Remainder omega and multiplier alpha at params.rho on grid.
+
+    Converged means a residual norm at or below TOL.  Newton stops at its
+    first failed line search; max_iter bounds the iterates it visits, the
+    start included, so max_iter=1 returns the starting iterate.
 
     ops are the operators of (grid, params.eps, spec, params.p), built here
     when not given; solves on one grid may share them, which changes no
@@ -123,7 +128,7 @@ def solve_projected(
         shifted = np.interp(grid.nodes - (params.rho - warm.rho), grid.nodes, warm.omega)
         omega0, alpha0 = _project_out(shifted, zdot, gzd, nzd2), warm.alpha
     omega, alpha, res, iters, converged, ratios = solver(
-        ops, z, zdot, gzd, nzd2, residual_measure, omega0, alpha0, tol, max_iter
+        ops, z, zdot, gzd, nzd2, residual_measure, omega0, alpha0, max_iter
     )
     return ReducedSolution(
         eps=params.eps,
@@ -134,7 +139,6 @@ def solve_projected(
         newton_iters=iters,
         residual_norm=float(res),
         converged=converged,
-        mode=mode,
         zdot_norm=float(nzd),
         remainder_ratio=float(ops.norm(omega) / (params.eps**3 * ops.norm(z))),
         contraction_ratios=tuple(ratios),
@@ -145,44 +149,31 @@ def _project_out(omega: np.ndarray, zdot: np.ndarray, gzd: np.ndarray, nzd2: flo
     return omega - (float(np.dot(gzd, omega)) / nzd2) * zdot
 
 
-def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, tol, max_iter):
-    best = (omega, alpha, np.inf)
-    stall = accepted = 0
-    r1 = None
-    for _ in range(max_iter):
-        if r1 is None:
-            r1, res = residual_measure(omega, alpha)
-        if res < best[2]:
-            best, stall = (omega, alpha, res), 0
-        else:
-            stall += 1
-        if res <= tol or stall >= 3:
-            break
+def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, max_iter):
+    # Armijo makes every accepted iterate strictly better than the last, so
+    # the current iterate is the best one and a failed search ends the loop
+    r1, res = residual_measure(omega, alpha)
+    accepted = 0
+    while res > TOL and accepted < max_iter - 1:
         K = BorderedTridiagonal(ops.hess_banded(z + omega), -gzd, gzd)
         rhs = np.concatenate([r1, [float(np.dot(gzd, omega))]])
         step = K.solve(rhs)
-        t, ok = 1.0, False
-        while t > 1e-8:
+        t = 1.0
+        while True:
             cand_o = _project_out(omega - t * step[:-1], zdot, gzd, nzd2)
             cand_a = alpha - t * step[-1]
             cand_r1, cand_res = residual_measure(cand_o, cand_a)
             if cand_res <= (1.0 - 1e-4 * t) * res:
-                ok = True
                 break
             t /= 2
-        if ok:  # the accepted candidate's residual is the next iterate's
-            omega, alpha, r1, res = cand_o, cand_a, cand_r1, cand_res
-            accepted += 1
-        else:
-            stall += 1
-            omega = _project_out(omega - t * step[:-1], zdot, gzd, nzd2)
-            alpha = alpha - t * step[-1]
-            r1 = None
-    omega, alpha, res = best
-    return omega, alpha, res, accepted, bool(res <= tol), ()
+            if t <= 1e-8:
+                return omega, alpha, res, accepted, False, ()
+        omega, alpha, r1, res = cand_o, cand_a, cand_r1, cand_res
+        accepted += 1
+    return omega, alpha, res, accepted, bool(res <= TOL), ()
 
 
-def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, tol, max_iter):
+def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, max_iter):
     K = BorderedTridiagonal(ops.hess_banded(z), -gzd, gzd)
     deltas: list[float] = []
     converged = False
@@ -195,7 +186,7 @@ def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alph
         alpha = float(sol[-1])
         deltas.append(ops.norm(new_omega - omega))
         omega = new_omega
-        if deltas[-1] <= tol:
+        if deltas[-1] <= TOL:
             converged = True
             break
         if len(deltas) >= 3 and deltas[-1] > deltas[-2] > deltas[-3]:
@@ -250,7 +241,6 @@ def reduced_energy_scan(
     spec: PotentialSpec,
     rho_samples: int,
     h: float = 0.02,
-    mode: str = "newton",
 ) -> ScanCurve:
     """Psi, alpha, and the leading-order discrepancy over the rho window,
     with each sample's final residual and, where it failed, the cause."""
@@ -270,7 +260,7 @@ def reduced_energy_scan(
     ok = np.zeros(rho_samples, dtype=bool)
     for i, rho in enumerate(rhos):
         try:
-            sol = solve_projected(params.with_rho(rho), spec, grid, mode=mode, ops=ops)
+            sol = solve_projected(params.with_rho(rho), spec, grid, ops=ops)
         except SolverError as exc:
             cause[i] = type(exc).__name__
             continue
@@ -303,12 +293,10 @@ def find_rho_star(
     spec: PotentialSpec,
     bracket: tuple[float, float],
     h: float = 0.02,
-    mode: str = "newton",
-    alpha_factor: float = 1e-9,
     check_dpsi: bool = True,
     pre_scan: int = 9,
 ) -> RhoStarResult:
-    """Root of alpha(rho) in the bracket, down to |alpha| <= factor * ||zdot||.
+    """Root of alpha(rho) in the bracket, down to |alpha| <= 1e-9 ||zdot||.
 
     A short scan walks the bracket first and the root is refined on the
     first subinterval with an alpha sign change, so brackets enclosing an
@@ -339,12 +327,12 @@ def find_rho_star(
             evals += 1
             warm = min(solved, key=lambda s: abs(s.rho - rho))
             try:
-                sol = solve_projected(rp, spec, grid, mode=mode, ops=ops, warm=warm)
+                sol = solve_projected(rp, spec, grid, ops=ops, warm=warm)
             except SolverError:
                 pass
         if sol is None or not sol.converged:
             evals += 1
-            sol = solve_projected(rp, spec, grid, mode=mode, ops=ops)
+            sol = solve_projected(rp, spec, grid, ops=ops)
             if not sol.converged:
                 raise NewtonDivergence(f"projected solve stalled at rho={rho}")
         solved.append(sol)
@@ -371,7 +359,7 @@ def find_rho_star(
         return sx.alpha / sx.zdot_norm
 
     _illinois(scaled_alpha, a, sa.alpha / sa.zdot_norm, b, sb.alpha / sb.zdot_norm,
-              done=lambda: abs(best.alpha) <= alpha_factor * best.zdot_norm)
+              done=lambda: abs(best.alpha) <= 1e-9 * best.zdot_norm)
     star = best
     dpsi = np.nan
     dpsi_ok = False
@@ -396,15 +384,13 @@ def domega_drho(
     params: AnsatzParams,
     spec: PotentialSpec,
     grid: RadialGrid,
-    mode: str = "newton",
-    delta: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Centered difference of the remainder in rho, and its size against zdot."""
-    if delta is None:
-        delta = 1e-3 * params.rho
+    """Centered difference of the remainder in rho (step 1e-3 rho), and its
+    size against zdot."""
+    delta = 1e-3 * params.rho
     ops = DiscreteOperators(grid, params.eps, spec, params.p)
-    up = solve_projected(params.with_rho(params.rho + delta), spec, grid, mode=mode, ops=ops)
-    dn = solve_projected(params.with_rho(params.rho - delta), spec, grid, mode=mode, ops=ops)
+    up = solve_projected(params.with_rho(params.rho + delta), spec, grid, ops=ops)
+    dn = solve_projected(params.with_rho(params.rho - delta), spec, grid, ops=ops)
     if not (up.converged and dn.converged):
         raise NewtonDivergence("projected solve stalled during rho differencing")
     dod = (up.omega - dn.omega) / (2.0 * delta)
@@ -412,14 +398,10 @@ def domega_drho(
     return dod, float(ops.norm(dod) / ops.norm(zdot))
 
 
-def calibrate_gamma(
-    params: AnsatzParams,
-    spec: PotentialSpec,
-    h: float = 0.02,
-    safety: float = 2.0,
-) -> float:
-    """Fix the remainder-set radius from the observed ||omega||/(eps^3 ||z||)."""
-    sol = solve_projected(params, spec, grid_for(params, h))
+def calibrate_gamma(params: AnsatzParams, spec: PotentialSpec) -> float:
+    """Fix the remainder-set radius at twice the ||omega||/(eps^3 ||z||)
+    observed on the h = 0.02 grid."""
+    sol = solve_projected(params, spec, grid_for(params, 0.02))
     if not sol.converged:
         raise NewtonDivergence("projected solve stalled during gamma calibration")
-    return float(safety * sol.remainder_ratio)
+    return float(2.0 * sol.remainder_ratio)

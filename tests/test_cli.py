@@ -83,6 +83,16 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "config invalid" in capsys.readouterr().err
 
 
+def test_mistyped_nested_number_exits_2(tmp_path, capsys):
+    # a key=value value that is not JSON reads as a bare string
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in BASE.items())
+                    + "grid.tail = 4O\n")
+    rc = main(["ground", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "grid.tail: must be a number" in capsys.readouterr().err
+
+
 def test_unreadable_config_exits_2(tmp_path, capsys):
     rc = main(["ground", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])

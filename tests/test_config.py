@@ -107,6 +107,15 @@ def test_missing_field_rejected():
         ({"rho_samples": 4}, "rho_samples"),
         ({"grid": {"h_reduce": 1e-3, "h_solve": 2e-3}}, "h_solve"),
         ({"tolerances": {"solve_tol_coeff": 0.0}}, "tolerances"),
+        # nested numbers are coerced like top-level ones, bools rejected
+        ({"grid": {"tail": [1]}}, r"grid\.tail"),
+        ({"grid": {"h_reduce": True}}, r"grid\.h_reduce"),
+        ({"tolerances": {"solve_tol_coeff": None}}, r"tolerances\.solve_tol_coeff"),
+        ({"potential": {"family": "sine", "amplitude": "x"}}, r"potential\.amplitude"),
+        ({"potential": {"family": "poly", "coeffs": "ab"}}, r"potential\.coeffs"),
+        ({"potential": {"family": "poly", "coeffs": [1.0, "b"]}}, r"potential\.coeffs"),
+        ({"gamma": True}, "gamma"),
+        ({"p": None}, "p"),
     ],
 )
 def test_validation_errors_name_the_field(over, field):

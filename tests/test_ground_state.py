@@ -94,7 +94,7 @@ def test_constants_cached_per_p_and_n():
     # the audits ask for the same (p, n) constants once per family member
     c = ground_state_constants(GroundStateProfile(p=3.0, lam=1.0), n=2)
     assert ground_state_constants(GroundStateProfile(p=3.0, lam=1.0), n=2) is c
-    fresh = _ground_state_constants.__wrapped__(3.0, 1.0, 2, 1e-10, 40.0, 1e-3)
+    fresh = _ground_state_constants.__wrapped__(3.0, 1.0, 2)
     assert fresh == c
     # an int exponent shares the float key and never leaks its type
     for p in (3, 3.0, 2.5, 2):

@@ -1,5 +1,7 @@
-"""Every public function has a caller outside its own module."""
+"""Every public function has a caller outside its own module, and every
+option it defaults is set by some call."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -27,3 +29,28 @@ def test_every_public_function_is_referenced():
                        if path != own):
                 unused.append(f"{info.name}.{name}")
     assert not unused, f"public functions nothing calls: {unused}"
+
+
+def test_every_defaulted_option_is_set_by_some_call():
+    # name -> argument positions and keywords that some call passes
+    passed: dict[str, set] = {}
+    for top in ("src", "tests", "scripts", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed.setdefault(name, set()).update(
+                    [*range(len(node.args)), *(k.arg for k in node.keywords)])
+    unset = []
+    for info in pkgutil.iter_modules(shellwave.__path__):
+        mod = importlib.import_module(f"shellwave.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            fn = inspect.unwrap(getattr(mod, name))
+            if not inspect.isfunction(fn):
+                continue
+            got = passed.get(name, set())
+            for i, prm in enumerate(inspect.signature(fn).parameters.values()):
+                if prm.default is not prm.empty and not {i, prm.name} & got:
+                    unset.append(f"{info.name}.{name}({prm.name})")
+    assert not unset, f"options no call sets: {unset}"

@@ -148,8 +148,9 @@ def test_domega_drho_bounded(setup):
 def _plain_projected_newton(params, spec, grid, tol=1e-10, max_iter=60):
     """The projected Newton solve written out plainly: its own operators,
     a residual evaluated at the top of every iteration and again for the
-    returned iterate.  Returns (omega, alpha, residual, loop iterations,
-    accepted steps)."""
+    returned iterate, the best iterate kept, and a forced short step after
+    a failed line search.  Returns (omega, alpha, residual, loop iterations,
+    accepted steps, accepted steps before the first failed line search)."""
     ops = DiscreteOperators(grid, params.eps, spec, params.p)
     z = build_z(params, spec, grid)
     zdot = build_zdot(params, spec, grid)
@@ -168,6 +169,7 @@ def _plain_projected_newton(params, spec, grid, tol=1e-10, max_iter=60):
     alpha = 0.0
     best = (omega, alpha, np.inf)
     stall = accepted = 0
+    at_first_failure = None
     for it in range(max_iter):
         r1, res = measure(omega, alpha)
         if res < best[2]:
@@ -189,10 +191,14 @@ def _plain_projected_newton(params, spec, grid, tol=1e-10, max_iter=60):
             accepted += 1
         else:
             stall += 1
+            if at_first_failure is None:
+                at_first_failure = accepted
         omega = project(omega - t * step[:-1])
         alpha = alpha - t * step[-1]
     omega, alpha, _ = best
-    return omega, alpha, measure(omega, alpha)[1], it + 1, accepted
+    if at_first_failure is None:
+        at_first_failure = accepted
+    return omega, alpha, measure(omega, alpha)[1], it + 1, accepted, at_first_failure
 
 
 def test_cold_projected_solve_bitwise_with_shared_ops():
@@ -201,19 +207,24 @@ def test_cold_projected_solve_bitwise_with_shared_ops():
                                gamma=0.6, eps_max=0.5)
     grid = grid_for(params, 0.02, rho_max=params.omega_window[1])
     ops = DiscreteOperators(grid, 0.5, spec, 3.0)
-    # rho = 2.0 sits on the window edge, where the solve stalls unconverged
+    # rho = 2.0 sits on the window edge, where the solve stalls unconverged:
+    # the plain loop's best iterate is the one its first line search failed
+    # from, so stopping there returns it, after 6 steps instead of 7
     for rho, converged in ((16.0, True), (2.0, False), (17.25, True)):
         p = params.with_rho(rho)
         sol = solve_projected(p, spec, grid, ops=ops)
-        omega, alpha, res, loops, accepted = _plain_projected_newton(p, spec, grid)
+        omega, alpha, res, loops, accepted, before_failure = _plain_projected_newton(
+            p, spec, grid)
         assert sol.converged is converged
         assert np.array_equal(sol.omega, omega)
         assert (sol.alpha, sol.residual_norm) == (alpha, res)
-        # newton_iters counts accepted steps; the loop count also counted
-        # the final convergence check
-        assert sol.newton_iters == accepted
+        # newton_iters counts accepted steps up to the first failed line
+        # search; a converged plain loop also counted the final check
+        assert sol.newton_iters == before_failure
         if converged:
-            assert loops == accepted + 1
+            assert before_failure == accepted and loops == accepted + 1
+        else:
+            assert (before_failure, accepted) == (6, 7)
         cold = solve_projected(p, spec, grid)
         assert np.array_equal(cold.omega, sol.omega)
         assert (cold.psi, cold.remainder_ratio) == (sol.psi, sol.remainder_ratio)
@@ -263,11 +274,11 @@ def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
     # ends included)
     params, spec, _ = setup
 
-    def fake(p, spec, grid, mode="newton", ops=None, warm=None):
+    def fake(p, spec, grid, ops=None, warm=None):
         return reduction.ReducedSolution(
             eps=p.eps, rho=p.rho, omega=np.zeros(grid.size),
             alpha=float(np.expm1(p.rho - 20.3)), psi=0.0, newton_iters=0,
-            residual_norm=0.0, converged=True, mode=mode, zdot_norm=1.0,
+            residual_norm=0.0, converged=True, zdot_norm=1.0,
             remainder_ratio=0.0)
 
     monkeypatch.setattr(reduction, "solve_projected", fake)
