@@ -418,9 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         "normalize": "continuation plus original-variable records and trends",
         "report": "summarize the run ledger",
     }
-    for name in ("ground", "spectrum", "mpot", "scan", "solve", "continue",
-                 "normalize", "report"):
-        sp = sub.add_parser(name, help=helps[name])
+    for name, text in helps.items():
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", default=None,
                         help="path to a JSON or key=value config file")
         sp.add_argument("--out", default=None,

@@ -20,8 +20,6 @@ from dataclasses import asdict, dataclass, field
 from .exceptions import ConfigError
 from .potentials import PotentialSpec
 
-_POTENTIAL_FAMILIES = ("zero", "sine", "cosine", "poly", "tabulated")
-
 
 def _number(name: str, value) -> float:
     """value as a float, or ConfigError naming the field (bools included)."""
@@ -137,39 +135,46 @@ class RunConfig:
                 f"potential: ellipticity floor 1 - eps^2 sup|V| vanishes at eps={eps_max:g}")
 
 
-def build_potential(d: dict) -> PotentialSpec:
+# each family's constructor and parameters, in the constructor's argument
+# order, with their defaults; None marks a required list of numbers
+_POTENTIALS = {
+    "zero": (PotentialSpec.zero, {}),
+    "sine": (PotentialSpec.sine, {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
+    "cosine": (PotentialSpec.cosine, {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
+    "poly": (PotentialSpec.bounded_poly, {"coeffs": None}),
+    "tabulated": (PotentialSpec.tabulated, {"r": None, "v": None}),
+}
+
+
+def _canonical_potential(d) -> dict:
+    """The potential table with every parameter of its family, as a float
+    (a list of floats for coeffs, r and v) and defaulted where omitted, so
+    tables that define one potential hash alike."""
     if not isinstance(d, dict) or "family" not in d:
         raise ConfigError("potential: need a table with a 'family' key")
     fam = d["family"]
-    extra = {k: v for k, v in d.items() if k != "family"}
+    if not isinstance(fam, str) or fam not in _POTENTIALS:
+        raise ConfigError(
+            f"potential: unknown family '{fam}' (choose from {', '.join(_POTENTIALS)})")
+    params = _POTENTIALS[fam][1]
+    unknown = set(d) - {"family"} - set(params)
+    if unknown:
+        raise ConfigError(
+            f"potential: unknown key '{sorted(unknown)[0]}' for family '{fam}'")
+    out = {"family": fam}
+    for key, default in params.items():
+        if default is not None:
+            out[key] = _number(f"potential.{key}", d.get(key, default))
+        elif key in d:
+            out[key] = list(_numbers(f"potential.{key}", d[key]))
+        else:
+            raise ConfigError(f"potential: family '{fam}' needs '{key}'")
+    return out
 
-    def take(allowed: tuple) -> dict:
-        unknown = set(extra) - set(allowed)
-        if unknown:
-            raise ConfigError(
-                f"potential: unknown key '{sorted(unknown)[0]}' for family '{fam}'")
-        return extra
 
-    if fam == "zero":
-        take(())
-        return PotentialSpec.zero()
-    if fam in ("sine", "cosine"):
-        kw = take(("amplitude", "frequency", "phase"))
-        ctor = PotentialSpec.sine if fam == "sine" else PotentialSpec.cosine
-        return ctor(**{k: _number(f"potential.{k}", v) for k, v in kw.items()})
-    if fam == "poly":
-        kw = take(("coeffs",))
-        if "coeffs" not in kw:
-            raise ConfigError("potential: family 'poly' needs 'coeffs'")
-        return PotentialSpec.bounded_poly(_numbers("potential.coeffs", kw["coeffs"]))
-    if fam == "tabulated":
-        kw = take(("r", "v"))
-        if "r" not in kw or "v" not in kw:
-            raise ConfigError("potential: family 'tabulated' needs 'r' and 'v'")
-        return PotentialSpec.tabulated(_numbers("potential.r", kw["r"]),
-                                       _numbers("potential.v", kw["v"]))
-    raise ConfigError(
-        f"potential: unknown family '{fam}' (choose from {', '.join(_POTENTIAL_FAMILIES)})")
+def build_potential(d: dict) -> PotentialSpec:
+    c = _canonical_potential(d)
+    return _POTENTIALS[c.pop("family")][0](*c.values())
 
 
 _TOP_KEYS = ("n", "p", "potential", "schedule", "C1", "C2", "t_bracket",
@@ -186,6 +191,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if missing:
         raise ConfigError(f"missing field '{missing[0]}'")
     kw = dict(data)
+    kw["potential"] = _canonical_potential(kw["potential"])
     for name in ("p", "C1", "C2", "beta_floor", "gamma", "trunc_K"):
         if name in kw and not (name == "trunc_K" and kw[name] is None):
             kw[name] = _number(name, kw[name])

@@ -6,9 +6,9 @@ Solves the collocation system
 
 where f is the pure power or, above the Sobolev-critical exponent, its
 C^2-truncated version (the truncation must stay inactive on the returned
-solution).  Seeds come from the projected reduction (z + omega) or from a
-shifted previous family member; cold seeds far from the layer radius are
-outside the Newton basin for supercritical powers.
+solution).  Every family member is seeded from its own reduction, z at the
+critical radius plus the projected remainder omega; cold seeds far from the
+layer radius are outside the Newton basin for supercritical powers.
 
 The audits re-express the two integral identities of the layer equation
 (equation pairing with u, and the dilation identity) in the unrescaled
@@ -219,9 +219,12 @@ def solve_full(
 ) -> FullSolution:
     if len(seed) != grid.size:
         raise ConfigError("seed length does not match the grid")
+    seed_peak = float(np.abs(seed).max())
+    if seed_peak == 0.0:
+        raise ConvergedToZero("the Newton seed is the zero solution")
     ops = DiscreteOperators(grid, eps, spec, p)
     if is_supercritical(n, p):
-        K = trunc_K if trunc_K is not None else 2.0 * float(np.abs(seed).max())
+        K = trunc_K if trunc_K is not None else 2.0 * seed_peak
         force = TruncatedForce(p, K)
     else:
         K = None
@@ -453,16 +456,17 @@ def continuation_in_eps(
 
     The first member brackets the critical radius inside t_bracket; later
     members re-center the search in a window of half-width 1.5 around the
-    previous t to stay on the same branch of M'(t) = 0, and the full solve
-    is seeded from the previous profile shifted to the new radius
-    (interpolation beyond the old grid pads with zeros).  tail sets
-    the grids' decay room (AnsatzParams.tail) and tol_coeff the full
-    solves' Newton tolerance.
+    previous t to stay on the same branch of M'(t) = 0.  Every member's
+    full solve is seeded the same way, from its own reduction: z at rho*
+    on the fine grid plus the reduction's omega interpolated onto it (zero
+    past the reduction grid), so a member depends on the one before only
+    through its t.  tail sets the grids' decay room (AnsatzParams.tail)
+    and tol_coeff the full solves' Newton tolerance.
     """
     sched = _validate_schedule(schedule)
     eps_max = float(sched[0])
     members: list[FamilyMember] = []
-    prev: FamilyMember | None = None
+    prev_t: float | None = None
     for eps in sched:
         try:
             e3 = eps**3
@@ -471,37 +475,21 @@ def continuation_in_eps(
                 n=n, p=p, eps=eps, rho=0.5 * (lo + hi), spec=spec, C1=C1, C2=C2,
                 gamma=gamma, eps_max=eps_max, tail=tail,
             )
-            if prev is None:
+            if prev_t is None:
                 bracket = (t_bracket[0] / eps, t_bracket[1] / eps)
             else:
-                bracket = (
-                    max((prev.t_value - 1.5) / eps, lo),
-                    min((prev.t_value + 1.5) / eps, hi),
-                )
-            red = find_rho_star(params.with_rho(0.5 * (bracket[0] + bracket[1])),
-                                spec, bracket, h=h_reduce)
-            rho_star = red.rho_star
-            star_params = params.with_rho(rho_star)
+                bracket = (max((prev_t - 1.5) / eps, lo), min((prev_t + 1.5) / eps, hi))
+            red = find_rho_star(params, spec, bracket, h=h_reduce)
+            star_params = params.with_rho(red.rho_star)
             fine = grid_for(star_params, h_solve)
-            if prev is None:
-                seed = build_z(star_params, spec, fine)
-                coarse = grid_for(star_params, h_reduce, rho_max=bracket[1])
-                seed = seed + np.interp(
-                    fine.nodes, coarse.nodes, red.solution.omega, left=0.0, right=0.0
-                )
-            else:
-                shift = rho_star - prev.rho_star
-                seed = np.interp(
-                    fine.nodes - shift,
-                    prev.full.grid.nodes,
-                    prev.full.profile,
-                    left=0.0,
-                    right=0.0,
-                )
+            seed = build_z(star_params, spec, fine) + np.interp(
+                fine.nodes, red.solution.grid.nodes, red.solution.omega,
+                left=0.0, right=0.0,
+            )
             full = solve_full(n, p, eps, spec, seed, fine, trunc_K=trunc_K,
                               tol_coeff=tol_coeff)
             member = FamilyMember(
-                eps=eps, rho_star=rho_star, t_value=eps * rho_star,
+                eps=eps, rho_star=red.rho_star, t_value=eps * red.rho_star,
                 reduced=red, full=full,
             )
         except SolverError as exc:
@@ -510,7 +498,7 @@ def continuation_in_eps(
                 failed_eps=float(eps), failure=f"{type(exc).__name__}: {exc}",
             )
         members.append(member)
-        prev = member
+        prev_t = member.t_value
     return ContinuationResult(
         members=tuple(members), completed=True, failed_eps=None, failure=None
     )

@@ -66,6 +66,7 @@ __all__ = [
 class ReducedSolution:
     eps: float
     rho: float
+    grid: RadialGrid          # the grid omega lives on
     omega: np.ndarray
     alpha: float
     psi: float
@@ -95,7 +96,7 @@ def solve_projected(
     ops are the operators of (grid, params.eps, spec, params.p), built here
     when not given; solves on one grid may share them, which changes no
     bit.  Without warm the iteration starts from omega = 0, alpha = 0;
-    with warm, a solution on the same grid at another radius, it starts
+    with warm, a solution on this grid object at another radius, it starts
     from warm's omega shifted by params.rho - warm.rho (projected back onto
     the constraint) and warm's alpha.
     """
@@ -122,7 +123,7 @@ def solve_projected(
 
     if warm is None:
         omega0, alpha0 = np.zeros(grid.size), 0.0
-    elif warm.omega.shape != grid.nodes.shape:
+    elif warm.grid is not grid:
         raise ConfigError("warm start comes from another grid")
     else:
         shifted = np.interp(grid.nodes - (params.rho - warm.rho), grid.nodes, warm.omega)
@@ -133,6 +134,7 @@ def solve_projected(
     return ReducedSolution(
         eps=params.eps,
         rho=params.rho,
+        grid=grid,
         omega=omega,
         alpha=float(alpha),
         psi=float(ops.energy(z + omega)),

@@ -1,12 +1,13 @@
 """Command-line pipeline: exit codes, artifacts, ledger, byte-stable replay."""
 
+import argparse
 import filecmp
 import json
 import os
 
 import pytest
 
-from shellwave.cli import main
+from shellwave.cli import _STAGES, build_parser, main
 
 BASE = {
     "n": 2,
@@ -256,3 +257,9 @@ def test_continue_and_solve_report_rho_search(tmp_path):
     solve, _ = run_stage(tmp_path, "solve", "rho_solve")
     assert (solve["rho_evaluations"], solve["dpsi_ok"]) == \
         (member["rho_evaluations"], True)
+
+
+def test_parser_subcommands_are_the_stages():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_STAGES)

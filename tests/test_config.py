@@ -72,6 +72,19 @@ def test_hash_ignores_outdir_only():
     assert len(a.config_hash()) == 64
 
 
+def test_potential_spellings_hash_alike():
+    # the potential table is stored with its family's parameters as floats
+    # and defaults filled in, so one computation has one hash
+    spellings = ({"family": "sine"}, {"family": "sine", "amplitude": 1},
+                 {"family": "sine", "amplitude": 1.0})
+    cfgs = [make(potential=pot) for pot in spellings]
+    assert {c.config_hash() for c in cfgs} == {cfgs[0].config_hash()}
+    assert cfgs[0].potential == {"family": "sine", "amplitude": 1.0,
+                                 "frequency": 1.0, "phase": 0.0}
+    other = make(potential={"family": "sine", "amplitude": 2})
+    assert other.config_hash() != cfgs[0].config_hash()
+
+
 def test_unknown_field_rejected():
     with pytest.raises(ConfigError, match="epsilon_list"):
         make(epsilon_list=[0.5])

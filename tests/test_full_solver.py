@@ -124,6 +124,15 @@ def test_converged_to_zero_guard(sine_spec):
         solve_full(2, 3.0, 0.4, sine_spec, seed, grid)
 
 
+@pytest.mark.parametrize("n, p", [(2, 3.0), (3, 6.0)])
+def test_zero_seed_converges_to_zero(sine_spec, n, p):
+    # supercritical with no trunc_K used to build a force capped at 0 and
+    # raise a bare ValueError; subcritical it lost positivity
+    grid = RadialGrid.make(n, 30.0, 0.01)
+    with pytest.raises(ConvergedToZero, match="zero solution"):
+        solve_full(n, p, 0.5, sine_spec, np.zeros(grid.size), grid)
+
+
 def test_stall_above_roundoff_floor_diverges(sine_family, sine_spec):
     # one Newton step from the bare ansatz never reaches the tolerance or
     # the roundoff floor, so the accept rule must still refuse it
@@ -357,8 +366,9 @@ def test_settled_stop_matches_halving_loop(sine_family, supercritical_family,
 
 def test_family_newton_work(sine_family, sine_spec, monkeypatch):
     # the halving loop spent 87 evaluations on the coarse members and up to
-    # 20 on one refinement re-solve
-    assert sum(m.full.residual_evals for m in sine_family.members) <= 40
+    # 20 on one refinement re-solve; seeding members after the first from
+    # the previous profile shifted by the change in rho* spent 32
+    assert sum(m.full.residual_evals for m in sine_family.members) <= 27
     refined = []
     solve = full_solver.solve_full
 
@@ -386,9 +396,10 @@ def test_resolve_from_converged_profile(sine_family, sine_spec):
 
 @pytest.mark.parametrize("delta", [-6e-8, -3e-8, 3e-8, 6e-8])
 def test_member_work_stable_under_seed_shift(sine_family, sine_spec, delta):
-    # the eps = 0.3 member's seed is the eps = 0.35 profile shifted by the
-    # change in rho*; moving that shift by the last bits of rho* took the
-    # halving loop from 10 to 51 residual evaluations
+    # solve_F_for_eps seeds its probes from a member's profile shifted to a
+    # predicted radius, like this eps = 0.35 profile shifted by the change
+    # in rho* to the eps = 0.3 member; moving that shift by the last bits
+    # of rho* took the halving loop from 10 to 51 residual evaluations
     prev, m = sine_family.members[-2], sine_family.members[-1]
     shift = m.rho_star - prev.rho_star + delta * m.rho_star
     seed = np.interp(m.full.grid.nodes - shift, prev.full.grid.nodes,
@@ -396,3 +407,17 @@ def test_member_work_stable_under_seed_shift(sine_family, sine_spec, delta):
     f = solve_full(2, 3.0, m.eps, sine_spec, seed, m.full.grid)
     assert 6 <= f.residual_evals <= 8
     assert max(f.pohozaev_1, f.pohozaev_2) <= 1e-6
+
+
+def test_every_member_seeded_from_its_own_reduction(sine_family, sine_spec):
+    # z at rho* plus the reduction's omega on the member's grid; members
+    # after the first used to be seeded from the previous profile shifted
+    # by the change in rho*
+    for m in sine_family.members:
+        params = AnsatzParams.make(2, 3.0, m.eps, m.rho_star, sine_spec, SINE_C1,
+                                   SINE_C2, gamma=0.6, eps_max=SINE_SCHEDULE[0])
+        red = m.reduced.solution
+        seed = build_z(params, sine_spec, m.full.grid) + np.interp(
+            m.full.grid.nodes, red.grid.nodes, red.omega, left=0.0, right=0.0)
+        f = solve_full(2, 3.0, m.eps, sine_spec, seed, m.full.grid)
+        assert f.profile.tobytes() == m.full.profile.tobytes(), m.eps

@@ -8,7 +8,7 @@ import pytest
 from shellwave import reduction
 from shellwave.ansatz import AnsatzParams, build_z, build_zdot, grid_for
 from shellwave.exceptions import ConfigError, HessianSingular, NewtonDivergence, NoSignChange
-from shellwave.grids import BorderedTridiagonal, DiscreteOperators
+from shellwave.grids import BorderedTridiagonal, DiscreteOperators, RadialGrid
 from shellwave.potentials import PotentialSpec, _illinois, find_critical_radius
 from shellwave.reduction import (
     calibrate_gamma,
@@ -239,6 +239,13 @@ def test_operators_and_warm_start_must_match_the_grid(setup):
     elsewhere = solve_projected(params, spec, coarse)
     with pytest.raises(ConfigError):
         solve_projected(params, spec, grid, warm=elsewhere)
+    # as many nodes as grid, further apart: a shape check let this through
+    h = 1.01 * grid.h
+    stretched = RadialGrid.make(grid.n, h * (grid.size - 1), h)
+    assert stretched.size == grid.size
+    elsewhere = solve_projected(params, spec, stretched)
+    with pytest.raises(ConfigError):
+        solve_projected(params, spec, grid, warm=elsewhere)
 
 
 def test_warm_and_cold_solves_agree(setup):
@@ -276,7 +283,7 @@ def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
 
     def fake(p, spec, grid, ops=None, warm=None):
         return reduction.ReducedSolution(
-            eps=p.eps, rho=p.rho, omega=np.zeros(grid.size),
+            eps=p.eps, rho=p.rho, grid=grid, omega=np.zeros(grid.size),
             alpha=float(np.expm1(p.rho - 20.3)), psi=0.0, newton_iters=0,
             residual_norm=0.0, converged=True, zdot_norm=1.0,
             remainder_ratio=0.0)
