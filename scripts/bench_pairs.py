@@ -1,0 +1,134 @@
+"""Alternating pairs of benchmark runs from a parent and a change checkout.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload pipeline-sine-n2 --seed 0 --seed 1 --pairs 10 \\
+        --tag my_change --claim "job_s on pipeline-sine-n2"
+
+For every workload and seed, pair i runs ``perfbench/run.py`` once in each
+checkout, one run at a time, parent first in even pairs and change first in
+odd ones.  Each run is untraced and reads its own checkout's ``src/``.  The
+result goes to ``BENCH_<tag>.json`` in this repository's root: per workload
+and seed, each end-to-end metric's median and inclusive quartiles on both
+sides, the pairs the change won (ties count for neither side), the median
+change in percent, and every raw run with its pair index and the side that
+ran first.  A metric's better direction comes from the change checkout's
+``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 3
+HARNESS = (f"python3 perfbench/run.py --workload <w> --seed <s> "
+           f"--seconds {SECONDS} --trace 0")
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: str, workload: str, seed: int) -> dict:
+    """One untraced benchmark run; the JSON result is its last output line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True,
+                         text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """Medians, inclusive quartiles, pair wins and the median change of one
+    metric; parent[i] and change[i] come from pair i."""
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need two or more complete pairs")
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+    out = {}
+    for side, xs in zip(SIDES, (parent, change)):
+        q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+        out.update({f"{side}_median": round(q2, 4), f"{side}_q1": round(q1, 4),
+                    f"{side}_q3": round(q3, 4)})
+    med_p, med_c = statistics.median(parent), statistics.median(change)
+    out["change_wins"] = f"{wins}/{len(parent)}"
+    out["median_change"] = f"{100.0 * (med_c / med_p - 1.0):+.1f}%"
+    return out
+
+
+def machine() -> str:
+    import numpy
+    import scipy
+    return (f"{os.cpu_count()}-vCPU {platform.machine()} machine, Python "
+            f"{platform.python_version()}, numpy {numpy.__version__}, "
+            f"scipy {scipy.__version__}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seed", type=int, action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--tag", required=True, help="output is BENCH_<tag>.json")
+    ap.add_argument("--claim", required=True,
+                    help='the claimed metric and workload, or "none: ..."')
+    args = ap.parse_args(argv)
+    checkouts = {"parent": args.parent, "change": args.change}
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    workloads = {}
+    for workload in args.workload:
+        for seed in args.seed:
+            runs = {side: [] for side in SIDES}
+            for pair in range(args.pairs):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    res = run_once(checkouts[side], workload, seed)
+                    row = {"pair": pair, "first": order[0],
+                           "failed": res["failed"], "attempted": res["attempted"],
+                           "correct": res["correct"]}
+                    row.update({k: round(v["value"], 4)
+                                for k, v in res["metrics"].items()})
+                    runs[side].append(row)
+                    print(f"{workload} seed {seed} pair {pair} {side}: "
+                          + " ".join(f"{k} {row[k]}" for k in better), flush=True)
+            summary = {name: summarize([r[name] for r in runs["parent"]],
+                                       [r[name] for r in runs["change"]], how)
+                       for name, how in better.items()}
+            workloads[f"{workload} seed {seed}"] = {"summary": summary, "runs": runs}
+
+    seeds = ", ".join(str(s) for s in args.seed)
+    doc = {
+        "harness": HARNESS,
+        "machine": machine(),
+        "protocol": (
+            f"{args.pairs} pairs of parent and change runs per workload and seed "
+            f"(seeds {seeds}), untraced, each side from its own checkout, run one "
+            "at a time; the side that runs first alternates (parent first in even "
+            "pairs). Quartiles are statistics.quantiles(method='inclusive'); a "
+            "pair with equal values counts as a win for neither side."),
+        "claim": args.claim,
+        "workloads": workloads,
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    for key, w in workloads.items():
+        for name, s in w["summary"].items():
+            print(f"{key} {name}: parent {s['parent_median']} "
+                  f"[{s['parent_q1']}, {s['parent_q3']}]  change {s['change_median']} "
+                  f"[{s['change_q1']}, {s['change_q3']}]  wins {s['change_wins']}  "
+                  f"{s['median_change']}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .exceptions import ConfigError, EigensolverError, EllipticityViolation, HessianSingular
 from .forces import PowerForce
@@ -241,8 +240,13 @@ class DiscreteOperators:
         self.gram_banded = self._assemble_gram()
 
     @cached_property
-    def _gram_cho(self) -> np.ndarray:
-        return cholesky_banded(self.gram_banded, lower=False)
+    def _gram_ldl(self) -> tuple[np.ndarray, np.ndarray]:
+        # the Gram matrix is symmetric positive definite and tridiagonal, so
+        # LAPACK dpttrf factors it as L D L^T in O(m)
+        d, e, info = dpttrf(self.gram_banded[1], self.gram_banded[0, 1:])
+        if info != 0:
+            raise EllipticityViolation(f"Gram matrix not positive definite (pivot {info})")
+        return d, e
 
     # ---- weighted inner product and Gram matrix ----------------------
 
@@ -281,8 +285,13 @@ class DiscreteOperators:
         return tridiag_mul(self.gram_banded, v)
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
-        """Representative of the functional v -> g.v in the weighted product."""
-        return cho_solve_banded((self._gram_cho, False), g)
+        """Representative of the functional v -> g.v in the weighted product.
+
+        Solves G w = g with the L D L^T factor of the Gram matrix, built once
+        per set of operators (LAPACK dpttrf/dpttrs).  g is not checked: a
+        non-finite g gives a non-finite w.
+        """
+        return dpttrs(*self._gram_ldl, g)[0]
 
     def dual_norm(self, g: np.ndarray) -> float:
         return float(np.sqrt(max(np.dot(g, self.riesz(g)), 0.0)))

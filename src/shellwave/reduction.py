@@ -98,7 +98,8 @@ def solve_projected(
     bit.  Without warm the iteration starts from omega = 0, alpha = 0;
     with warm, a solution on this grid object at another radius, it starts
     from warm's omega shifted by params.rho - warm.rho (projected back onto
-    the constraint) and warm's alpha.
+    the constraint) and warm's alpha.  A start whose residual is not finite
+    raises NewtonDivergence in either mode.
     """
     if ops is None:
         ops = DiscreteOperators(grid, params.eps, spec, params.p)
@@ -111,8 +112,11 @@ def solve_projected(
     nzd = np.sqrt(nzd2)
 
     def residual_measure(omega: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-        r1 = ops.grad(z + omega) - alpha * gzd
-        return r1, ops.dual_norm(r1) + abs(float(np.dot(gzd, omega))) / nzd
+        # an iterate whose residual overflows measures inf or nan, which
+        # fails Newton's Armijo test like any other poor candidate
+        with np.errstate(over="ignore", invalid="ignore"):
+            r1 = ops.grad(z + omega) - alpha * gzd
+            return r1, ops.dual_norm(r1) + abs(float(np.dot(gzd, omega))) / nzd
 
     if mode == "newton":
         solver = _newton_iterates
@@ -128,8 +132,11 @@ def solve_projected(
     else:
         shifted = np.interp(grid.nodes - (params.rho - warm.rho), grid.nodes, warm.omega)
         omega0, alpha0 = _project_out(shifted, zdot, gzd, nzd2), warm.alpha
+    start = residual_measure(omega0, alpha0)
+    if not np.isfinite(start[1]):
+        raise NewtonDivergence("residual of the starting iterate is not finite")
     omega, alpha, res, iters, converged, ratios = solver(
-        ops, z, zdot, gzd, nzd2, residual_measure, omega0, alpha0, max_iter
+        ops, z, zdot, gzd, nzd2, residual_measure, omega0, alpha0, start, max_iter
     )
     return ReducedSolution(
         eps=params.eps,
@@ -151,10 +158,11 @@ def _project_out(omega: np.ndarray, zdot: np.ndarray, gzd: np.ndarray, nzd2: flo
     return omega - (float(np.dot(gzd, omega)) / nzd2) * zdot
 
 
-def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, max_iter):
+def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, start,
+                     max_iter):
     # Armijo makes every accepted iterate strictly better than the last, so
     # the current iterate is the best one and a failed search ends the loop
-    r1, res = residual_measure(omega, alpha)
+    r1, res = start
     accepted = 0
     while res > TOL and accepted < max_iter - 1:
         K = BorderedTridiagonal(ops.hess_banded(z + omega), -gzd, gzd)
@@ -175,7 +183,8 @@ def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, ma
     return omega, alpha, res, accepted, bool(res <= TOL), ()
 
 
-def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, max_iter):
+def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, _start,
+                          max_iter):
     K = BorderedTridiagonal(ops.hess_banded(z), -gzd, gzd)
     deltas: list[float] = []
     converged = False

@@ -9,23 +9,20 @@ sorted.  Replay equality of whole runs reduces to equality of the numbers.
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import numpy as np
 
 
 def fmt(value) -> str:
-    """Canonical text for one cell."""
+    """Canonical text for one cell: repr of the float (nan, inf and -inf
+    included), true/false for bools, plain digits for ints."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
-        return repr(v)
     return str(value)
 
 
@@ -54,10 +51,10 @@ def _open_lf(path: str):
 
 
 def write_csv(path: str, header, rows) -> None:
+    lines = [",".join(header)]
+    lines += [",".join(map(fmt, row)) for row in rows]
     with _open_lf(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path: str, obj) -> None:
@@ -72,10 +69,9 @@ def write_plot_data(path: str, xlabel: str, ylabel: str, x, y) -> None:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("plot columns differ in length")
+    body = "".join(f"{fmt(a)} {fmt(b)}\n" for a, b in zip(x.tolist(), y.tolist()))
     with _open_lf(path) as fh:
-        fh.write(f"{xlabel} {ylabel}\n")
-        for xi, yi in zip(x, y):
-            fh.write(f"{fmt(float(xi))} {fmt(float(yi))}\n")
+        fh.write(f"{xlabel} {ylabel}\n" + body)
 
 
 def _ticks(lo: float, hi: float, k: int = 5):
@@ -116,7 +112,7 @@ def write_svg(path: str, x, y, title: str = "", xlabel: str = "",
     def py(v):
         return mt + (y_hi - v) / (y_hi - y_lo) * ph
 
-    pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+    pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(x).tolist(), py(y).tolist()))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '

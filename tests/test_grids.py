@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from shellwave.exceptions import EllipticityViolation, HessianSingular
 from shellwave.forces import PowerForce, TruncatedForce
@@ -68,6 +68,22 @@ def test_riesz_inverts_gram():
     w = ops.riesz(g)
     assert np.max(np.abs(ops.gram_mul(w) - g)) < 1e-10
     assert ops.dual_norm(g) == pytest.approx(ops.norm(w), rel=1e-10)
+
+
+def test_dual_norm_matches_banded_cholesky():
+    # the L D L^T solve against the banded Cholesky solve it replaced; both
+    # are backward stable, but the Gram matrix is ill-conditioned (its mass
+    # weight vanishes at the origin), so they agree to roundoff, not bitwise
+    grid, ops = make_ops()
+    cho = cholesky_banded(ops.gram_banded, lower=False)
+    vectors = (
+        bump(grid, 10.0) - 0.3 * bump(grid, 20.0, width=3.0),
+        ops.grad(bump(grid, 12.0, width=1.2, amp=1.1)),
+        np.random.default_rng(3).standard_normal(grid.size),
+    )
+    for g in vectors:
+        want = np.sqrt(np.dot(g, cho_solve_banded((cho, False), g)))
+        assert abs(ops.dual_norm(g) - want) <= 1e-13 * want
 
 
 def test_ellipticity_guard():

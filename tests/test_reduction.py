@@ -316,6 +316,9 @@ def _fail_warm_starts(monkeypatch, how, limit):
         if warm is not None and sum(calls) <= limit:
             if how == "raises":
                 raise HessianSingular("injected")
+            if how == "nonfinite":  # overflows the starting residual
+                return real(*args, warm=dataclasses.replace(warm, omega=warm.omega * 1e200),
+                            **kwargs)
             sol = real(*args, warm=warm, **kwargs)
             return dataclasses.replace(sol, converged=False)
         return real(*args, warm=warm, **kwargs)
@@ -324,7 +327,7 @@ def _fail_warm_starts(monkeypatch, how, limit):
     return calls
 
 
-@pytest.mark.parametrize("how", ["unconverged", "raises"])
+@pytest.mark.parametrize("how", ["unconverged", "raises", "nonfinite"])
 def test_failed_warm_start_retries_cold(setup, monkeypatch, how):
     params, spec, _ = setup
     bracket = (7.5 / EPS, 9.5 / EPS)
@@ -352,3 +355,41 @@ def test_cold_retry_that_stalls_raises(setup, monkeypatch):
     with pytest.raises(NewtonDivergence):
         find_rho_star(params, spec, (7.5 / EPS, 9.5 / EPS))
     assert len(calls) == 3  # cold, then warm and its cold retry at the second radius
+
+
+@pytest.mark.parametrize("mode", ["newton", "fixed-point"])
+def test_nonfinite_start_raises_newton_divergence(mode):
+    # a warm start whose residual overflows is a named solver failure (exit
+    # 3) in either mode, not a bare ValueError from the Gram solve's finite
+    # check or a singular-system error from the bordered solve
+    spec = PotentialSpec.sine()
+    params = AnsatzParams.make(2, 3.0, 0.5, 16.5, spec, 0.5, 1.5, gamma=0.6, eps_max=0.5)
+    grid = grid_for(params, 0.02, rho_max=17.0)
+    ops = DiscreteOperators(grid, 0.5, spec, 3.0)
+    base = solve_projected(params, spec, grid, ops=ops)
+    huge = dataclasses.replace(base, omega=base.omega * 1e200)
+    with pytest.raises(NewtonDivergence, match="not finite"):
+        solve_projected(params.with_rho(16.6), spec, grid, mode=mode, ops=ops, warm=huge)
+
+
+def test_nonfinite_candidate_fails_its_armijo_trial(setup):
+    # poison the residual of the first full step: the line search halves
+    # and the solve still converges
+    params, spec, grid = setup
+    ops = DiscreteOperators(grid, EPS, spec, 3.0)
+    plain = solve_projected(params, spec, grid, ops=ops)
+    real_grad = ops.grad
+    calls = []
+
+    def grad(u):
+        calls.append(u)
+        g = real_grad(u)
+        return g * np.inf if len(calls) == 2 else g
+
+    ops.grad = grad
+    sol = solve_projected(params, spec, grid, ops=ops)
+    assert sol.converged and sol.residual_norm <= 1e-10
+    assert abs(sol.alpha - plain.alpha) <= 1e-10
+    # the trial after the poisoned one took half the first step
+    half = 0.5 * (calls[0] + calls[1])
+    assert np.allclose(calls[2], half, rtol=0.0, atol=1e-12 * np.abs(half).max())

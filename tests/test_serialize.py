@@ -94,3 +94,66 @@ def test_svg_handles_flat_series(tmp_path):
         for c in pair.split(",")
     ]
     assert all(math.isfinite(c) for c in coords)
+
+
+def plain_fmt(value) -> str:
+    """The per-cell formatter, numpy scalars included, with its explicit
+    non-finite branch: the reference the list-based writers must match."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if not math.isfinite(v):
+            return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+        return repr(v)
+    return str(value)
+
+
+def plain_points(x, y) -> str:
+    """write_svg's polyline, one numpy scalar at a time."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    keep = np.isfinite(x) & np.isfinite(y)
+    x, y = x[keep], y[keep]
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo, y_hi = float(y.min()), float(y.max())
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    return " ".join(f"{62.0 + (a - x_lo) / (x_hi - x_lo) * 560.0:.2f},"
+                    f"{28.0 + (y_hi - b) / (y_hi - y_lo) * 346.0:.2f}"
+                    for a, b in zip(x, y))
+
+
+CELLS = np.array([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+                  2.2250738585072014e-308 / 3.0, 1.0 / 3.0, -1e300, 12.0, 7.0,
+                  8.446843652244679])
+
+
+def test_writers_match_per_cell_reference(tmp_path):
+    ints = np.arange(-4, CELLS.size - 4)
+    bools = ints % 3 == 0
+    words = tuple(f"w{k}" for k in range(CELLS.size))
+    path = tmp_path / "t.csv"
+    want = "x,i,b,s\n" + "".join(
+        ",".join(plain_fmt(v) for v in row) + "\n"
+        for row in zip(CELLS, ints, bools, words))
+    for rows in (zip(CELLS, ints, bools, words),
+                 zip(CELLS.tolist(), ints.tolist(), bools.tolist(), words)):
+        write_csv(str(path), ("x", "i", "b", "s"), rows)
+        assert path.read_bytes() == want.encode()
+
+    dat = tmp_path / "t.dat"
+    for x, y in ((CELLS, CELLS[::-1]), (ints, bools), (list(CELLS), ints.tolist())):
+        write_plot_data(str(dat), "x", "y", x, y)
+        want = "x y\n" + "".join(
+            f"{plain_fmt(float(a))} {plain_fmt(float(b))}\n"
+            for a, b in zip(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+        assert dat.read_bytes() == want.encode()
+
+    svg = tmp_path / "t.svg"
+    for x, y in ((CELLS, np.arange(CELLS.size) % 4), (ints, bools), (CELLS[3:8], CELLS[3:8])):
+        write_svg(str(svg), x, y)
+        root = ET.fromstring(svg.read_bytes())
+        (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+        assert line.attrib["points"] == plain_points(x, y)
