@@ -7,7 +7,11 @@ half-line identities (zero up to quadrature error).
 
 import argparse
 
-from shellwave.ground_state import GroundStateProfile, ground_state_constants
+from shellwave.ground_state import (
+    GroundStateProfile,
+    ground_state_constants,
+    identity_spread,
+)
 
 
 def main() -> int:
@@ -20,10 +24,7 @@ def main() -> int:
     for p in args.p:
         for lam in args.lam:
             c = ground_state_constants(GroundStateProfile(p=p, lam=lam), n=2)
-            q1 = c.kinetic_half
-            q2 = 0.5 * c.lp1_full - 0.5 * lam**2 * c.mass_full
-            q3 = 0.5 * lam**2 * c.mass_full - c.lp1_full / (p + 1.0)
-            spread = (max(q1, q2, q3) - min(q1, q2, q3)) / abs(q1)
+            spread = identity_spread(c)[3]
             print(f"{p:5.2f} {lam:5.2f} {c.mass_full:14.8f} "
                   f"{c.kinetic_half:14.8f} {c.lp1_full:14.8f} {spread:10.2e}")
     return 0

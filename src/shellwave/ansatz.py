@@ -21,7 +21,6 @@ from .potentials import PotentialSpec
 
 __all__ = [
     "AnsatzParams",
-    "cutoff",
     "build_z",
     "build_zdot",
     "grid_for",

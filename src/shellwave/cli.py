@@ -30,7 +30,12 @@ from .full_solver import (
     pohozaev_refinement_check,
     tail_decay_check,
 )
-from .ground_state import GroundStateProfile, ground_state_constants, nondegeneracy_report
+from .ground_state import (
+    GroundStateProfile,
+    ground_state_constants,
+    identity_spread,
+    nondegeneracy_report,
+)
 from .normalization import (
     necessary_conditions_report,
     scaling_law_check,
@@ -65,8 +70,10 @@ def _pick_eps(cfg: RunConfig, eps: float | None) -> float:
         return float(cfg.schedule[0])
     if eps <= 0.0:
         raise ConfigError("--eps: must be positive")
-    if 1.0 - eps**2 * cfg.spec().bound_V <= 0.0:
-        raise ConfigError(f"--eps: ellipticity floor vanishes at eps={eps:g}")
+    try:
+        cfg.spec().lambda0(eps)
+    except ConfigError as exc:
+        raise ConfigError(f"--eps: {exc}") from None
     return float(eps)
 
 
@@ -113,11 +120,7 @@ def _run_family(cfg: RunConfig, schedule) -> object:
 def _stage_ground(cfg, outdir, eps, rho_samples):
     prof = GroundStateProfile(p=cfg.p, lam=1.0)
     c = ground_state_constants(prof, n=cfg.n)
-    lam2 = prof.lam**2
-    # the three half-line quantities that coincide by the 1d identities
-    q1 = c.kinetic_half
-    q2 = 0.5 * c.lp1_full - 0.5 * lam2 * c.mass_full
-    q3 = 0.5 * lam2 * c.mass_full - c.lp1_full / (cfg.p + 1.0)
+    q1, q2, q3, spread = identity_spread(c)
     rows = [
         ("p", c.p), ("lam", c.lam), ("n", c.n),
         ("mass_full", c.mass_full), ("kinetic_half", c.kinetic_half),
@@ -134,7 +137,6 @@ def _stage_ground(cfg, outdir, eps, rho_samples):
     write_plot_data(dat, "s", "Q", s, q)
     svg = os.path.join(outdir, "ground_profile.svg")
     write_svg(svg, s, q, title="ground state profile", xlabel="s", ylabel="Q")
-    spread = (max(q1, q2, q3) - min(q1, q2, q3)) / max(abs(q1), 1e-300)
     outputs = {"constants": csv_path, "profile": dat, "plot": svg}
     passes = {"pohozaev_agree": bool(spread <= 1e-8)}
     return outputs, passes

@@ -17,6 +17,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .exceptions import ConfigError
 from .potentials import PotentialSpec
 
@@ -35,6 +37,26 @@ def _numbers(name: str, seq) -> tuple[float, ...]:
     if not isinstance(seq, (list, tuple)):
         raise ConfigError(f"{name}: need a list")
     return tuple(_number(name, v) for v in seq)
+
+
+def check_schedule(schedule) -> np.ndarray:
+    """The eps schedule as a float array, or ConfigError naming the field.
+
+    The one rule for every schedule, a config's or a caller's: nonempty,
+    positive and strictly decreasing, with each step keeping at least 70%
+    of eps.
+    """
+    sched = np.asarray(schedule, dtype=float)
+    if sched.size == 0:
+        raise ConfigError("schedule: empty")
+    if np.any(sched <= 0.0):
+        raise ConfigError("schedule: entries must be positive")
+    for a, b in zip(sched, sched[1:]):
+        if b >= a:
+            raise ConfigError("schedule: must decrease strictly")
+        if b / a < 0.7:
+            raise ConfigError(f"schedule: step {a:g} -> {b:g} shrinks by more than 30%")
+    return sched
 
 
 @dataclass(frozen=True)
@@ -89,17 +111,7 @@ class RunConfig:
             raise ConfigError("n: need an integer dimension >= 2")
         if not self.p > 1.0:
             raise ConfigError("p: need p > 1")
-        sched = self.schedule
-        if len(sched) == 0:
-            raise ConfigError("schedule: empty")
-        if any(e <= 0.0 for e in sched):
-            raise ConfigError("schedule: entries must be positive")
-        for a, b in zip(sched, sched[1:]):
-            if b >= a:
-                raise ConfigError("schedule: must decrease strictly")
-            if b / a < 0.7:
-                raise ConfigError(
-                    f"schedule: step {a:g} -> {b:g} shrinks by more than 30%")
+        check_schedule(self.schedule)
         if not (self.C1 > 0.0 and self.C2 > 0.0):
             raise ConfigError("C1/C2: must be positive")
         if not self.C1 < 4.0 * self.C2:
@@ -107,7 +119,7 @@ class RunConfig:
         lo, hi = self.t_bracket
         if not (0.0 < lo < hi):
             raise ConfigError("t_bracket: need 0 < lo < hi")
-        for e in sched:
+        for e in self.schedule:
             w_lo, w_hi = self.C1 / (2.0 * e**3), 2.0 * self.C2 / e**3
             if max(w_lo, lo / e) >= min(w_hi, hi / e):
                 raise ConfigError(
@@ -128,11 +140,10 @@ class RunConfig:
             raise ConfigError("grid: h_solve must not exceed h_reduce")
         if not self.tolerances.solve_tol_coeff > 0.0:
             raise ConfigError("tolerances: solve_tol_coeff must be positive")
-        spec = self.spec()
-        eps_max = float(sched[0])
-        if 1.0 - eps_max**2 * spec.bound_V <= 0.0:
-            raise ConfigError(
-                f"potential: ellipticity floor 1 - eps^2 sup|V| vanishes at eps={eps_max:g}")
+        try:
+            self.spec().lambda0(float(self.schedule[0]))
+        except ConfigError as exc:
+            raise ConfigError(f"potential: {exc}") from None
 
 
 # each family's constructor and parameters, in the constructor's argument

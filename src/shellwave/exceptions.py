@@ -26,10 +26,6 @@ class ToleranceNotReached(SolverError):
     """Adaptive refinement stalled before reaching the requested tolerance."""
 
 
-class ShootingBracketError(SolverError):
-    """No amplitude bracket could be found for the shooting method."""
-
-
 class EigensolverError(SolverError):
     """The eigenvalue backend failed to converge."""
 
@@ -64,10 +60,6 @@ class TruncationSaturated(SolverError):
 
 class NoSignChange(SolverError):
     """A scalar root bracket does not change sign."""
-
-
-class BracketFailure(SolverError):
-    """Requested target lies outside the range spanned by the family."""
 
 
 class InsufficientFamily(ShellwaveError):

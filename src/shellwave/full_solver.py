@@ -30,7 +30,7 @@ u - t du equals u bit for bit: rounding is monotone, so no smaller t can
 move u again.  Once the iterate is acceptable the search tries t = 1 only:
 below that point halving finds only noise-level decreases.  The first line
 search that fails ends the loop (repeating it from the same u would repeat
-it exactly), as do a residual below 2% of the tolerance and max_iter
+it exactly), as do a residual below 2% of the tolerance and MAX_ITER
 accepted steps; newton_stop records which ("roundoff", "tolerance",
 "max_iter").
 """
@@ -43,6 +43,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .ansatz import AnsatzParams, build_z, grid_for
+from .config import check_schedule
 from .exceptions import (
     ConfigError,
     ConvergedToZero,
@@ -56,10 +57,12 @@ from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec
 from .reduction import RhoStarResult, find_rho_star
 
+# accepted Newton steps after which a full solve stops
+MAX_ITER = 80
+
 __all__ = [
     "FullSolution",
     "solve_full",
-    "is_supercritical",
     "PohozaevAudit",
     "pohozaev_audit",
     "pohozaev_refinement_check",
@@ -215,7 +218,6 @@ def solve_full(
     grid: RadialGrid,
     trunc_K: float | None = None,
     tol_coeff: float = 1e-10,
-    max_iter: int = 80,
 ) -> FullSolution:
     if len(seed) != grid.size:
         raise ConfigError("seed length does not match the grid")
@@ -230,14 +232,14 @@ def solve_full(
         K = None
         force = ops.force
     u, rmax, iters, evals, floor, stop = _newton_strong(ops, force, seed,
-                                                        tol_coeff, max_iter)
+                                                        tol_coeff, MAX_ITER)
     if float(u[:-1].min()) <= 0.0:
         raise SolverError("solution lost positivity")
     if K is not None and float(u.max()) >= K:
         raise TruncationSaturated(
             f"solution peak {u.max():.6f} reached the force cap {K}"
         )
-    audit = _pohozaev_audit(ops, u)
+    audit = pohozaev_audit(ops, u)
     return FullSolution(
         eps=eps,
         n=n,
@@ -272,21 +274,17 @@ class PohozaevAudit:
     defect_2: float
 
 
-def pohozaev_audit(
-    n: int, p: float, eps: float, spec: PotentialSpec, grid: RadialGrid, u: np.ndarray
-) -> PohozaevAudit:
-    """Defects of the two integral identities, in unrescaled variables.
+def pohozaev_audit(ops: DiscreteOperators, u: np.ndarray) -> PohozaevAudit:
+    """Defects of the two integral identities of u, in unrescaled variables.
+
+    ops are the operators of u's grid, eps, potential and p; solve_full
+    passes those of its own solve.
 
     identity 1 (pairing with u):   K + W - P = 0
     identity 2 (dilation):         K - (eps^3/2) int s^n V' u^2
                                      - n (1/2 - 1/(p+1)) P = 0
     normalized by the largest term entering each.
     """
-    return _pohozaev_audit(DiscreteOperators(grid, eps, spec, p), u)
-
-
-def _pohozaev_audit(ops: DiscreteOperators, u: np.ndarray) -> PohozaevAudit:
-    """pohozaev_audit on the operators of the solution's own solve."""
     grid, eps, spec, p = ops.grid, ops.eps, ops.spec, ops.p
     n = grid.n
     du = deriv4(grid, u)
@@ -341,17 +339,18 @@ class AsymptoticTermRow:
 
 
 def asymptotic_terms_check(
-    full: FullSolution, spec: PotentialSpec, rho: float | None = None
+    full: FullSolution, spec: PotentialSpec
 ) -> list[AsymptoticTermRow]:
     """Leading-order layer predictions for the four integral quantities.
 
     All in the unrescaled radial variable r = eps*s; the layer sits at
-    r = eps*rho with the local soliton scale beta(eps*rho).
+    r = eps*rho, rho the peak radius, with the local soliton scale
+    beta(eps*rho).  Where V'(eps*rho) vanishes the v-moment prediction is
+    zero, and its row is marked skipped instead of divided through.
     """
     n, p, eps = full.n, full.p, full.eps
     grid, u = full.grid, full.profile
-    if rho is None:
-        rho = full.peak_rho
+    rho = full.peak_rho
     beta = float(np.sqrt(1.0 + eps**2 * spec.value(eps * rho)))
     consts = ground_state_constants(GroundStateProfile(p=p, lam=1.0), n=n)
     A = consts.kinetic_half
@@ -423,20 +422,6 @@ class ContinuationResult:
     failure: str | None
 
 
-def _validate_schedule(schedule) -> np.ndarray:
-    sched = np.asarray(schedule, dtype=float)
-    if len(sched) < 1 or np.any(sched <= 0.0):
-        raise ConfigError("eps schedule must be positive")
-    if np.any(np.diff(sched) >= 0.0):
-        raise ConfigError("eps schedule must be strictly decreasing")
-    ratios = sched[1:] / sched[:-1]
-    if np.any(ratios < 0.7):
-        raise ConfigError(
-            f"eps schedule steps too aggressive (min ratio {ratios.min():.3f} < 0.7)"
-        )
-    return sched
-
-
 def continuation_in_eps(
     n: int,
     p: float,
@@ -463,7 +448,7 @@ def continuation_in_eps(
     through its t.  tail sets the grids' decay room (AnsatzParams.tail)
     and tol_coeff the full solves' Newton tolerance.
     """
-    sched = _validate_schedule(schedule)
+    sched = check_schedule(schedule)
     eps_max = float(sched[0])
     members: list[FamilyMember] = []
     prev_t: float | None = None

@@ -266,11 +266,6 @@ class DiscreteOperators:
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
-    def norm_eps(self, u: np.ndarray) -> float:
-        """Scaled-gradient norm sqrt(int s^(n-1) (eps^2 u'^2 + u^2))."""
-        val = self.eps**2 * self.kinetic_form(u) + np.dot(self.mass_w, u * u)
-        return float(np.sqrt(max(val, 0.0)))
-
     def _assemble_gram(self) -> np.ndarray:
         m = self.grid.size
         kin = self.kin_w
@@ -318,11 +313,6 @@ class DiscreteOperators:
     def hess_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """J''(u) v."""
         return self.gram_mul(v) - self.mass_w * self.force.fp(u) * v
-
-    def hess_quadform(self, u: np.ndarray, v: np.ndarray) -> float:
-        return self.kinetic_form(v) + float(
-            np.dot(self.mass_w * (self.w - self.force.fp(u)), v * v)
-        )
 
     # ---- collocation picture ------------------------------------------
 

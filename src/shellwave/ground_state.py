@@ -6,8 +6,7 @@ The profile has the closed form
 
 positive, even, exponentially decaying like exp(-lam |s|).  Everything else
 in the package is built on top of this profile: quadrature constants, the
-linearized operator -d^2/ds^2 + lam^2 - p Q^(p-1), and an independent
-shooting cross-check used to validate the closed form.
+linearized operator -d^2/ds^2 + lam^2 - p Q^(p-1) and its spectrum.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .exceptions import (
-    ConfigError,
-    EigensolverError,
-    ShootingBracketError,
-    ToleranceNotReached,
-)
+from .exceptions import ConfigError, EigensolverError, ToleranceNotReached
 from .grids import constrained_min_eig, tridiag_mul
 
 __all__ = [
@@ -33,8 +27,7 @@ __all__ = [
     "NondegeneracyReport",
     "sphere_area",
     "ground_state_constants",
-    "shoot_ground_state",
-    "linearized_spectrum",
+    "identity_spread",
     "nondegeneracy_report",
 ]
 
@@ -87,11 +80,6 @@ class GroundStateProfile:
         s = np.asarray(s, dtype=float)
         x = self.sech_rate * s
         return -self.sech_power * self.sech_rate * np.tanh(x) * self.value(s)
-
-    def second_derivative(self, s) -> np.ndarray:
-        # straight from the defining ODE, valid everywhere
-        q = self.value(s)
-        return self.lam**2 * q - q**self.p
 
     def dvalue_dlambda_sq(self, s) -> np.ndarray:
         """Derivative of the profile with respect to lam^2 at fixed s.
@@ -201,92 +189,20 @@ def _ground_state_constants(p: float, lam: float, n: int) -> GroundStateConstant
     )
 
 
-def _integrate_shot(
-    p: float, lam: float, amp: float, step: float, s_end: float
-) -> tuple[int, np.ndarray]:
-    """Explicit midpoint integration of u'' = lam^2 u - |u|^(p-1) u from (amp, 0).
+def identity_spread(c: GroundStateConstants) -> tuple[float, float, float, float]:
+    """The three half-line quantities that coincide by the 1d identities,
 
-    Returns (verdict, trajectory): verdict +1 if u crossed zero (overshoot),
-    -1 if u' turned positive (undershoot), 0 if neither happened by s_end.
-    Trajectory holds u at every node, valid up to the event.
+        q1 = int_0^inf Q'^2,
+        q2 = (int_R Q^(p+1) - lam^2 int_R Q^2) / 2,
+        q3 = lam^2 int_R Q^2 / 2 - int_R Q^(p+1) / (p+1),
+
+    and their relative spread (max - min) / |q1|, zero up to quadrature error.
     """
-    nsteps = int(round(s_end / step))
-    u, v = amp, 0.0
-    lam2 = lam * lam
-    traj = np.empty(nsteps + 1)
-    traj[0] = u
-    verdict = 0
-    for i in range(1, nsteps + 1):
-        fu = lam2 * u - abs(u) ** (p - 1.0) * u
-        um = u + 0.5 * step * v
-        vm = v + 0.5 * step * fu
-        fum = lam2 * um - abs(um) ** (p - 1.0) * um
-        u += step * vm
-        v += step * fum
-        traj[i] = u
-        if u < 0.0:
-            verdict = 1
-            traj[i:] = 0.0
-            break
-        if v > 0.0:
-            verdict = -1
-            traj[i:] = u
-            break
-    return verdict, traj
-
-
-@dataclass(frozen=True)
-class ShotProfile:
-    nodes: np.ndarray
-    values: np.ndarray
-    amplitude: float
-
-
-def shoot_ground_state(p: float, lam: float) -> ShotProfile:
-    """Independent shooting construction of the even ground state on
-    [0, 10/lam], with step 1e-3.
-
-    Bisects the initial amplitude between undershoot (orbit turns back up)
-    and overshoot (orbit crosses zero).  Deliberately avoids the closed form;
-    the bracket starts just above the constant equilibrium lam^(2/(p-1)).
-    Integration is second order (explicit midpoint), so the returned profile
-    deviates from the exact one by O(step^2).
-    """
-    step = 1e-3
-    s_out = 10.0 / lam
-    s_end = s_out + 5.0 / lam
-
-    equilibrium = lam ** (2.0 / (p - 1.0))
-    lo = 1.02 * equilibrium
-    verdict, _ = _integrate_shot(p, lam, lo, step, s_end)
-    if verdict != -1:
-        raise ShootingBracketError("expected undershoot just above equilibrium")
-    hi = lo
-    for _ in range(40):
-        hi *= 1.5
-        verdict, _ = _integrate_shot(p, lam, hi, step, s_end)
-        if verdict == 1:
-            break
-    else:
-        raise ShootingBracketError("no overshoot amplitude found")
-
-    for _ in range(200):
-        if (hi - lo) <= 1e-15 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        verdict, _ = _integrate_shot(p, lam, mid, step, s_end)
-        if verdict == 1:
-            hi = mid
-        elif verdict == -1:
-            lo = mid
-        else:
-            break
-
-    amp = 0.5 * (lo + hi)
-    _, traj = _integrate_shot(p, lam, amp, step, s_end)
-    n_out = int(round(s_out / step))
-    nodes = step * np.arange(n_out + 1)
-    return ShotProfile(nodes=nodes, values=traj[: n_out + 1], amplitude=amp)
+    lam2 = c.lam**2
+    q1 = c.kinetic_half
+    q2 = 0.5 * c.lp1_full - 0.5 * lam2 * c.mass_full
+    q3 = 0.5 * lam2 * c.mass_full - c.lp1_full / (c.p + 1.0)
+    return q1, q2, q3, (max(q1, q2, q3) - min(q1, q2, q3)) / max(abs(q1), 1e-300)
 
 
 def linearized_spectrum(

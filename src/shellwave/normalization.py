@@ -18,20 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BracketFailure, InsufficientFamily, ToleranceNotReached
-from .full_solver import ContinuationResult, FullSolution, solve_full
-from .grids import RadialGrid
+from .exceptions import InsufficientFamily
+from .full_solver import FullSolution
 from .ground_state import sphere_area
 from .potentials import PotentialSpec, eval_M
 
 __all__ = [
     "NormalizedRecord",
-    "mass_to_a",
     "to_original",
     "ScalingLawReport",
     "scaling_law_check",
-    "SolveForEpsResult",
-    "solve_F_for_eps",
     "NecessaryConditionsReport",
     "necessary_conditions_report",
 ]
@@ -122,90 +118,6 @@ def scaling_law_check(records: list[NormalizedRecord]) -> ScalingLawReport:
         ratios=tuple(float(x) for x in ratios),
         in_band_at_smallest=bool(0.85 <= ratios[-1] <= 1.15),
         deviation_decreasing=bool(np.all(np.diff(dev) < 0.0)),
-    )
-
-
-@dataclass(frozen=True)
-class SolveForEpsResult:
-    eps: float
-    record: NormalizedRecord
-    full: FullSolution
-    iterations: int
-    history: tuple[tuple[float, float], ...]  # (eps, a) pairs, probe order
-
-
-def solve_F_for_eps(
-    family: ContinuationResult,
-    spec: PotentialSpec,
-    a_target: float,
-    rel_tol: float = 1e-8,
-    h_solve: float = 2e-3,
-) -> SolveForEpsResult:
-    """Solve a(eps) = a_target by inverse interpolation with at most 40
-    fresh solves.
-
-    Family members provide the initial samples; every new probe is a full
-    Newton solve at the proposed eps, seeded from the nearest member's
-    profile shifted to the radius predicted by linear interpolation of
-    t(eps).  The probe keeps that member's grid padding past the layer and
-    its force cap.  A member already within tolerance short-circuits.
-    """
-    members = list(family.members)
-    if len(members) < 2:
-        raise InsufficientFamily("need at least 2 family members to bracket a(eps)")
-    n, p = members[0].full.n, members[0].full.p
-
-    samples = []  # (eps, a)
-    for m in members:
-        rec = to_original(m.full, spec)
-        if abs(rec.a - a_target) <= rel_tol * a_target:
-            return SolveForEpsResult(
-                eps=m.eps, record=rec, full=m.full, iterations=0,
-                history=((m.eps, rec.a),),
-            )
-        samples.append((m.eps, rec.a))
-    a_vals = np.array([a for _, a in samples])
-    if not (a_vals.min() <= a_target <= a_vals.max()):
-        raise BracketFailure(
-            f"a_target={a_target:.6e} outside the family range "
-            f"[{a_vals.min():.6e}, {a_vals.max():.6e}]"
-        )
-
-    t_of_eps_x = np.array([m.eps for m in members])[::-1]   # increasing eps
-    t_of_eps_y = np.array([m.t_value for m in members])[::-1]
-    history = list(samples)
-
-    def probe(eps_new: float) -> tuple[FullSolution, NormalizedRecord]:
-        t_pred = float(np.interp(eps_new, t_of_eps_x, t_of_eps_y))
-        rho_pred = t_pred / eps_new
-        near = min(members, key=lambda m: abs(m.eps - eps_new))
-        pad = near.full.grid.s_max - near.rho_star
-        grid = RadialGrid.make(n, rho_pred + pad, h_solve)
-        seed = np.interp(
-            grid.nodes - (rho_pred - near.full.peak_rho),
-            near.full.grid.nodes,
-            near.full.profile,
-            left=0.0,
-            right=0.0,
-        )
-        full = solve_full(n, p, eps_new, spec, seed, grid, trunc_K=near.full.force_cap)
-        return full, to_original(full, spec)
-
-    for it in range(1, 41):
-        # inverse interpolation of the monotone sample cloud
-        pts = sorted(history, key=lambda ea: ea[1])
-        xs = np.array([a for _, a in pts])
-        ys = np.array([e for e, _ in pts])
-        eps_new = float(np.interp(a_target, xs, ys))
-        full, rec = probe(eps_new)
-        history.append((eps_new, rec.a))
-        if abs(rec.a - a_target) <= rel_tol * a_target:
-            return SolveForEpsResult(
-                eps=eps_new, record=rec, full=full, iterations=it,
-                history=tuple(history),
-            )
-    raise ToleranceNotReached(
-        f"a(eps) did not reach {a_target:.6e} within 40 probes"
     )
 
 

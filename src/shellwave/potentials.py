@@ -29,7 +29,6 @@ __all__ = [
     "CriticalRadiusResult",
     "eval_M",
     "find_critical_radius",
-    "stationarity_identity",
 ]
 
 
@@ -174,12 +173,16 @@ class PotentialSpec:
         raise ConfigError(f"no second derivative for family {self.family!r}")
 
     def lambda0(self, eps_max: float) -> float:
-        """Uniform ellipticity floor: 1 + eps^2 V >= lambda0^2 for eps <= eps_max."""
+        """Uniform ellipticity floor: 1 + eps^2 V >= lambda0^2 for eps <= eps_max.
+
+        Config validation, the --eps override and AnsatzParams all check
+        the rule 1 - eps_max^2 bound_V > 0 here; a ConfigError names the
+        eps at which the floor vanishes.
+        """
         floor = 1.0 - eps_max**2 * self.bound_V
         if floor <= 0.0:
             raise ConfigError(
-                f"ellipticity lost: eps_max^2 * bound_V = {eps_max**2 * self.bound_V} >= 1"
-            )
+                f"ellipticity floor 1 - eps^2 sup|V| vanishes at eps={eps_max:g}")
         return float(np.sqrt(floor))
 
 
@@ -237,24 +240,6 @@ def eval_M(
         Mpp = (Mp_hi - Mp_lo) / (2.0 * h)
 
     return EffectivePotentialPoint(r=r, M=M, Mp=Mp, Mpp=Mpp)
-
-
-def stationarity_identity(
-    spec: PotentialSpec, n: int, p: float, eps: float, t
-) -> np.ndarray:
-    """Scalar form of M'(t) = 0 after dividing out the radial power:
-
-        2 (n-1) W^((p+3)/(2(p-1))) + ((p+3)/(p-1)) W^(2/(p-1) - 1/2) eps^2 t V'(t),
-
-    which vanishes exactly at critical radii.
-    """
-    t = np.asarray(t, dtype=float)
-    W = 1.0 + eps**2 * spec.value(t)
-    if np.any(W <= 0.0):
-        raise EllipticityViolation("1 + eps^2 V <= 0 at identity evaluation")
-    e1 = (p + 3.0) / (2.0 * (p - 1.0))
-    e2 = 2.0 / (p - 1.0) - 0.5
-    return 2.0 * (n - 1) * W**e1 + (p + 3.0) / (p - 1.0) * W**e2 * eps**2 * t * spec.deriv(t)
 
 
 def _illinois(f, a: float, fa: float, b: float, fb: float, xtol: float = 0.0,

@@ -11,13 +11,11 @@ path is a bordered Newton iteration; a fixed-point mode iterating
 omega <- -[P J''(z)]^{-1} P(J'(z) + higher-order terms) is kept as a
 fidelity check, and both must agree at the common fixed point.
 
-Every linear system here, [[J'', -G zdot], [(G zdot)^T, 0]] (both modes)
-and the spectral gap's
-[[J'' - sigma G, G Y], [(G Y)^T, 0]] with Y = [z, zdot] (inside
-grids.constrained_min_eig), goes through grids.BorderedTridiagonal: banded
-LU plus block elimination of the border, guarded by the backward error of
-each solve (zdot is a near-kernel direction of J''), which raises
-HessianSingular above roundoff level.
+Both modes solve the bordered system [[J'', -G zdot], [(G zdot)^T, 0]]
+with grids.BorderedTridiagonal: banded LU plus block elimination of the
+border, guarded by the backward error of each solve (zdot is a
+near-kernel direction of J''), which raises HessianSingular above
+roundoff level.
 
 Each solve records remainder_ratio = ||omega|| / (eps^3 ||z||), the
 quantity the remainder set ||omega|| <= gamma eps^3 ||z|| bounds.
@@ -36,28 +34,25 @@ from .exceptions import (
     NoSignChange,
     SolverError,
 )
-from .grids import (
-    BorderedTridiagonal,
-    DiscreteOperators,
-    RadialGrid,
-    constrained_min_eig,
-)
+from .grids import BorderedTridiagonal, DiscreteOperators, RadialGrid
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec, _illinois, eval_M
 
 # residual norm at which a projected solve has converged
 TOL = 1e-10
+# iterates a projected solve visits at most, the start included
+MAX_ITER = 60
+# radii find_rho_star samples across its bracket, ends included, before
+# refining the first sign change of alpha
+PRE_SCAN = 9
 
 __all__ = [
     "ReducedSolution",
     "solve_projected",
-    "SpectralReport",
-    "projected_hessian_gap",
     "ScanCurve",
     "reduced_energy_scan",
     "RhoStarResult",
     "find_rho_star",
-    "domega_drho",
     "calibrate_gamma",
 ]
 
@@ -83,15 +78,14 @@ def solve_projected(
     spec: PotentialSpec,
     grid: RadialGrid,
     mode: str = "newton",
-    max_iter: int = 60,
     ops: DiscreteOperators | None = None,
     warm: ReducedSolution | None = None,
 ) -> ReducedSolution:
     """Remainder omega and multiplier alpha at params.rho on grid.
 
     Converged means a residual norm at or below TOL.  Newton stops at its
-    first failed line search; max_iter bounds the iterates it visits, the
-    start included, so max_iter=1 returns the starting iterate.
+    first failed line search; MAX_ITER bounds the iterates it visits, the
+    start included, so MAX_ITER = 1 would return the starting iterate.
 
     ops are the operators of (grid, params.eps, spec, params.p), built here
     when not given; solves on one grid may share them, which changes no
@@ -136,7 +130,7 @@ def solve_projected(
     if not np.isfinite(start[1]):
         raise NewtonDivergence("residual of the starting iterate is not finite")
     omega, alpha, res, iters, converged, ratios = solver(
-        ops, z, zdot, gzd, nzd2, residual_measure, omega0, alpha0, start, max_iter
+        ops, z, zdot, gzd, nzd2, residual_measure, omega0, alpha0, start
     )
     return ReducedSolution(
         eps=params.eps,
@@ -158,13 +152,12 @@ def _project_out(omega: np.ndarray, zdot: np.ndarray, gzd: np.ndarray, nzd2: flo
     return omega - (float(np.dot(gzd, omega)) / nzd2) * zdot
 
 
-def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, start,
-                     max_iter):
+def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, start):
     # Armijo makes every accepted iterate strictly better than the last, so
     # the current iterate is the best one and a failed search ends the loop
     r1, res = start
     accepted = 0
-    while res > TOL and accepted < max_iter - 1:
+    while res > TOL and accepted < MAX_ITER - 1:
         K = BorderedTridiagonal(ops.hess_banded(z + omega), -gzd, gzd)
         rhs = np.concatenate([r1, [float(np.dot(gzd, omega))]])
         step = K.solve(rhs)
@@ -183,12 +176,11 @@ def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, st
     return omega, alpha, res, accepted, bool(res <= TOL), ()
 
 
-def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, _start,
-                          max_iter):
+def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, _start):
     K = BorderedTridiagonal(ops.hess_banded(z), -gzd, gzd)
     deltas: list[float] = []
     converged = False
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         # J'(z+omega) = J''(z) omega + (J'(z) + higher order); feed the
         # frozen-Hessian bordered system the full nonlinear right-hand side
         rhs1 = -(ops.grad(z + omega) - ops.hess_mul(z, omega))
@@ -207,32 +199,6 @@ def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alph
     )
     _, res = residual_measure(omega, alpha)
     return omega, alpha, res, it + 1, converged, ratios
-
-
-# alpha sign depends on the sign of zdot; the root is what matters.
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    form_zz: float
-    form_zz_ref: float
-    complement_min: float
-
-
-def projected_hessian_gap(
-    params: AnsatzParams,
-    spec: PotentialSpec,
-    grid: RadialGrid,
-) -> SpectralReport:
-    ops = DiscreteOperators(grid, params.eps, spec, params.p)
-    z = build_z(params, spec, grid)
-    zdot = build_zdot(params, spec, grid)
-    GY = np.column_stack([ops.gram_mul(z), ops.gram_mul(zdot)])
-    return SpectralReport(
-        form_zz=float(ops.hess_quadform(z, z)),
-        form_zz_ref=float((1.0 - params.p) * ops.quad(np.abs(z) ** (params.p + 1))),
-        complement_min=float(constrained_min_eig(ops.hess_banded(z), ops.gram_banded, GY)),
-    )
 
 
 @dataclass(frozen=True)
@@ -304,16 +270,14 @@ def find_rho_star(
     spec: PotentialSpec,
     bracket: tuple[float, float],
     h: float = 0.02,
-    check_dpsi: bool = True,
-    pre_scan: int = 9,
 ) -> RhoStarResult:
     """Root of alpha(rho) in the bracket, down to |alpha| <= 1e-9 ||zdot||.
 
-    A short scan walks the bracket first and the root is refined on the
-    first subinterval with an alpha sign change, so brackets enclosing an
-    even number of roots (wide windows over an oscillatory potential) still
-    resolve; the scan order makes the choice deterministic and keeps
-    continuation runs on the branch nearest the lower edge.
+    A scan of PRE_SCAN radii walks the bracket first and the root is
+    refined on the first subinterval with an alpha sign change, so brackets
+    enclosing an even number of roots (wide windows over an oscillatory
+    potential) still resolve; the scan order makes the choice deterministic
+    and keeps continuation runs on the branch nearest the lower edge.
 
     The refinement is the Illinois variant of regula falsi on
     alpha / ||zdot|| (potentials._illinois, which find_critical_radius
@@ -321,7 +285,8 @@ def find_rho_star(
     one set of operators.  The first is cold; each later one is
     warm-started from the evaluated solution nearest in rho (the earliest
     on ties).  A warm start that fails or does not converge is retried
-    cold, and both count in evaluations.
+    cold, and both count in evaluations.  Two more solves, 3e-4 rho* on
+    either side, check that Psi is stationary there (dpsi_ok).
     """
     a, b = float(bracket[0]), float(bracket[1])
     grid = grid_for(params, h, rho_max=b)
@@ -353,7 +318,7 @@ def find_rho_star(
 
     sa = at(a)
     sb = None
-    for rho in np.linspace(a, b, max(pre_scan, 2))[1:]:
+    for rho in np.linspace(a, b, PRE_SCAN)[1:]:
         cand = at(float(rho))
         if np.sign(cand.alpha) != np.sign(sa.alpha):
             b, sb = float(rho), cand
@@ -372,41 +337,19 @@ def find_rho_star(
     _illinois(scaled_alpha, a, sa.alpha / sa.zdot_norm, b, sb.alpha / sb.zdot_norm,
               done=lambda: abs(best.alpha) <= 1e-9 * best.zdot_norm)
     star = best
-    dpsi = np.nan
-    dpsi_ok = False
-    if check_dpsi:
-        delta = 3e-4 * star.rho
-        up = at(min(star.rho + delta, params.omega_window[1]))
-        dn = at(max(star.rho - delta, params.omega_window[0]))
-        dpsi = (up.psi - dn.psi) / (up.rho - dn.rho)
-        dpsi_ok = bool(abs(dpsi) <= 1e-6 * abs(star.psi))
+    delta = 3e-4 * star.rho
+    up = at(min(star.rho + delta, params.omega_window[1]))
+    dn = at(max(star.rho - delta, params.omega_window[0]))
+    dpsi = (up.psi - dn.psi) / (up.rho - dn.rho)
     return RhoStarResult(
         rho_star=star.rho,
         alpha=star.alpha,
         psi=star.psi,
         dpsi_drho=float(dpsi),
-        dpsi_ok=dpsi_ok,
+        dpsi_ok=bool(abs(dpsi) <= 1e-6 * abs(star.psi)),
         solution=star,
         evaluations=evals,
     )
-
-
-def domega_drho(
-    params: AnsatzParams,
-    spec: PotentialSpec,
-    grid: RadialGrid,
-) -> tuple[np.ndarray, float]:
-    """Centered difference of the remainder in rho (step 1e-3 rho), and its
-    size against zdot."""
-    delta = 1e-3 * params.rho
-    ops = DiscreteOperators(grid, params.eps, spec, params.p)
-    up = solve_projected(params.with_rho(params.rho + delta), spec, grid, ops=ops)
-    dn = solve_projected(params.with_rho(params.rho - delta), spec, grid, ops=ops)
-    if not (up.converged and dn.converged):
-        raise NewtonDivergence("projected solve stalled during rho differencing")
-    dod = (up.omega - dn.omega) / (2.0 * delta)
-    zdot = build_zdot(params, spec, grid)
-    return dod, float(ops.norm(dod) / ops.norm(zdot))
 
 
 def calibrate_gamma(params: AnsatzParams, spec: PotentialSpec) -> float:

@@ -4,6 +4,7 @@ import argparse
 import filecmp
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,17 @@ def test_eps_override_validated(tmp_path, capsys):
     rc = main(["mpot", "--config", cfg, "--out", str(tmp_path / "o"),
                "--eps", "-0.5"])
     assert rc == 2
+
+
+def test_eps_past_the_ellipticity_floor_exits_2(tmp_path, capsys):
+    # sup|V| = 1 on the shipped sine config, so 1 - eps^2 sup|V| vanishes at
+    # eps = 1 although the schedule itself is valid
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "sine_n2.json"
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--eps", "1.0"])
+    assert rc == 2
+    assert "--eps: ellipticity floor" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "solve.json").exists()
 
 
 def test_replay_is_byte_identical(tmp_path):

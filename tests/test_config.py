@@ -129,6 +129,8 @@ def test_missing_field_rejected():
         ({"potential": {"family": "poly", "coeffs": [1.0, "b"]}}, r"potential\.coeffs"),
         ({"gamma": True}, "gamma"),
         ({"p": None}, "p"),
+        # 1 - eps^2 sup|V| = 1 - 0.25 * 4 vanishes at the largest eps
+        ({"potential": {"family": "sine", "amplitude": 4.0}}, "potential: ellipticity"),
     ],
 )
 def test_validation_errors_name_the_field(over, field):

@@ -100,12 +100,12 @@ def test_asymptotic_terms_at_layer(sine_family, sine_spec):
         assert r.rel_err <= 0.05, (r.name, r.rel_err)
 
 
-def test_v_moment_skipped_where_v_prime_vanishes(sine_family, sine_spec):
-    # evaluating at a radius with V'(eps rho) = 0 degenerates the v-moment
-    # prediction, which must be marked skipped rather than divided through
+def test_v_moment_skipped_where_v_prime_vanishes(sine_family):
+    # V'(eps rho) = 0 at the layer degenerates the v-moment prediction,
+    # which must be marked skipped rather than divided through; V = 0 makes
+    # V' vanish everywhere
     m = member_at(sine_family, 0.4)
-    rho0 = (0.5 * np.pi + 2.0 * np.pi) / 0.4  # cos(eps rho0) = 0
-    rows = asymptotic_terms_check(m.full, sine_spec, rho=rho0)
+    rows = asymptotic_terms_check(m.full, PotentialSpec.zero())
     vrow = [r for r in rows if r.name == "v-moment"][0]
     assert vrow.skipped
 
@@ -133,15 +133,16 @@ def test_zero_seed_converges_to_zero(sine_spec, n, p):
         solve_full(n, p, 0.5, sine_spec, np.zeros(grid.size), grid)
 
 
-def test_stall_above_roundoff_floor_diverges(sine_family, sine_spec):
+def test_stall_above_roundoff_floor_diverges(sine_family, sine_spec, monkeypatch):
     # one Newton step from the bare ansatz never reaches the tolerance or
     # the roundoff floor, so the accept rule must still refuse it
     m = member_at(sine_family, 0.5)
     params = AnsatzParams.make(2, 3.0, 0.5, m.rho_star, sine_spec, 0.5, 1.5,
                                gamma=0.6)
     seed = build_z(params, sine_spec, m.full.grid)
+    monkeypatch.setattr(full_solver, "MAX_ITER", 1)
     with pytest.raises(NewtonDivergence):
-        solve_full(2, 3.0, 0.5, sine_spec, seed, m.full.grid, max_iter=1)
+        solve_full(2, 3.0, 0.5, sine_spec, seed, m.full.grid)
 
 
 def test_supercritical_acceptance(supercritical_family):
@@ -184,7 +185,8 @@ def test_continuation_prefix_on_failure(sine_spec):
 def test_pohozaev_audit_scales(sine_family, sine_spec):
     # defects are relative: invariant under the eps^n volume prefactor
     m = member_at(sine_family, 0.5)
-    audit = pohozaev_audit(2, 3.0, 0.5, sine_spec, m.full.grid, m.full.profile)
+    ops = DiscreteOperators(m.full.grid, 0.5, sine_spec, 3.0)
+    audit = pohozaev_audit(ops, m.full.profile)
     assert audit.defect_1 == pytest.approx(m.full.pohozaev_1, rel=1e-12)
     assert audit.defect_2 == pytest.approx(m.full.pohozaev_2, rel=1e-12)
     assert audit.kinetic > 0 and audit.potential > 0
@@ -206,11 +208,12 @@ def test_audits_reuse_the_solve_operators(sine_family, sine_spec, monkeypatch):
     assert built == [m.full.grid]
     rows = asymptotic_terms_check(full, sine_spec)
     assert len(built) == 1
-    public = pohozaev_audit(2, 3.0, m.eps, sine_spec, full.grid, full.profile)
+    # fresh operators on the same grid give the same audit
+    ops = DiscreteOperators(full.grid, m.eps, sine_spec, 3.0)
+    public = pohozaev_audit(ops, full.profile)
     assert (public.defect_1, public.defect_2) == (full.pohozaev_1, full.pohozaev_2)
     assert public == full.audit
     # the quadrature gives the same bits as the operators' weights
-    ops = DiscreteOperators(full.grid, m.eps, sine_spec, 3.0)
     u, s = full.profile, full.grid.nodes
     measured = {r.name: r.measured for r in rows}
     assert measured["mass"] == m.eps**2 * ops.quad(u * u)
@@ -396,10 +399,10 @@ def test_resolve_from_converged_profile(sine_family, sine_spec):
 
 @pytest.mark.parametrize("delta", [-6e-8, -3e-8, 3e-8, 6e-8])
 def test_member_work_stable_under_seed_shift(sine_family, sine_spec, delta):
-    # solve_F_for_eps seeds its probes from a member's profile shifted to a
-    # predicted radius, like this eps = 0.35 profile shifted by the change
-    # in rho* to the eps = 0.3 member; moving that shift by the last bits
-    # of rho* took the halving loop from 10 to 51 residual evaluations
+    # a seed from a neighbour's profile shifted to a predicted radius, like
+    # this eps = 0.35 profile shifted by the change in rho* to the eps = 0.3
+    # member; moving that shift by the last bits of rho* took the halving
+    # loop from 10 to 51 residual evaluations
     prev, m = sine_family.members[-2], sine_family.members[-1]
     shift = m.rho_star - prev.rho_star + delta * m.rho_star
     seed = np.interp(m.full.grid.nodes - shift, prev.full.grid.nodes,

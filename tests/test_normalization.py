@@ -1,19 +1,16 @@
-"""Original-variable dictionary, scaling law, trends, and the eps inverse solve."""
+"""Original-variable dictionary, scaling law, and trends."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from shellwave.exceptions import BracketFailure, InsufficientFamily
-from shellwave.full_solver import continuation_in_eps
+from shellwave.exceptions import InsufficientFamily
 from shellwave.ground_state import sphere_area
 from shellwave.normalization import (
     mass_to_a,
     necessary_conditions_report,
     scaling_law_check,
-    solve_F_for_eps,
-    to_original,
 )
 
 
@@ -83,45 +80,3 @@ def test_trend_report_flags_injected_fault(sine_records):
     rep = necessary_conditions_report(bad)
     assert not rep.a_increasing
     assert rep.rho_increasing  # untouched trends stay intact
-
-
-def test_solve_F_member_short_circuit(sine_family, sine_records, sine_spec):
-    target = sine_records[2].a  # eps = 0.4 member
-    res = solve_F_for_eps(sine_family, sine_spec, target, rel_tol=1e-8)
-    assert res.eps == pytest.approx(0.4, abs=1e-8)
-    assert res.iterations == 0
-
-
-def test_solve_F_outside_range(sine_family, sine_spec, sine_records):
-    a_vals = [r.a for r in sine_records]
-    with pytest.raises(BracketFailure):
-        solve_F_for_eps(sine_family, sine_spec, 0.5 * min(a_vals))
-    with pytest.raises(BracketFailure):
-        solve_F_for_eps(sine_family, sine_spec, 2.0 * max(a_vals))
-
-
-def test_solve_F_between_samples(sine_family, sine_spec, sine_records):
-    # target strictly between the 0.45 and 0.4 members
-    target = np.sqrt(sine_records[1].a * sine_records[2].a)
-    res = solve_F_for_eps(sine_family, sine_spec, float(target),
-                          rel_tol=1e-6, h_solve=4e-3)
-    assert 0.4 < res.eps < 0.45
-    assert abs(res.record.a - target) <= 1e-6 * target
-    assert res.iterations >= 1
-
-
-def test_solve_F_probe_keeps_the_family_padding(sine_spec):
-    # a family continued with tail = 30 pads its grids by 30/lambda0; a
-    # probe seeded from one of its members pads the same, not by 40/lambda0
-    fam = continuation_in_eps(2, 3.0, sine_spec, (0.5, 0.45), 0.5, 1.5,
-                              (7.5, 9.5), gamma=0.6, h_solve=4e-3, tail=30.0)
-    assert fam.completed, fam.failure
-    a0, a1 = (to_original(m.full, sine_spec).a for m in fam.members)
-    res = solve_F_for_eps(fam, sine_spec, float(np.sqrt(a0 * a1)),
-                          rel_tol=1e-6, h_solve=4e-3)
-    assert res.iterations >= 1
-    near = min(fam.members, key=lambda m: abs(m.eps - res.eps))
-    pad = near.full.grid.s_max - near.rho_star
-    assert pad == pytest.approx(30.0 / sine_spec.lambda0(0.5), abs=0.01)
-    # the probe's layer sits within 0.5 of its predicted radius
-    assert abs(res.full.grid.s_max - res.full.peak_rho - pad) <= 0.5

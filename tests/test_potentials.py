@@ -15,7 +15,6 @@ from shellwave.potentials import (
     PotentialSpec,
     eval_M,
     find_critical_radius,
-    stationarity_identity,
 )
 
 
@@ -118,6 +117,18 @@ def test_no_critical_point_for_flat_weight():
 def test_critical_radius_rejects_bad_bracket():
     with pytest.raises(ConfigError):
         find_critical_radius(PotentialSpec.sine(), 2, 3.0, 0.4, (9.5, 7.5))
+
+
+def stationarity_identity(spec, n, p, eps, t):
+    """Scalar form of M'(t) = 0 after dividing out the radial power,
+
+        2 (n-1) W^((p+3)/(2(p-1))) + ((p+3)/(p-1)) W^(2/(p-1) - 1/2) eps^2 t V'(t),
+
+    with W = 1 + eps^2 V(t): it vanishes exactly at critical radii."""
+    W = 1.0 + eps**2 * spec.value(t)
+    e1 = (p + 3.0) / (2.0 * (p - 1.0))
+    e2 = 2.0 / (p - 1.0) - 0.5
+    return 2.0 * (n - 1) * W**e1 + (p + 3.0) / (p - 1.0) * W**e2 * eps**2 * t * spec.deriv(t)
 
 
 def test_stationarity_identity_vanishes_at_root():

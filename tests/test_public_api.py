@@ -1,5 +1,10 @@
-"""Every public function has a caller outside its own module, and every
-option it defaults is set by some call."""
+"""Every public function is run by the program, and every option it defaults
+is set by some call the program makes.
+
+Callers count only in src/, scripts/, perfbench/ (its tracer binds public
+functions by name) and the acceptance battery, so a function or an option
+that only unit tests reach fails here.
+"""
 
 import ast
 import importlib
@@ -13,10 +18,14 @@ import shellwave
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _caller_files():
+    for top in ("src", "scripts", "perfbench"):
+        yield from (ROOT / top).rglob("*.py")
+    yield ROOT / "tests" / "test_acceptance.py"
+
+
 def test_every_public_function_is_referenced():
-    sources = {path: path.read_text(encoding="utf-8")
-               for top in ("src", "tests", "scripts")
-               for path in (ROOT / top).rglob("*.py")}
+    sources = {path: path.read_text(encoding="utf-8") for path in _caller_files()}
     unused = []
     for info in pkgutil.iter_modules(shellwave.__path__):
         mod = importlib.import_module(f"shellwave.{info.name}")
@@ -34,14 +43,13 @@ def test_every_public_function_is_referenced():
 def test_every_defaulted_option_is_set_by_some_call():
     # name -> argument positions and keywords that some call passes
     passed: dict[str, set] = {}
-    for top in ("src", "tests", "scripts", "perfbench"):
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                passed.setdefault(name, set()).update(
-                    [*range(len(node.args)), *(k.arg for k in node.keywords)])
+    for path in _caller_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            passed.setdefault(name, set()).update(
+                [*range(len(node.args)), *(k.arg for k in node.keywords)])
     unset = []
     for info in pkgutil.iter_modules(shellwave.__path__):
         mod = importlib.import_module(f"shellwave.{info.name}")

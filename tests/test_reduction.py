@@ -8,13 +8,17 @@ import pytest
 from shellwave import reduction
 from shellwave.ansatz import AnsatzParams, build_z, build_zdot, grid_for
 from shellwave.exceptions import ConfigError, HessianSingular, NewtonDivergence, NoSignChange
-from shellwave.grids import BorderedTridiagonal, DiscreteOperators, RadialGrid
+from shellwave.grids import (
+    BorderedTridiagonal,
+    DiscreteOperators,
+    RadialGrid,
+    constrained_min_eig,
+    tridiag_mul,
+)
 from shellwave.potentials import PotentialSpec, _illinois, find_critical_radius
 from shellwave.reduction import (
     calibrate_gamma,
-    domega_drho,
     find_rho_star,
-    projected_hessian_gap,
     reduced_energy_scan,
     solve_projected,
 )
@@ -75,26 +79,38 @@ def test_residual_small(setup):
     assert sol.residual_norm <= 1e-10
 
 
+def _gap_pencil(params, spec, grid):
+    """Operators, z, the banded J''(z) and the border G [z, zdot] of the
+    projected Hessian's spectral gap: the smallest eigenvalue of
+    J''(z) v = theta G v on the G-orthogonal complement of z and zdot."""
+    ops = DiscreteOperators(grid, params.eps, spec, params.p)
+    z = build_z(params, spec, grid)
+    border = np.column_stack([ops.gram_mul(z), ops.gram_mul(build_zdot(params, spec, grid))])
+    return ops, z, ops.hess_banded(z), border
+
+
 def test_spectral_gap_dense_vs_sparse(setup, complement_min_dense):
     params, spec, _ = setup
     coarse = grid_for(params, 0.25, rho_max=params.rho + 10.0)
-    ops = DiscreteOperators(coarse, EPS, spec, 3.0)
-    z = build_z(params, spec, coarse)
-    gy = np.column_stack([ops.gram_mul(z), ops.gram_mul(build_zdot(params, spec, coarse))])
-    dense = complement_min_dense(ops.hess_banded(z), ops.gram_banded, gy)
-    sparse = projected_hessian_gap(params, spec, coarse)
-    assert sparse.complement_min == pytest.approx(dense, rel=1e-6)
+    ops, _, hess, border = _gap_pencil(params, spec, coarse)
+    dense = complement_min_dense(hess, ops.gram_banded, border)
+    sparse = constrained_min_eig(hess, ops.gram_banded, border)
+    assert sparse == pytest.approx(dense, rel=1e-6)
 
 
 def test_spectral_gap_properties(setup):
     params, spec, _ = setup
     grid = grid_for(params, 0.04, rho_max=params.rho + 25.0)
-    rep = projected_hessian_gap(params, spec, grid)
-    assert rep.complement_min >= 0.02
-    assert rep.form_zz < 0.0
-    assert rep.form_zz == pytest.approx(rep.form_zz_ref, rel=0.05)
-    fine = projected_hessian_gap(params, spec, grid.refine())
-    assert fine.complement_min >= rep.complement_min - 1e-6
+    ops, z, hess, border = _gap_pencil(params, spec, grid)
+    complement_min = constrained_min_eig(hess, ops.gram_banded, border)
+    form_zz = float(z @ tridiag_mul(hess, z))
+    form_zz_ref = (1.0 - params.p) * ops.quad(np.abs(z) ** (params.p + 1))
+    assert complement_min >= 0.02
+    assert form_zz < 0.0
+    assert form_zz == pytest.approx(form_zz_ref, rel=0.05)
+    ops, _, hess, border = _gap_pencil(params, spec, grid.refine())
+    fine = constrained_min_eig(hess, ops.gram_banded, border)
+    assert fine >= complement_min - 1e-6
 
 
 def test_scan_needs_enough_samples(setup):
@@ -135,14 +151,7 @@ def test_find_rho_star_quality(setup):
 def test_find_rho_star_no_sign_change(setup):
     params, spec, _ = setup
     with pytest.raises(NoSignChange):
-        find_rho_star(params, spec, (22.0, 23.0), pre_scan=5)
-
-
-def test_domega_drho_bounded(setup):
-    params, spec, grid = setup
-    vec, rel = domega_drho(params, spec, grid)
-    assert np.all(np.isfinite(vec))
-    assert 0.0 < rel < 10.0
+        find_rho_star(params, spec, (22.0, 23.0))
 
 
 def _plain_projected_newton(params, spec, grid, tol=1e-10, max_iter=60):
@@ -248,7 +257,7 @@ def test_operators_and_warm_start_must_match_the_grid(setup):
         solve_projected(params, spec, grid, warm=elsewhere)
 
 
-def test_warm_and_cold_solves_agree(setup):
+def test_warm_and_cold_solves_agree(setup, monkeypatch):
     params, spec, grid = setup
     ops = DiscreteOperators(grid, EPS, spec, 3.0)
     # the step find_rho_star takes for its dpsi check
@@ -261,9 +270,10 @@ def test_warm_and_cold_solves_agree(setup):
     assert ops.norm(warm.omega - cold.omega) <= 1e-10
     assert abs(warm.alpha - cold.alpha) <= 1e-10
     assert abs(warm.psi - cold.psi) <= 1e-12 * abs(cold.psi)
-    # max_iter=1 returns the starting iterate: shifting omega by the change
+    # MAX_ITER = 1 returns the starting iterate: shifting omega by the change
     # in rho starts closer than reusing it in place or starting cold
-    start = [solve_projected(params, spec, grid, ops=ops, warm=w, max_iter=1)
+    monkeypatch.setattr(reduction, "MAX_ITER", 1)
+    start = [solve_projected(params, spec, grid, ops=ops, warm=w)
              for w in (near, dataclasses.replace(near, rho=RHO), None)]
     assert start[0].residual_norm < start[1].residual_norm < start[2].residual_norm
 
@@ -278,7 +288,7 @@ def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
     # alpha = exp(rho - 20.3) - 1 bends strongly across the bracket, so
     # plain regula falsi keeps one end and takes 182 solves to reach the
     # stopping rule, bisection 33, the Illinois steps 13 (the two bracket
-    # ends included)
+    # ends included); the dpsi check then adds its two solves
     params, spec, _ = setup
 
     def fake(p, spec, grid, ops=None, warm=None):
@@ -289,10 +299,11 @@ def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
             remainder_ratio=0.0)
 
     monkeypatch.setattr(reduction, "solve_projected", fake)
-    res = find_rho_star(params, spec, (18.75, 23.75), pre_scan=2, check_dpsi=False)
+    monkeypatch.setattr(reduction, "PRE_SCAN", 2)
+    res = find_rho_star(params, spec, (18.75, 23.75))
     assert abs(res.alpha) <= 1e-9
     assert res.rho_star == pytest.approx(20.3, abs=1e-8)
-    assert res.evaluations <= 15
+    assert res.evaluations - 2 <= 15
 
     # the shared root finder itself, as find_critical_radius calls it
     xs = []
