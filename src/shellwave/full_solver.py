@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .ansatz import AnsatzParams, build_z, grid_for
 from .config import check_schedule
 from .exceptions import (

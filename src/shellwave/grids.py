@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
+from ._lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from .exceptions import ConfigError, EigensolverError, EllipticityViolation, HessianSingular
 from .forces import PowerForce
 from .potentials import PotentialSpec

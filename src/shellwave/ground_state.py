@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import dstebz, dstein
 from .exceptions import ConfigError, EigensolverError, ToleranceNotReached
 from .grids import constrained_min_eig, tridiag_mul
 
@@ -226,10 +226,19 @@ def linearized_spectrum(
     pot = profile.lam**2 - profile.p * profile.value(nodes) ** (profile.p - 1.0)
     diag = 2.0 / step**2 + pot
     off = np.full(m - 2, -1.0 / step**2)
-    try:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    except Exception as exc:  # pragma: no cover - backend failure
-        raise EigensolverError(str(exc)) from exc
+    # eigh_tridiagonal(select="i")'s own path: dstebz bisects for the
+    # eigenvalues of 1-based index 1..k (range 2, so vl and vu are unused;
+    # tol 0 is LAPACK's default) in block order, dstein finds their vectors
+    # by inverse iteration, then both are sorted by eigenvalue
+    count, vals, block, split, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    if info != 0:
+        raise EigensolverError(f"dstebz failed with info={info}")
+    vals = vals[:count]
+    vecs, info = dstein(diag, off, vals, block, split)
+    if info != 0:
+        raise EigensolverError(f"dstein failed with info={info}")
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     for j in range(vecs.shape[1]):
         i = int(np.argmax(np.abs(vecs[:, j])))
         if vecs[i, j] < 0:

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from shellwave import ground_state
+from shellwave._lapack import dstebz
+from shellwave.exceptions import EigensolverError
 from shellwave.ground_state import (
     GroundStateProfile,
     _floor_pencil,
@@ -214,6 +218,45 @@ def test_linearized_spectrum_poschl_teller():
     qp = prof.derivative(nodes)
     cos = abs(vecs[:, 1] @ qp) / (np.linalg.norm(vecs[:, 1]) * np.linalg.norm(qp))
     assert cos >= 0.9999
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.8, 1.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 7.0 / 3.0, 3.0, 5.0])
+def test_linearized_spectrum_bitwise_equals_eigh_tridiagonal(p, lam, k, monkeypatch):
+    # the direct dstebz/dstein calls are eigh_tridiagonal(select="i")'s own
+    # path, so on the same matrix every bit agrees
+    seen = []
+
+    def recording(d, e, *args):
+        seen.append((d.copy(), e.copy()))
+        return dstebz(d, e, *args)
+
+    monkeypatch.setattr(ground_state, "dstebz", recording)
+    vals, vecs, nodes = linearized_spectrum(GroundStateProfile(p=p, lam=lam), k=k)
+    (d, e), = seen
+    ref_vals, ref_vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    for j in range(k):
+        i = int(np.argmax(np.abs(ref_vecs[:, j])))
+        if ref_vecs[i, j] < 0:
+            ref_vecs[:, j] = -ref_vecs[:, j]
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+    # default half width 20/lam and step 1e-2: one node per matrix row
+    assert np.array_equal(nodes, -20.0 / lam + 1e-2 * np.arange(1, len(d) + 1))
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_linearized_spectrum_names_the_failing_routine(routine, monkeypatch):
+    real = getattr(ground_state, routine)
+
+    def failing(*args):
+        *out, _ = real(*args)
+        return (*out, -3)
+
+    monkeypatch.setattr(ground_state, routine, failing)
+    with pytest.raises(EigensolverError, match=f"{routine} failed with info=-3"):
+        linearized_spectrum(GroundStateProfile(p=3.0))
 
 
 def test_nondegeneracy_report_structure():
