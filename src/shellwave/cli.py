@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -335,6 +336,12 @@ def _stage_normalize(cfg, outdir, eps, rho_samples):
     return outputs, passes
 
 
+def _require_run_dir(outdir: str, name: str) -> None:
+    # report only reads a ledger: a missing directory is a mistyped path
+    if not os.path.isdir(outdir):
+        raise ConfigError(f"{name}: no run directory at {outdir!r}")
+
+
 def _stage_report(cfg, outdir, eps, rho_samples):
     ledger = os.path.join(outdir, LEDGER_NAME)
     lines = []
@@ -364,7 +371,6 @@ def _stage_report(cfg, outdir, eps, rho_samples):
             out.append(f"  {sub}/{name}: {good}/{total} pass")
     text = "\n".join(out) + "\n"
     path = os.path.join(outdir, "report.txt")
-    os.makedirs(outdir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     sys.stdout.write(text)
@@ -388,7 +394,14 @@ def run(cfg: RunConfig, subcommand: str, eps: float | None = None,
     if subcommand not in _STAGES:
         raise ConfigError(f"unknown subcommand '{subcommand}'")
     outdir = cfg.outdir
-    os.makedirs(outdir, exist_ok=True)
+    if subcommand == "report":
+        _require_run_dir(outdir, "outdir")
+    else:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"outdir: cannot create directory {outdir!r}: "
+                              f"{exc.strerror or exc}") from None
     t0 = time.perf_counter()
     outputs, passes = _STAGES[subcommand](cfg, outdir, eps, rho_samples)
     wall = time.perf_counter() - t0
@@ -404,7 +417,9 @@ def run(cfg: RunConfig, subcommand: str, eps: float | None = None,
     return record
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="shellwave",
         description="radial concentration experiments: ground-state audit, "
@@ -436,6 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "report" and args.out is not None:
+            _require_run_dir(args.out, "--out")
         if args.command == "report" and args.config is None:
             if args.out is None:
                 raise ConfigError("report: need --config or --out")

@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _heap  # noqa: F401  -- on import, keeps freed arrays in the heap
 from ._lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from .exceptions import ConfigError, EigensolverError, EllipticityViolation, HessianSingular
 from .forces import PowerForce
@@ -219,7 +220,12 @@ def deriv4(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
 
 
 class DiscreteOperators:
-    """Cached discrete calculus for one (grid, eps, potential, p) quadruple."""
+    """Cached discrete calculus for one (grid, eps, potential, p) quadruple.
+
+    Only omega and w are built eagerly; a full solve and its audits read
+    nothing else.  The energy-picture weights and the Gram matrix are built
+    on first use.
+    """
 
     def __init__(self, grid: RadialGrid, eps: float, spec: PotentialSpec, p: float):
         self.grid = grid
@@ -230,14 +236,30 @@ class DiscreteOperators:
         s = grid.nodes
         self.h = grid.h
         self.omega = grid.simpson_coeffs * grid.radial_weight
-        self.mass_w = grid.trapezoid_coeffs * grid.radial_weight
-        self.kin_w = grid.mid_weight / grid.h
         self.w = 1.0 + eps**2 * spec.value(eps * s)
         if np.any(self.w <= 0.0):
             raise EllipticityViolation(
                 f"1 + eps^2 V <= 0 on the grid (eps={eps}, family={spec.family})"
             )
-        self.gram_banded = self._assemble_gram()
+
+    @cached_property
+    def mass_w(self) -> np.ndarray:
+        return self.grid.trapezoid_coeffs * self.grid.radial_weight
+
+    @cached_property
+    def kin_w(self) -> np.ndarray:
+        return self.grid.mid_weight / self.grid.h
+
+    @cached_property
+    def gram_banded(self) -> np.ndarray:
+        m = self.grid.size
+        kin = self.kin_w
+        ab = np.zeros((2, m))
+        ab[1] = self.mass_w * self.w
+        ab[1, :-1] += kin
+        ab[1, 1:] += kin
+        ab[0, 1:] = -kin
+        return ab
 
     @cached_property
     def _gram_ldl(self) -> tuple[np.ndarray, np.ndarray]:
@@ -265,16 +287,6 @@ class DiscreteOperators:
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
-
-    def _assemble_gram(self) -> np.ndarray:
-        m = self.grid.size
-        kin = self.kin_w
-        ab = np.zeros((2, m))
-        ab[1] = self.mass_w * self.w
-        ab[1, :-1] += kin
-        ab[1, 1:] += kin
-        ab[0, 1:] = -kin
-        return ab
 
     def gram_mul(self, v: np.ndarray) -> np.ndarray:
         return tridiag_mul(self.gram_banded, v)

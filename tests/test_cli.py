@@ -63,6 +63,25 @@ def test_report_empty_dir(tmp_path, capsys):
     assert "no runs" in capsys.readouterr().out
 
 
+def test_report_missing_out_dir_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["report", "--out", str(missing)]) == 2
+    assert "--out: no run directory" in capsys.readouterr().err
+    assert not missing.exists()
+    cfg = write_cfg(tmp_path)
+    assert main(["report", "--config", cfg, "--out", str(missing)]) == 2
+    assert not missing.exists()
+
+
+def test_out_onto_existing_file_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["ground", "--config", cfg, "--out", str(path)]) == 2
+    assert "config invalid: outdir: cannot create directory" in capsys.readouterr().err
+    assert path.read_text() == ""
+
+
 def test_report_counts_runs(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = str(tmp_path / "out")
@@ -273,5 +292,6 @@ def test_continue_and_solve_report_rho_search(tmp_path):
 
 def test_parser_subcommands_are_the_stages():
     parser = build_parser()
+    assert build_parser() is parser  # built once per process
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(_STAGES)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
+from shellwave import full_solver
+from shellwave.ansatz import AnsatzParams, build_z, grid_for
 from shellwave.exceptions import EllipticityViolation, HessianSingular
 from shellwave.forces import PowerForce, TruncatedForce
 from shellwave.grids import (
@@ -84,6 +86,39 @@ def test_dual_norm_matches_banded_cholesky():
     for g in vectors:
         want = np.sqrt(np.dot(g, cho_solve_banded((cho, False), g)))
         assert abs(ops.dual_norm(g) - want) <= 1e-13 * want
+
+
+def test_solve_full_builds_no_energy_picture(monkeypatch):
+    # a full solve and its audit read only omega and w
+    made = []
+
+    class Recorded(DiscreteOperators):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(full_solver, "DiscreteOperators", Recorded)
+    spec = PotentialSpec.sine()
+    params = AnsatzParams.make(2, 3.0, 0.5, 17.0, spec, 0.5, 1.5, gamma=0.6)
+    grid = grid_for(params, 0.02)
+    full = full_solver.solve_full(2, 3.0, 0.5, spec, build_z(params, spec, grid), grid)
+    (ops,) = made
+    full_solver.pohozaev_audit(ops, full.profile)
+    assert {"gram_banded", "mass_w", "kin_w"}.isdisjoint(vars(ops))
+
+
+def test_lazy_energy_weights_match_eager_formulas():
+    grid, ops = make_ops()
+    mass_w = grid.trapezoid_coeffs * grid.radial_weight
+    kin_w = grid.mid_weight / grid.h
+    gram = np.zeros((2, grid.size))
+    gram[1] = mass_w * ops.w
+    gram[1, :-1] += kin_w
+    gram[1, 1:] += kin_w
+    gram[0, 1:] = -kin_w
+    assert np.array_equal(ops.gram_banded, gram)
+    assert np.array_equal(ops.mass_w, mass_w)
+    assert np.array_equal(ops.kin_w, kin_w)
 
 
 def test_ellipticity_guard():

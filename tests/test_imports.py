@@ -1,6 +1,8 @@
 """Import budget: the CLI loads no SciPy subpackage it does not use, and
-shellwave's LAPACK routines come from SciPy's compiled module alone."""
+shellwave's LAPACK routines come from SciPy's compiled module alone.  Also
+what importing shellwave does to the C heap."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -84,3 +86,35 @@ def test_missing_flapack_is_a_named_import_error(tmp_path):
     kind, message = run_fresh(code, tmp_path)
     assert kind == "ImportError"
     assert str(tmp_path / "scipy" / "linalg" / "_flapack") in message
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_second_full_solve_reuses_the_heap():
+    # a solve on ~63k nodes frees arrays of about 0.5 MB; with them kept in
+    # the heap the second solve faults in almost no new pages
+    code = """
+import json, resource
+from shellwave.ansatz import AnsatzParams, build_z, grid_for
+from shellwave.full_solver import solve_full
+from shellwave.potentials import PotentialSpec
+spec = PotentialSpec.sine()
+params = AnsatzParams.make(2, 3.0, 0.5, 17.0, spec, 0.5, 1.5, gamma=0.6)
+grid = grid_for(params, 0.001)
+seed = build_z(params, spec, grid)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solve_full(2, 3.0, 0.5, spec, seed, grid)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps([grid.size, faults]))
+"""
+    size, (first, second) = run_fresh(code)
+    assert 50_000 <= size <= 70_000
+    assert first > 0 and second <= 0.1 * first, (first, second)
