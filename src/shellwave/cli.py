@@ -347,16 +347,22 @@ def _stage_report(cfg, outdir, eps, rho_samples):
     lines = []
     if os.path.exists(ledger):
         with open(ledger, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            lines = [(lineno, ln) for lineno, ln in
+                     enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     out = ["shellwave run report", ""]
     if not lines:
         out.append("no runs")
     else:
         counts: dict = {}
         pass_tally: dict = {}
-        for ln in lines:
-            rec = json.loads(ln)
-            sub = rec.get("subcommand", "?")
+        for lineno, ln in lines:
+            try:
+                rec = json.loads(ln)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{ledger}: line {lineno}: {exc.msg}") from None
+            sub = rec.get("subcommand", "?") if isinstance(rec, dict) else None
+            if not (isinstance(sub, str) and isinstance(rec.get("passes", {}), dict)):
+                raise ConfigError(f"{ledger}: line {lineno}: not a run record")
             counts[sub] = counts.get(sub, 0) + 1
             for name, ok in rec.get("passes", {}).items():
                 good, total = pass_tally.get((sub, name), (0, 0))

@@ -153,13 +153,12 @@ _POTENTIALS = {
     "sine": (PotentialSpec.sine, {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
     "cosine": (PotentialSpec.cosine, {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
     "poly": (PotentialSpec.bounded_poly, {"coeffs": None}),
-    "tabulated": (PotentialSpec.tabulated, {"r": None, "v": None}),
 }
 
 
 def _canonical_potential(d) -> dict:
     """The potential table with every parameter of its family, as a float
-    (a list of floats for coeffs, r and v) and defaulted where omitted, so
+    (a list of floats for coeffs) and defaulted where omitted, so
     tables that define one potential hash alike."""
     if not isinstance(d, dict) or "family" not in d:
         raise ConfigError("potential: need a table with a 'family' key")
@@ -263,7 +262,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -52,7 +52,7 @@ from .exceptions import (
     TruncationSaturated,
 )
 from .forces import PowerForce, TruncatedForce
-from .grids import DiscreteOperators, RadialGrid, deriv4, quadrature
+from .grids import DiscreteOperators, RadialGrid, deriv4
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec
 from .reduction import RhoStarResult, find_rho_star
@@ -293,8 +293,7 @@ def pohozaev_audit(ops: DiscreteOperators, u: np.ndarray) -> PohozaevAudit:
     W1 = scale * ops.quad(ops.w * u * u)
     P1 = scale * ops.quad(np.abs(u) ** (p + 1))
     vm = scale * (eps**3 / 2.0) * ops.quad(
-        u * u, extra=grid.nodes * spec.deriv(eps * grid.nodes)
-    )
+        grid.nodes * spec.deriv(eps * grid.nodes) * (u * u))
     d1 = abs(K1 + W1 - P1) / max(K1, W1, P1)
     t2 = n * (0.5 - 1.0 / (p + 1.0)) * P1
     d2 = abs(K1 - vm - t2) / max(K1, abs(vm), abs(t2))
@@ -345,37 +344,35 @@ def asymptotic_terms_check(
 
     All in the unrescaled radial variable r = eps*s; the layer sits at
     r = eps*rho, rho the peak radius, with the local soliton scale
-    beta(eps*rho).  Where V'(eps*rho) vanishes the v-moment prediction is
-    zero, and its row is marked skipped instead of divided through.
+    beta(eps*rho).  The measured integrals are the ones solve_full took for
+    its audit and mass.  Where V'(eps*rho) vanishes the v-moment prediction
+    is zero, and its row is marked skipped instead of divided through.
     """
     n, p, eps = full.n, full.p, full.eps
-    grid, u = full.grid, full.profile
+    audit = full.audit
     rho = full.peak_rho
     beta = float(np.sqrt(1.0 + eps**2 * spec.value(eps * rho)))
     consts = ground_state_constants(GroundStateProfile(p=p, lam=1.0), n=n)
     A = consts.kinetic_half
-    du = deriv4(grid, u)
     shell = eps**n * rho ** (n - 1)
     e1 = (p + 3.0) / (p - 1.0)
     e2 = 4.0 / (p - 1.0) - 1.0
 
     rows = []
-    meas = eps**2 * eps ** (n - 2) * quadrature(grid, du * du)
+    meas = audit.kinetic
     pred = 2.0 * A * beta**e1 * shell
     rows.append(AsymptoticTermRow("kinetic", meas, pred, abs(meas - pred) / abs(pred)))
 
-    meas = eps**n * quadrature(grid, u * u)
+    meas = eps**n * full.mass_weighted
     pred = 2.0 * (p + 3.0) / (p - 1.0) * A * beta**e2 * shell
     rows.append(AsymptoticTermRow("mass", meas, pred, abs(meas - pred) / abs(pred)))
 
-    meas = eps**n * quadrature(grid, np.abs(u) ** (p + 1))
+    meas = audit.potential
     pred = 4.0 * (p + 1.0) / (p - 1.0) * A * beta**e1 * shell
     rows.append(AsymptoticTermRow("power", meas, pred, abs(meas - pred) / abs(pred)))
 
     vp = float(spec.deriv(eps * rho))
-    meas = eps ** (3 + n) * quadrature(
-        grid, grid.nodes * spec.deriv(eps * grid.nodes) * (u * u)
-    )
+    meas = 2.0 * audit.v_moment
     if abs(vp) < 1e-12:
         rows.append(AsymptoticTermRow("v-moment", meas, 0.0, np.nan, skipped=True))
     else:

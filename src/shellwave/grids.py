@@ -40,7 +40,6 @@ from .potentials import PotentialSpec
 __all__ = [
     "RadialGrid",
     "DiscreteOperators",
-    "quadrature",
     "tridiag_mul",
     "BorderedTridiagonal",
     "constrained_min_eig",
@@ -99,16 +98,6 @@ class RadialGrid:
     def refine(self) -> "RadialGrid":
         """Same span, half the step."""
         return RadialGrid.make(self.n, self.s_max, self.h / 2.0, self.s_min)
-
-
-def quadrature(grid: RadialGrid, samples: np.ndarray) -> float:
-    """integral of f(s) s^(n-1) ds over the grid by composite Simpson."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.nodes.shape:
-        raise ConfigError(
-            f"sample length {samples.shape} does not match grid {grid.nodes.shape}"
-        )
-    return float(np.dot(grid.simpson_coeffs * grid.radial_weight, samples))
 
 
 def tridiag_mul(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -272,10 +261,9 @@ class DiscreteOperators:
 
     # ---- weighted inner product and Gram matrix ----------------------
 
-    def quad(self, f: np.ndarray, extra: np.ndarray | None = None) -> float:
-        if extra is None:
-            return float(np.dot(self.omega, f))
-        return float(np.dot(self.omega, extra * f))
+    def quad(self, f: np.ndarray) -> float:
+        """integral of f(s) s^(n-1) ds over the grid by composite Simpson."""
+        return float(np.dot(self.omega, f))
 
     def kinetic_form(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
         du = np.diff(u)

@@ -12,6 +12,7 @@ radius search.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,51 +33,54 @@ __all__ = [
 ]
 
 
+def _horner(y, weights) -> np.ndarray:
+    """sum_k weights[k] y^k by Horner's rule from an array of zeros."""
+    out = np.zeros_like(y)
+    for w in reversed(weights):
+        out = out * y + w
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PotentialSpec:
     """A bounded potential V on [0, inf) with declared bounds.
 
-    bound_V >= sup |V| and bound_Vp >= sup |V'|; the constructors below set
-    them from the family parameters.  The ellipticity requirement
-    1 + eps^2 V >= lambda0^2 > 0 is enforced through lambda0(eps_max).
+    Each constructor below defines its family's V, V' and V'' once, as
+    functions of a float array, and sets bound_V >= sup |V| and
+    bound_Vp >= sup |V'| from the family parameters.  The ellipticity
+    requirement 1 + eps^2 V >= lambda0^2 > 0 is enforced through
+    lambda0(eps_max).
     """
 
     family: str
     bound_V: float
     bound_Vp: float
-    amplitude: float = 1.0
-    frequency: float = 1.0
-    phase: float = 0.0
-    coeffs: tuple[float, ...] = ()
-    table_r: np.ndarray | None = field(default=None, repr=False)
-    table_v: np.ndarray | None = field(default=None, repr=False)
+    V: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    Vp: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    Vpp: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
-        return cls(family="zero", bound_V=0.0, bound_Vp=0.0)
+        return cls("zero", 0.0, 0.0, np.zeros_like, np.zeros_like, np.zeros_like)
 
     @classmethod
     def sine(cls, amplitude: float = 1.0, frequency: float = 1.0, phase: float = 0.0):
         return cls(
-            family="sine",
-            bound_V=abs(amplitude),
-            bound_Vp=abs(amplitude * frequency),
-            amplitude=amplitude,
-            frequency=frequency,
-            phase=phase,
+            "sine", abs(amplitude), abs(amplitude * frequency),
+            lambda r: amplitude * np.sin(frequency * r + phase),
+            lambda r: amplitude * frequency * np.cos(frequency * r + phase),
+            lambda r: -amplitude * frequency**2 * np.sin(frequency * r + phase),
         )
 
     @classmethod
     def cosine(cls, amplitude: float = 1.0, frequency: float = 1.0, phase: float = 0.0):
         return cls(
-            family="cosine",
-            bound_V=abs(amplitude),
-            bound_Vp=abs(amplitude * frequency),
-            amplitude=amplitude,
-            frequency=frequency,
-            phase=phase,
+            "cosine", abs(amplitude), abs(amplitude * frequency),
+            lambda r: amplitude * np.cos(frequency * r + phase),
+            lambda r: -amplitude * frequency * np.sin(frequency * r + phase),
+            lambda r: -amplitude * frequency**2 * np.cos(frequency * r + phase),
         )
 
     @classmethod
@@ -85,92 +89,32 @@ class PotentialSpec:
         c = tuple(float(x) for x in coeffs)
         if not c:
             raise ConfigError("bounded_poly needs at least one coefficient")
-        bv = sum(abs(x) for x in c)
-        bvp = sum(j * abs(x) for j, x in enumerate(c))
-        return cls(family="bounded_poly", bound_V=bv, bound_Vp=bvp, coeffs=c)
+        # the coefficients of dP/dy and d^2P/dy^2, lowest power first
+        c1 = [j * c[j] for j in range(1, len(c))]
+        c2 = [j * (j - 1) * c[j] for j in range(2, len(c))]
 
-    @classmethod
-    def tabulated(cls, r_nodes, values) -> "PotentialSpec":
-        r = np.asarray(r_nodes, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
-            raise ConfigError("tabulated potential needs matching 1-d arrays")
-        if np.any(np.diff(r) <= 0):
-            raise ConfigError("tabulated nodes must be strictly increasing")
-        slopes = np.diff(v) / np.diff(r)
-        return cls(
-            family="tabulated",
-            bound_V=float(np.max(np.abs(v))),
-            bound_Vp=float(np.max(np.abs(slopes))),
-            table_r=r,
-            table_v=v,
-        )
+        def Vp(r):
+            y = 1.0 / (1.0 + r)
+            return -_horner(y, c1) * y * y
+
+        def Vpp(r):
+            y = 1.0 / (1.0 + r)
+            return _horner(y, c2) * y**4 + 2.0 * _horner(y, c1) * y**3
+
+        return cls("bounded_poly", sum(abs(x) for x in c),
+                   sum(j * abs(x) for j, x in enumerate(c)),
+                   lambda r: _horner(1.0 / (1.0 + r), c), Vp, Vpp)
 
     # -- evaluation ---------------------------------------------------
 
     def value(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.family == "zero":
-            return np.zeros_like(r)
-        if self.family == "sine":
-            return self.amplitude * np.sin(self.frequency * r + self.phase)
-        if self.family == "cosine":
-            return self.amplitude * np.cos(self.frequency * r + self.phase)
-        if self.family == "bounded_poly":
-            y = 1.0 / (1.0 + r)
-            out = np.zeros_like(r)
-            for c in reversed(self.coeffs):
-                out = out * y + c
-            return out
-        if self.family == "tabulated":
-            return np.interp(r, self.table_r, self.table_v)
-        raise ConfigError(f"unknown potential family {self.family!r}")
+        return self.V(np.asarray(r, dtype=float))
 
     def deriv(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.family == "zero":
-            return np.zeros_like(r)
-        if self.family == "sine":
-            return self.amplitude * self.frequency * np.cos(self.frequency * r + self.phase)
-        if self.family == "cosine":
-            return -self.amplitude * self.frequency * np.sin(self.frequency * r + self.phase)
-        if self.family == "bounded_poly":
-            y = 1.0 / (1.0 + r)
-            dp = np.zeros_like(r)
-            for j in range(len(self.coeffs) - 1, 0, -1):
-                dp = dp * y + j * self.coeffs[j]
-            return -dp * y * y
-        if self.family == "tabulated":
-            idx = np.clip(np.searchsorted(self.table_r, r, side="right") - 1, 0, len(self.table_r) - 2)
-            slopes = (self.table_v[idx + 1] - self.table_v[idx]) / (
-                self.table_r[idx + 1] - self.table_r[idx]
-            )
-            inside = (r >= self.table_r[0]) & (r <= self.table_r[-1])
-            return np.where(inside, slopes, 0.0)
-        raise ConfigError(f"unknown potential family {self.family!r}")
-
-    @property
-    def has_second_deriv(self) -> bool:
-        return self.family in ("zero", "sine", "cosine", "bounded_poly")
+        return self.Vp(np.asarray(r, dtype=float))
 
     def second_deriv(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.family == "zero":
-            return np.zeros_like(r)
-        if self.family == "sine":
-            return -self.amplitude * self.frequency**2 * np.sin(self.frequency * r + self.phase)
-        if self.family == "cosine":
-            return -self.amplitude * self.frequency**2 * np.cos(self.frequency * r + self.phase)
-        if self.family == "bounded_poly":
-            y = 1.0 / (1.0 + r)
-            dp = np.zeros_like(r)
-            for j in range(len(self.coeffs) - 1, 0, -1):
-                dp = dp * y + j * self.coeffs[j]
-            d2p = np.zeros_like(r)
-            for j in range(len(self.coeffs) - 1, 1, -1):
-                d2p = d2p * y + j * (j - 1) * self.coeffs[j]
-            return d2p * y**4 + 2.0 * dp * y**3
-        raise ConfigError(f"no second derivative for family {self.family!r}")
+        return self.Vpp(np.asarray(r, dtype=float))
 
     def lambda0(self, eps_max: float) -> float:
         """Uniform ellipticity floor: 1 + eps^2 V >= lambda0^2 for eps <= eps_max.
@@ -197,12 +141,8 @@ class EffectivePotentialPoint:
 def eval_M(
     spec: PotentialSpec, n: int, p: float, eps: float, r
 ) -> EffectivePotentialPoint:
-    """Effective weight M_eps and its first two radial derivatives.
-
-    Derivatives are analytic through the chain rule whenever the family
-    provides V' and V''; the tabulated family falls back to a central
-    difference of the analytic M' for the curvature.
-    """
+    """Effective weight M_eps and its first two radial derivatives, each
+    analytic through the chain rule on the family's V, V' and V''."""
     r = np.asarray(r, dtype=float)
     q = (p + 3.0) / (2.0 * (p - 1.0))
     pref = eps ** (2 * (n - 2))
@@ -211,33 +151,22 @@ def eval_M(
     if np.any(W <= 0.0):
         raise EllipticityViolation("1 + eps^2 V <= 0 inside evaluation range")
     Vp = spec.deriv(r)
+    Vpp = spec.second_deriv(r)
 
     rn1 = r ** (n - 1)
     rn2 = r ** (n - 2)
     M = pref * rn1 * W**q
     Mp = pref * ((n - 1) * rn2 * W**q + rn1 * q * W ** (q - 1.0) * eps**2 * Vp)
-
-    if spec.has_second_deriv:
-        Vpp = spec.second_deriv(r)
-        term0 = (
-            (n - 1) * (n - 2) * r ** (n - 3) * W**q
-            if n > 2
-            else np.zeros_like(r)
+    term0 = (n - 1) * (n - 2) * r ** (n - 3) * W**q if n > 2 else np.zeros_like(r)
+    Mpp = pref * (
+        term0
+        + 2.0 * (n - 1) * rn2 * q * W ** (q - 1.0) * eps**2 * Vp
+        + rn1
+        * (
+            q * (q - 1.0) * W ** (q - 2.0) * eps**4 * Vp**2
+            + q * W ** (q - 1.0) * eps**2 * Vpp
         )
-        Mpp = pref * (
-            term0
-            + 2.0 * (n - 1) * rn2 * q * W ** (q - 1.0) * eps**2 * Vp
-            + rn1
-            * (
-                q * (q - 1.0) * W ** (q - 2.0) * eps**4 * Vp**2
-                + q * W ** (q - 1.0) * eps**2 * Vpp
-            )
-        )
-    else:
-        h = 1e-6 * np.maximum(1.0, np.abs(r))
-        Mp_hi = eval_M(spec, n, p, eps, r + h).Mp
-        Mp_lo = eval_M(spec, n, p, eps, r - h).Mp
-        Mpp = (Mp_hi - Mp_lo) / (2.0 * h)
+    )
 
     return EffectivePotentialPoint(r=r, M=M, Mp=Mp, Mpp=Mpp)
 

@@ -120,6 +120,38 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(BASE).encode("utf-16-le"))
+    rc = main(["ground", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_tabulated_family_exits_2_with_the_families(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, potential={"family": "tabulated", "r": [0.0, 1.0],
+                                         "v": [0.0, 0.0]})
+    rc = main(["mpot", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("unknown family 'tabulated' (choose from zero, sine, cosine, poly)"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("bad, why", [
+    ('{"subcommand": "ground", "pass', "line 2: Unterminated string"),
+    ("[1, 2]", "line 2: not a run record"),
+    ('{"subcommand": "ground", "passes": [1]}', "line 2: not a run record"),
+])
+def test_report_on_damaged_ledger_exits_2(tmp_path, capsys, bad, why):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "runs.jsonl").write_text('{"subcommand": "ground"}\n' + bad + "\n")
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runs.jsonl: " + why in err
+    assert not (out / "report.txt").exists()
+
+
 def test_solver_failure_exits_3(tmp_path, capsys):
     # no critical radius inside [6, 7] at eps = 0.5 (the slope term stays positive)
     cfg = write_cfg(tmp_path, t_bracket=[6.0, 7.0])

@@ -157,14 +157,6 @@ def test_potential_families():
         build_potential({})
 
 
-def test_tabulated_potential_roundtrip():
-    r = np.linspace(0.0, 30.0, 601)
-    spec = build_potential(
-        {"family": "tabulated", "r": list(r), "v": list(np.sin(r))}
-    )
-    assert spec.value(8.4) == pytest.approx(np.sin(8.4), abs=1e-6)
-
-
 def test_json_parse_error_has_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "n": 2,\n  "p": oops\n}\n')

@@ -194,7 +194,7 @@ def test_pohozaev_audit_scales(sine_family, sine_spec):
 
 def test_audits_reuse_the_solve_operators(sine_family, sine_spec, monkeypatch):
     # solve_full audits on its own operators and asymptotic_terms_check
-    # needs only the quadrature, so neither builds another DiscreteOperators
+    # reads the solve's integrals, so neither builds another DiscreteOperators
     m = member_at(sine_family, 0.5)
     built = []
     init = DiscreteOperators.__init__
@@ -213,12 +213,27 @@ def test_audits_reuse_the_solve_operators(sine_family, sine_spec, monkeypatch):
     public = pohozaev_audit(ops, full.profile)
     assert (public.defect_1, public.defect_2) == (full.pohozaev_1, full.pohozaev_2)
     assert public == full.audit
-    # the quadrature gives the same bits as the operators' weights
+    # the rows' integrals are the operators' quadratures of the solution
     u, s = full.profile, full.grid.nodes
     measured = {r.name: r.measured for r in rows}
     assert measured["mass"] == m.eps**2 * ops.quad(u * u)
     assert measured["v-moment"] == m.eps**5 * ops.quad(
-        u * u, extra=s * sine_spec.deriv(m.eps * s))
+        s * sine_spec.deriv(m.eps * s) * (u * u))
+
+
+def test_asymptotic_terms_take_no_new_integrals(sine_family, sine_spec, monkeypatch):
+    # the rows read the integrals solve_full took: no derivative of u again
+    m = member_at(sine_family, 0.4)
+    want = asymptotic_terms_check(m.full, sine_spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("deriv4 called")
+
+    monkeypatch.setattr(full_solver, "deriv4", refuse)
+    assert asymptotic_terms_check(m.full, sine_spec) == want
+    assert [r.measured for r in want] == [
+        m.full.audit.kinetic, m.eps**2 * m.full.mass_weighted,
+        m.full.audit.potential, 2.0 * m.full.audit.v_moment]
 
 
 def test_newton_work_count(sine_family):

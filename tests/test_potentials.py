@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellwave import potentials
+from shellwave import config, potentials
 from shellwave.exceptions import (
     ConfigError,
     EllipticityViolation,
     NoCriticalPoint,
+    SolverError,
 )
 from shellwave.potentials import (
     PotentialSpec,
@@ -42,12 +43,27 @@ def test_bounds_are_bounds():
         assert np.max(np.abs(spec.deriv(r))) <= spec.bound_Vp + 1e-12
 
 
-def test_tabulated_matches_source():
-    r_nodes = np.linspace(0.0, 30.0, 3001)
-    src = PotentialSpec.sine()
-    tab = PotentialSpec.tabulated(r_nodes, src.value(r_nodes))
-    r = np.linspace(0.5, 29.5, 97)
-    assert np.max(np.abs(tab.value(r) - src.value(r))) < 1e-4
+@pytest.mark.parametrize("family", list(config._POTENTIALS))
+def test_every_family_is_differentiated_and_searched(family):
+    # each family the config accepts, its list parameters set to one sample
+    params = config._POTENTIALS[family][1]
+    spec = config.build_potential(
+        {"family": family, **{k: [0.1, 0.2, 0.3] for k, v in params.items() if v is None}})
+    r = np.linspace(0.5, 20.0, 40)
+    h = 1e-5
+    fd1 = (spec.value(r + h) - spec.value(r - h)) / (2 * h)
+    fd2 = (spec.deriv(r + h) - spec.deriv(r - h)) / (2 * h)
+    assert np.allclose(spec.deriv(r), fd1, rtol=1e-7, atol=1e-9)
+    assert np.allclose(spec.second_deriv(r), fd2, rtol=1e-7, atol=1e-9)
+    n, p, eps = 2, 3.0, 0.4
+    fdm = (eval_M(spec, n, p, eps, r + h).Mp - eval_M(spec, n, p, eps, r - h).Mp) / (2 * h)
+    assert np.allclose(eval_M(spec, n, p, eps, r).Mpp, fdm, rtol=1e-7, atol=1e-9)
+    # the search returns a root or names why not, as a solver error
+    try:
+        res = find_critical_radius(spec, n, p, eps, (1.0, 30.0))
+    except SolverError:
+        return
+    assert 1.0 <= res.t_eps <= 30.0
 
 
 @given(
