@@ -12,7 +12,10 @@ and seed, each end-to-end metric's median and inclusive quartiles on both
 sides, the pairs the change won (ties count for neither side), the median
 change in percent, and every raw run with its pair index and the side that
 ran first.  A metric's better direction comes from the change checkout's
-``BENCHMARK.json``.
+``BENCHMARK.json``.  The per-stage seconds that ``perfbench/run.py``
+prints for pipeline-sine-n2 (``stage.scan_s`` and so on) are recorded
+with each run and summarized the same way, lower being better, so a
+pipeline claim shows which stage moved.
 """
 
 from __future__ import annotations
@@ -32,13 +35,25 @@ HARNESS = (f"python3 perfbench/run.py --workload <w> --seed <s> "
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: str, workload: str, seed: int) -> dict:
-    """One untraced benchmark run; the JSON result is its last output line."""
+def parse_output(out: str) -> tuple[dict, dict]:
+    """The JSON result of one run (its last output line) and the
+    ``stage.<name>_s`` seconds it printed (pipeline-sine-n2 only)."""
+    lines = out.strip().splitlines()
+    stages = {}
+    for line in lines[:-1]:
+        if line.startswith("stage."):
+            name, value, _unit = line.split()
+            stages[name] = float(value)
+    return json.loads(lines[-1]), stages
+
+
+def run_once(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
+    """One untraced benchmark run, parsed by parse_output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True,
                          text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return parse_output(out)
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -89,18 +104,24 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    res = run_once(checkouts[side], workload, seed)
+                    res, stages = run_once(checkouts[side], workload, seed)
                     row = {"pair": pair, "first": order[0],
                            "failed": res["failed"], "attempted": res["attempted"],
                            "correct": res["correct"]}
                     row.update({k: round(v["value"], 4)
                                 for k, v in res["metrics"].items()})
+                    row.update({k: round(v, 4) for k, v in stages.items()})
                     runs[side].append(row)
                     print(f"{workload} seed {seed} pair {pair} {side}: "
                           + " ".join(f"{k} {row[k]}" for k in better), flush=True)
+            # stage times are lower-is-better; summarized when every run has them
+            rows = runs["parent"] + runs["change"]
+            stage_names = [k for k in rows[0]
+                           if k.startswith("stage.") and all(k in r for r in rows)]
+            how_of = {**better, **dict.fromkeys(stage_names, "lower")}
             summary = {name: summarize([r[name] for r in runs["parent"]],
                                        [r[name] for r in runs["change"]], how)
-                       for name, how in better.items()}
+                       for name, how in how_of.items()}
             workloads[f"{workload} seed {seed}"] = {"summary": summary, "runs": runs}
 
     seeds = ", ".join(str(s) for s in args.seed)

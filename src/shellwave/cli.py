@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzParams
-from .config import RunConfig, load_config
+from .config import RunConfig, check_eps, load_config
 from .exceptions import ConfigError, ShellwaveError, SolverError
 from .full_solver import (
     asymptotic_terms_check,
@@ -69,8 +69,7 @@ def _append_ledger(outdir: str, record: RunRecord) -> None:
 def _pick_eps(cfg: RunConfig, eps: float | None) -> float:
     if eps is None:
         return float(cfg.schedule[0])
-    if eps <= 0.0:
-        raise ConfigError("--eps: must be positive")
+    check_eps("--eps", eps)
     try:
         cfg.spec().lambda0(eps)
     except ConfigError as exc:

@@ -39,18 +39,34 @@ def _numbers(name: str, seq) -> tuple[float, ...]:
     return tuple(_number(name, v) for v in seq)
 
 
+def check_eps(name: str, eps) -> float:
+    """eps as a float, or ConfigError naming the field.
+
+    The one rule for every eps, a schedule entry or an --eps override:
+    positive, with eps^3 a finite normal float, since the configuration
+    window [C1/(2 eps^3), 2 C2/eps^3] divides by it.  NaN fails it.
+    """
+    e = float(eps)
+    with np.errstate(over="ignore", under="ignore"):
+        cube = np.float64(e) ** 3
+    if not (e > 0.0 and np.finfo(float).tiny <= cube < np.inf):
+        raise ConfigError(
+            f"{name}: eps must be positive with eps^3 a finite normal float, got {e!r}")
+    return e
+
+
 def check_schedule(schedule) -> np.ndarray:
     """The eps schedule as a float array, or ConfigError naming the field.
 
     The one rule for every schedule, a config's or a caller's: nonempty,
-    positive and strictly decreasing, with each step keeping at least 70%
-    of eps.
+    each entry passing check_eps, and strictly decreasing, with each step
+    keeping at least 70% of eps.
     """
     sched = np.asarray(schedule, dtype=float)
     if sched.size == 0:
         raise ConfigError("schedule: empty")
-    if np.any(sched <= 0.0):
-        raise ConfigError("schedule: entries must be positive")
+    for e in sched:
+        check_eps("schedule", e)
     for a, b in zip(sched, sched[1:]):
         if b >= a:
             raise ConfigError("schedule: must decrease strictly")
@@ -218,6 +234,8 @@ def config_from_dict(data: dict) -> RunConfig:
             if bad:
                 raise ConfigError(f"{name}: unknown field '{sorted(bad)[0]}'")
             kw[name] = cls(**{k: _number(f"{name}.{k}", v) for k, v in sub.items()})
+    if "outdir" in kw and not isinstance(kw["outdir"], str):
+        raise ConfigError("outdir: must be a string")
     for name in ("schedule", "t_bracket"):
         kw[name] = _numbers(name, kw[name])
     if len(kw["t_bracket"]) != 2:

@@ -123,17 +123,19 @@ def _sup(v: np.ndarray) -> float:
 
 
 def _newton_step(ops: DiscreteOperators, force, u: np.ndarray, R: np.ndarray,
-                 J: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """Newton direction J(u)^-1 R into du, overwriting the (3, m) buffer J.
+                 J: np.ndarray) -> np.ndarray:
+    """Newton direction J(u)^-1 R, solved in place on R and the (3, m) J.
 
-    LAPACK dgtsv on the three diagonals of strong_jacobian is the routine
-    solve_banded((1, 1), ...) calls, so the step has the same bits.
+    R is dgtsv's right-hand side and comes back holding the step, so the
+    residual at u is gone after the call; the Newton loop reads only its
+    max-norm, which it kept.  LAPACK dgtsv on the three diagonals of
+    strong_jacobian is the routine solve_banded((1, 1), ...) calls, so the
+    step has the same bits.
     """
     ops.strong_jacobian(u, force=force, out=J)
     if not np.isfinite(_sup(J[1])):
         raise NewtonDivergence("Newton Jacobian is not finite")
-    np.copyto(du, R)
-    *_, du, info = dgtsv(J[2, :-1], J[1], J[0, 1:], du, overwrite_dl=1,
+    *_, du, info = dgtsv(J[2, :-1], J[1], J[0, 1:], R, overwrite_dl=1,
                          overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise NewtonDivergence(f"Newton Jacobian is singular (zero pivot at row {info})")
@@ -160,7 +162,7 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
     seed_peak = _sup(u)
     if not np.isfinite(seed_peak):
         raise NewtonDivergence("Newton seed is not finite")
-    R, Rc, cand, du = (np.empty_like(u) for _ in range(4))
+    R, Rc, cand = (np.empty_like(u) for _ in range(3))
     J = np.empty((3, u.size))
     iters, stop = 0, "max_iter"
     # overflow in a rejected candidate is expected; a non-finite state raises
@@ -176,7 +178,7 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
                 break
             # once u is acceptable, a shorter step only finds noise
             settled = rmax <= max(thr, floor)
-            du = _newton_step(ops, force, u, R, J, du)
+            du = _newton_step(ops, force, u, R, J)
             t, ok = 1.0, False
             while t > 1e-8:
                 np.multiply(du, t, out=cand)

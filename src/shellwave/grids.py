@@ -72,7 +72,11 @@ class RadialGrid:
     def size(self) -> int:
         return len(self.nodes)
 
-    @cached_property
+    # The quadrature factors are rebuilt on each read: every
+    # DiscreteOperators caches the products it uses, and a cached factor
+    # would live as long as the grid, which each FullSolution keeps.
+
+    @property
     def simpson_coeffs(self) -> np.ndarray:
         c = np.full(len(self.nodes), 2.0)
         c[1::2] = 4.0
@@ -80,17 +84,17 @@ class RadialGrid:
         c *= self.h / 3.0
         return c
 
-    @cached_property
+    @property
     def trapezoid_coeffs(self) -> np.ndarray:
         c = np.full(len(self.nodes), self.h)
         c[0] = c[-1] = self.h / 2.0
         return c
 
-    @cached_property
+    @property
     def radial_weight(self) -> np.ndarray:
         return self.nodes ** (self.n - 1)
 
-    @cached_property
+    @property
     def mid_weight(self) -> np.ndarray:
         """s^(n-1) at interval midpoints."""
         return (self.nodes[:-1] + self.h / 2.0) ** (self.n - 1)
@@ -211,9 +215,11 @@ def deriv4(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
 class DiscreteOperators:
     """Cached discrete calculus for one (grid, eps, potential, p) quadruple.
 
-    Only omega and w are built eagerly; a full solve and its audits read
-    nothing else.  The energy-picture weights and the Gram matrix are built
-    on first use.
+    Only w is built eagerly.  The Simpson weights omega are built by the
+    first quad, which in a full solve is its audit, after the Newton
+    buffers are freed; the collocation workspace by the first residual;
+    the energy-picture weights and the Gram matrix, which a full solve
+    never reads, on first use.
     """
 
     def __init__(self, grid: RadialGrid, eps: float, spec: PotentialSpec, p: float):
@@ -224,12 +230,15 @@ class DiscreteOperators:
         self.force = PowerForce(p)
         s = grid.nodes
         self.h = grid.h
-        self.omega = grid.simpson_coeffs * grid.radial_weight
         self.w = 1.0 + eps**2 * spec.value(eps * s)
         if np.any(self.w <= 0.0):
             raise EllipticityViolation(
                 f"1 + eps^2 V <= 0 on the grid (eps={eps}, family={spec.family})"
             )
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return self.grid.simpson_coeffs * self.grid.radial_weight
 
     @cached_property
     def mass_w(self) -> np.ndarray:
@@ -318,7 +327,7 @@ class DiscreteOperators:
 
     @cached_property
     def _colloc(self) -> "_CollocationWork":
-        return _CollocationWork(self.grid, self.w)
+        return _CollocationWork(self.grid)
 
     def strong_residual(self, u: np.ndarray, force=None,
                         out: np.ndarray | None = None) -> np.ndarray:
@@ -344,14 +353,15 @@ class DiscreteOperators:
         fwd = np.subtract(u[1:], u[:-1], out=ws.fwd)
         lap = np.subtract(fwd[1:], fwd[:-1], out=ws.lap)
         lap /= ws.h2
-        transport = np.subtract(u[2:], u[:-2], out=ws.tmp)
+        # fwd is free once lap is formed: it holds the transport, then f(u)
+        transport = np.subtract(u[2:], u[:-2], out=fwd[1:])
         transport *= ws.curv
         transport /= ws.two_h
         lap += transport
         # w u - lap - f(u), in the rounding order of -lap + w u - f(u)
         mid = np.multiply(self.w[1:-1], u[1:-1], out=R[1:-1])
         mid -= lap
-        mid -= force.f(u[1:-1], out=ws.tmp)
+        mid -= force.f(u[1:-1], out=fwd[1:])
         R[0] = -2.0 * n * (u[1] - u[0]) / h**2 + self.w[0] * u[0] - force.f(u[0])
         R[-1] = u[-1]
         return R
@@ -360,27 +370,38 @@ class DiscreteOperators:
                         out: np.ndarray | None = None) -> np.ndarray:
         """Tridiagonal Jacobian of strong_residual in solve_banded (1,1) layout.
 
-        Only the diagonal depends on u; the stencil part is precomputed.
+        Writes all three diagonals on each call, so out needs no zeroing.
+        Only the diagonal depends on u; the off-diagonals come from the
+        workspace's transport coefficients.
         """
         if force is None:
             force = self.force
         ws = self._colloc
-        J = np.empty_like(ws.jac) if out is None else out
-        np.copyto(J, ws.jac)
-        J[1, 1:-1] -= force.fp(u[1:-1], out=ws.tmp)
-        J[1, 0] -= force.fp(np.asarray(u[0]))
+        h = self.h
+        n = self.grid.n
+        J = np.empty((3, self.grid.size)) if out is None else out
+        J[0, 0] = 0.0
+        J[0, 1] = -2.0 * n / h**2
+        np.subtract(-1.0 / h**2, ws.transport, out=J[0, 2:])   # superdiagonal
+        diag = np.add(2.0 / h**2, self.w[1:-1], out=J[1, 1:-1])
+        diag -= force.fp(u[1:-1], out=ws.lap)
+        J[1, 0] = 2.0 * n / h**2 + self.w[0] - force.fp(np.asarray(u[0]))
+        J[1, -1] = 1.0
+        np.add(-1.0 / h**2, ws.transport, out=J[2, :-2])       # subdiagonal
+        J[2, -2:] = 0.0
         return J
 
 
 class _CollocationWork:
     """Stencil coefficients and scratch arrays of the collocation kernels.
 
-    Each coefficient is computed by the same expression the kernels used
-    inline, so precomputing it changes no bit of a residual or Jacobian.
-    The scratch arrays are overwritten by every kernel call.
+    curv = (n-1)/s feeds the residual's transport term and transport =
+    (n-1)/(2 h s) the Jacobian's off-diagonals; each is the expression the
+    kernels used inline, so keeping it changes no bit.  The two scratch
+    arrays fwd and lap are overwritten by every kernel call.
     """
 
-    def __init__(self, grid: RadialGrid, w: np.ndarray):
+    def __init__(self, grid: RadialGrid):
         s = grid.nodes
         h = grid.h
         n = grid.n
@@ -388,15 +409,6 @@ class _CollocationWork:
         self.h2 = h**2
         self.two_h = 2.0 * h
         self.curv = (n - 1) / s[1:-1]
+        self.transport = (n - 1) / (2.0 * h * s[1:-1])
         self.fwd = np.empty(m - 1)
         self.lap = np.empty(m - 2)
-        self.tmp = np.empty(m - 2)
-        transport = (n - 1) / (2.0 * h * s[1:-1])
-        jac = np.zeros((3, m))
-        jac[0, 2:] = -1.0 / h**2 - transport          # superdiagonal for rows 1..m-2
-        jac[1, 1:-1] = 2.0 / h**2 + w[1:-1]          # minus f'(u) per call
-        jac[2, :-2] = -1.0 / h**2 + transport          # subdiagonal
-        jac[1, 0] = 2.0 * n / h**2 + w[0]
-        jac[0, 1] = -2.0 * n / h**2
-        jac[1, -1] = 1.0
-        self.jac = jac

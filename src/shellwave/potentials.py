@@ -230,7 +230,9 @@ def find_critical_radius(
     Scans M' on a uniform grid of 10,000 points, refines every sign change
     with Illinois steps, and polishes with Newton on M' using the analytic
     curvature.
-    Roots whose |M''| falls below beta_floor are reported but not eligible.
+    A polish that leaves the bracket is dropped for the Illinois root it
+    started from.  Roots whose |M''| falls below beta_floor are reported
+    but not eligible.
     Raises NoCriticalPoint when the scan finds no sign change,
     DegenerateCriticalPoint when roots exist but all are flatter than the
     floor.
@@ -255,7 +257,8 @@ def find_critical_radius(
 
     # Newton polish on M' using M''
     polished: list[tuple[float, float]] = []  # (t, M''(t))
-    for t in roots:
+    for root in roots:
+        t = root
         for _ in range(8):
             pt = eval_M(spec, n, p, eps, np.array([t]))
             if abs(pt.Mpp[0]) < 1e-300:
@@ -271,8 +274,12 @@ def find_critical_radius(
         pn = eval_M(spec, n, p, eps, np.array([nb]))
         if pn.Mp[0] * pt.Mp[0] <= 0.0 and (abs(pn.Mp[0]), nb) < (abs(pt.Mp[0]), t):
             t, pt = nb, pn
-        if lo <= t <= hi:
-            polished.append((float(t), float(pt.Mpp[0])))
+        if not lo <= t <= hi:
+            # the polish left the bracket (M'' misled it): keep the root
+            # that the scan's sign change gave
+            t = root
+            pt = eval_M(spec, n, p, eps, np.array([t]))
+        polished.append((float(t), float(pt.Mpp[0])))
 
     uniq: list[tuple[float, float]] = []
     for t, curv in sorted(polished):

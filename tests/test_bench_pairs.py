@@ -37,3 +37,34 @@ def test_summary_needs_complete_pairs():
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0], [1.0], "lower")
+
+
+PIPELINE_OUTPUT = """\
+workload pipeline-sine-n2  seed 0  trace 0  jobs 1  job_s 0.7712 s (min 0.7712, max 0.7712)
+failed_frac 0.0435 (2/46 operations)
+check_failures 0 of 12 checks
+stage.scan_s 0.1301 s
+stage.solve_s 0.0802 s
+stage.continue_s 0.2903 s
+stage.normalize_s 0.2504 s
+job_s 0.7712 s
+setup_s 0.6612 s
+peak_rss_mb 85.25 MB
+{"correct": true, "attempted": 46, "failed": 2, "metrics": {"job_s": {"value": 0.7712, "unit": "s"}}}
+"""
+
+
+def test_parse_output_reads_the_result_and_stage_times():
+    res, stages = bench_pairs.parse_output(PIPELINE_OUTPUT)
+    assert res["attempted"] == 46 and res["failed"] == 2
+    assert res["metrics"]["job_s"]["value"] == 0.7712
+    assert stages == {"stage.scan_s": 0.1301, "stage.solve_s": 0.0802,
+                      "stage.continue_s": 0.2903, "stage.normalize_s": 0.2504}
+
+
+def test_parse_output_without_stage_lines():
+    text = "\n".join(line for line in PIPELINE_OUTPUT.splitlines()
+                     if not line.startswith("stage."))
+    res, stages = bench_pairs.parse_output(text)
+    assert res["correct"] is True
+    assert stages == {}

@@ -167,6 +167,29 @@ def test_eps_override_validated(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("stage,eps", [("solve", "1e-300"), ("mpot", "nan")])
+def test_eps_override_that_breaks_the_window_exits_2(tmp_path, capsys, stage, eps):
+    # 1e-300 cubed underflows to 0 in the window's 1/eps^3; NaN compares
+    # false with every bound and reached the solvers
+    cfg = write_cfg(tmp_path)
+    rc = main([stage, "--config", cfg, "--out", str(tmp_path / "o"), "--eps", eps])
+    assert rc == 2
+    assert "config invalid: --eps: eps must be positive" in capsys.readouterr().err
+
+
+def test_schedule_entry_whose_cube_underflows_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, schedule=[1e-120])
+    assert main(["mpot", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config invalid: schedule: eps must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("outdir", [5, None, ["out"]])
+def test_non_string_outdir_exits_2(tmp_path, capsys, outdir):
+    cfg = write_cfg(tmp_path, outdir=outdir)
+    assert main(["ground", "--config", cfg]) == 2
+    assert "config invalid: outdir: must be a string" in capsys.readouterr().err
+
+
 def test_eps_past_the_ellipticity_floor_exits_2(tmp_path, capsys):
     # sup|V| = 1 on the shipped sine config, so 1 - eps^2 sup|V| vanishes at
     # eps = 1 although the schedule itself is valid

@@ -12,6 +12,8 @@ from shellwave.config import (
     RunConfig,
     Tolerances,
     build_potential,
+    check_eps,
+    check_schedule,
     config_from_dict,
     load_config,
 )
@@ -131,6 +133,11 @@ def test_missing_field_rejected():
         ({"p": None}, "p"),
         # 1 - eps^2 sup|V| = 1 - 0.25 * 4 vanishes at the largest eps
         ({"potential": {"family": "sine", "amplitude": 4.0}}, "potential: ellipticity"),
+        # eps^3 underflows to 0 in the window's 1/eps^3
+        ({"schedule": [1e-120]}, "schedule: eps must be positive"),
+        ({"outdir": 5}, "outdir: must be a string"),
+        ({"outdir": None}, "outdir: must be a string"),
+        ({"outdir": ["out"]}, "outdir: must be a string"),
     ],
 )
 def test_validation_errors_name_the_field(over, field):
@@ -196,3 +203,17 @@ def test_shipped_configs_validate():
         cfg = load_config(name)
         cfg.validate()
         assert isinstance(cfg, RunConfig)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.3, float("nan"), float("inf"), 1e-120, 1e-300, 1e200])
+def test_check_eps_rejects_what_the_window_cannot_divide_by(eps):
+    with pytest.raises(ConfigError, match="--eps: eps must be positive"):
+        check_eps("--eps", eps)
+    with pytest.raises(ConfigError, match="schedule: eps must be positive"):
+        check_schedule([eps])
+
+
+def test_check_eps_keeps_small_normal_eps():
+    # 1e-100 cubed is 1e-300, still a normal float
+    assert check_eps("--eps", 1e-100) == 1e-100
+    assert check_eps("--eps", np.float64(0.3)) == 0.3

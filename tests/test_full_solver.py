@@ -1,5 +1,7 @@
 """Full radial solves, integral audits, truncation, and continuation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -258,8 +260,7 @@ def test_newton_step_matches_solve_banded(sine_family, sine_spec):
     u = build_z(params, sine_spec, grid)
     R = ops.strong_residual(u)
     want = solve_banded((1, 1), ops.strong_jacobian(u), R)
-    J, du = np.empty((3, grid.size)), np.empty(grid.size)
-    got = _newton_step(ops, ops.force, u, R, J, du)
+    got = _newton_step(ops, ops.force, u, R, np.empty((3, grid.size)))
     assert got.tobytes() == want.tobytes()
 
 
@@ -316,7 +317,7 @@ def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
     line search halves t until Armijo holds or the step stops moving u."""
     u = np.array(u0, dtype=float)
     u[-1] = 0.0
-    R, Rc, cand, du = (np.empty_like(u) for _ in range(4))
+    R, Rc, cand = (np.empty_like(u) for _ in range(3))
     J = np.empty((3, u.size))
     iters = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,7 +327,7 @@ def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
             thr = tol_coeff * (1.0 + _sup(u) ** ops.p)
             if rmax <= 0.02 * thr:
                 break
-            du = _newton_step(ops, force, u, R, J, du)
+            du = _newton_step(ops, force, u, R, J)
             t, ok = 1.0, False
             while t > 1e-8:
                 np.multiply(du, t, out=cand)
@@ -439,3 +440,32 @@ def test_every_member_seeded_from_its_own_reduction(sine_family, sine_spec):
             m.full.grid.nodes, red.grid.nodes, red.omega, left=0.0, right=0.0)
         f = solve_full(2, 3.0, m.eps, sine_spec, seed, m.full.grid)
         assert f.profile.tobytes() == m.full.profile.tobytes(), m.eps
+
+
+def _peak_arrays(fn, size):
+    """Peak traced memory of fn() above its start, in float64 arrays of size."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8.0 * size)
+
+
+def test_full_solve_holds_few_grid_sized_arrays(sine_family, sine_spec):
+    # the eps = 0.3 member's grid, built afresh so no quadrature factor is
+    # cached on it, seeded with the member's own profile; the memory peak
+    # is the Newton loop's (u, R, Rc, cand, the (3, m) Jacobian, w and the
+    # collocation workspace) or the audit's, whichever is larger
+    full = member_at(sine_family, 0.3).full
+    grid = RadialGrid.make(2, full.grid.s_max, full.grid.h)
+    assert np.array_equal(grid.nodes, full.grid.nodes)
+    seed = full.profile.copy()
+    solve = _peak_arrays(lambda: solve_full(2, 3.0, 0.3, sine_spec, seed, grid),
+                         grid.size)
+    assert solve <= 15.0, solve
+    audit = _peak_arrays(lambda: pohozaev_refinement_check(full, sine_spec),
+                         grid.refine().size)
+    assert audit <= 16.0, audit

@@ -88,27 +88,47 @@ def test_dual_norm_matches_banded_cholesky():
         assert abs(ops.dual_norm(g) - want) <= 1e-13 * want
 
 
+QUADRATURE_FACTORS = {"simpson_coeffs", "trapezoid_coeffs", "radial_weight", "mid_weight"}
+
+
 def test_solve_full_builds_no_energy_picture(monkeypatch):
-    # a full solve and its audit read only omega and w
-    made = []
+    # a full solve and its audit read only omega and w, omega not before
+    # the audit's first quad, and the grid keeps no quadrature factor
+    made, during_newton = [], []
 
     class Recorded(DiscreteOperators):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
+    real_newton = full_solver._newton_strong
+
+    def newton(ops, *args):
+        out = real_newton(ops, *args)
+        during_newton.append(set(vars(ops)))
+        return out
+
     monkeypatch.setattr(full_solver, "DiscreteOperators", Recorded)
+    monkeypatch.setattr(full_solver, "_newton_strong", newton)
     spec = PotentialSpec.sine()
     params = AnsatzParams.make(2, 3.0, 0.5, 17.0, spec, 0.5, 1.5, gamma=0.6)
     grid = grid_for(params, 0.02)
     full = full_solver.solve_full(2, 3.0, 0.5, spec, build_z(params, spec, grid), grid)
     (ops,) = made
+    (names,) = during_newton
+    assert "omega" not in names and "_colloc" in names
+    assert "omega" in vars(ops)
     full_solver.pohozaev_audit(ops, full.profile)
     assert {"gram_banded", "mass_w", "kin_w"}.isdisjoint(vars(ops))
+    assert QUADRATURE_FACTORS.isdisjoint(vars(grid))
+    assert QUADRATURE_FACTORS.isdisjoint(vars(full.grid))
 
 
 def test_lazy_energy_weights_match_eager_formulas():
     grid, ops = make_ops()
+    assert "omega" not in vars(ops)
+    ops.quad(np.ones(grid.size))
+    assert np.array_equal(vars(ops)["omega"], grid.simpson_coeffs * grid.radial_weight)
     mass_w = grid.trapezoid_coeffs * grid.radial_weight
     kin_w = grid.mid_weight / grid.h
     gram = np.zeros((2, grid.size))
@@ -237,15 +257,19 @@ def plain_residual(ops, u, f):
 
 
 def plain_jacobian(ops, u, fp):
+    """The (3, m) stencil template the operators once kept, minus f'(u) on
+    the diagonal: the reference strong_jacobian must match bit for bit."""
     s, h, n, m = ops.grid.nodes, ops.h, ops.grid.n, ops.grid.size
     ab = np.zeros((3, m))
     transport = (n - 1) / (2.0 * h * s[1:-1])
     ab[0, 2:] = -1.0 / h**2 - transport
-    ab[1, 1:-1] = 2.0 / h**2 + ops.w[1:-1] - fp(u[1:-1])
+    ab[1, 1:-1] = 2.0 / h**2 + ops.w[1:-1]
     ab[2, :-2] = -1.0 / h**2 + transport
-    ab[1, 0] = 2.0 * n / h**2 + ops.w[0] - fp(np.asarray(u[0]))
+    ab[1, 0] = 2.0 * n / h**2 + ops.w[0]
     ab[0, 1] = -2.0 * n / h**2
     ab[1, -1] = 1.0
+    ab[1, 1:-1] -= fp(u[1:-1])
+    ab[1, 0] -= fp(np.asarray(u[0]))
     return ab
 
 

@@ -207,3 +207,23 @@ def test_critical_radius_last_bit_is_the_sign_change():
     # M' changes sign just above t, with |M'| tied across it
     assert mp[1] * mp[2] < 0.0 < mp[0] * mp[1]
     assert abs(mp[1]) == abs(mp[2])
+
+
+def test_critical_radius_keeps_the_root_a_wild_polish_leaves():
+    # V'' of the wrong sign and a tenth of its size: at eps = 0.5 the
+    # computed M'' is +0.04 where the true one is -3.43, so each Newton
+    # step of the polish multiplies the distance to the root by about 86
+    # and eight steps carry t out of [7.5, 9.5]; the scan's sign change
+    # and its Illinois root remain
+    wrong = PotentialSpec("sine", 1.0, 1.0, np.sin, np.cos, lambda r: 0.1 * np.sin(r))
+    res = find_critical_radius(wrong, 2, 3.0, 0.5, (7.5, 9.5), beta_floor=0.01)
+    want = float.fromhex(SINE_N2_T_EPS[0.5])
+    assert res.t_eps == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert res.roots == (res.t_eps,)
+    assert res.curvature == pytest.approx(0.0403, abs=1e-4)
+    # the polish from that root does leave the bracket
+    t = res.t_eps
+    for _ in range(8):
+        pt = eval_M(wrong, 2, 3.0, 0.5, np.array([t]))
+        t -= pt.Mp[0] / pt.Mpp[0]
+    assert not 7.5 <= t <= 9.5
