@@ -1,0 +1,136 @@
+"""Time shellwave's kernels one by one on the shipped eps = 0.3 member.
+
+    python3 scripts/kernel_times.py --repeat 20
+    python3 scripts/kernel_times.py --repeat 20 --root ../parent
+
+The package is imported from ``<root>/src`` (this checkout by default), so
+one copy of this script times any checkout that has the same public
+functions.  Set-up runs the config's continuation once, untimed, to find
+the eps = 0.3 member and the rho* bracket that continuation gives it.  The
+kernels then run in turn, --repeat rounds of one call each, and each
+kernel's minimum is kept: spreading every kernel's calls over the whole
+run and keeping the fastest is what least reflects other load on a shared
+machine.
+
+* ``solve_projected_cold`` and ``solve_projected_warm``: one projected solve
+  at rho* on the rho* search's grid, with its operators built beforehand,
+  from omega = 0 or warm-started from the solve 3e-4 rho* below, made as
+  the rho* search makes them (without Psi and the remainder ratio where
+  the checkout's solve_projected can leave them out);
+* ``bordered_factor_solve``: one factorization and solve of the Newton
+  system at that solution, as the projected Newton iteration makes it
+  (``BorderedTridiagonal.solve_once`` where the checkout has it, else a
+  ``BorderedTridiagonal`` and its ``solve``);
+* ``z_and_zdot``: the manifold element and its rho-derivative at rho*;
+* ``find_rho_star``, ``solve_full``, ``pohozaev_refinement_check`` and
+  ``find_critical_radius``: one call each, as the continuation and the
+  ``solve`` and ``mpot`` stages make them.
+
+The result is one JSON line: the minima in milliseconds, the node counts,
+and the repeat count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+import json
+import os
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+EPS = 0.3
+
+
+def best_ms(kernels: dict, repeat: int) -> dict:
+    """Each kernel's minimum wall time over repeat rounds that call every
+    kernel once, in milliseconds."""
+    best = dict.fromkeys(kernels, float("inf"))
+    for _ in range(repeat):
+        for name, fn in kernels.items():
+            t0 = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return {f"{name}_ms": round(1e3 * t, 4) for name, t in best.items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=20, help="runs per kernel (minimum kept)")
+    ap.add_argument("--root", default=os.path.dirname(HERE),
+                    help="checkout whose src/ and configs/ are used")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    sys.path.insert(0, os.path.join(args.root, "src"))
+    import numpy as np
+
+    from shellwave import ansatz, full_solver, grids, potentials, reduction
+    from shellwave.config import load_config
+
+    cfg = load_config(os.path.join(args.root, "configs", "sine_n2.json"))
+    spec = cfg.spec()
+    sched = [e for e in cfg.schedule if e >= EPS]
+    if sched[-1] != EPS:
+        raise SystemExit(f"the config's schedule has no eps = {EPS} member")
+    family = full_solver.continuation_in_eps(
+        cfg.n, cfg.p, spec, sched, cfg.C1, cfg.C2, tuple(cfg.t_bracket),
+        gamma=cfg.gamma, trunc_K=cfg.trunc_K, h_reduce=cfg.grid.h_reduce,
+        h_solve=cfg.grid.h_solve, tail=cfg.grid.tail,
+        tol_coeff=cfg.tolerances.solve_tol_coeff)
+    member, prev = family.members[-1], family.members[-2]
+    e3 = EPS**3
+    lo, hi = cfg.C1 / (2.0 * e3), 2.0 * cfg.C2 / e3
+    params = ansatz.AnsatzParams.make(
+        cfg.n, cfg.p, EPS, member.rho_star, spec, cfg.C1, cfg.C2,
+        gamma=cfg.gamma, eps_max=float(sched[0]), tail=cfg.grid.tail)
+    bracket = (max((prev.t_value - 1.5) / EPS, lo), min((prev.t_value + 1.5) / EPS, hi))
+    grid = ansatz.grid_for(params, cfg.grid.h_reduce, rho_max=bracket[1])
+    ops = grids.DiscreteOperators(grid, EPS, spec, cfg.p)
+    below = params.with_rho(member.rho_star * (1.0 - 3e-4))
+    near = reduction.solve_projected(below, spec, grid, ops=ops)
+    sol = reduction.solve_projected(params, spec, grid, ops=ops)
+
+    # older checkouts build z and zdot separately
+    both = getattr(ansatz, "build_z_and_zdot", None) or (
+        lambda p, s, g: (ansatz.build_z(p, s, g), ansatz.build_zdot(p, s, g)))
+    z, zdot = both(params, spec, grid)
+    gzd = ops.gram_mul(zdot)
+    hess = ops.hess_banded(z + sol.omega)
+    rhs = np.concatenate([ops.grad(z + sol.omega) - sol.alpha * gzd, [0.0]])
+    full, red = member.full, member.reduced
+    # the continuation's seed: z at rho* on the fine grid plus the reduction's omega
+    seed = ansatz.build_z(params, spec, full.grid) + np.interp(
+        full.grid.nodes, red.solution.grid.nodes, red.solution.omega, left=0.0, right=0.0)
+
+    search = ({"measure": False} if "measure" in
+              inspect.signature(reduction.solve_projected).parameters else {})
+    bordered = getattr(grids.BorderedTridiagonal, "solve_once", None) or (
+        lambda ab, c, r, b: grids.BorderedTridiagonal(ab, c, r).solve(b))
+    kernels = {
+        "solve_projected_cold": lambda: reduction.solve_projected(
+            params, spec, grid, ops=ops, **search),
+        "solve_projected_warm": lambda: reduction.solve_projected(
+            params, spec, grid, ops=ops, warm=near, **search),
+        "bordered_factor_solve": lambda: bordered(hess, -gzd, gzd, rhs),
+        "z_and_zdot": lambda: both(params, spec, grid),
+        "find_rho_star": lambda: reduction.find_rho_star(
+            params, spec, bracket, h=cfg.grid.h_reduce),
+        "solve_full": lambda: full_solver.solve_full(
+            cfg.n, cfg.p, EPS, spec, seed, full.grid, trunc_K=cfg.trunc_K,
+            tol_coeff=cfg.tolerances.solve_tol_coeff),
+        "pohozaev_refinement_check": lambda: full_solver.pohozaev_refinement_check(
+            full, spec, trunc_K=cfg.trunc_K, tol_coeff=cfg.tolerances.solve_tol_coeff),
+        "find_critical_radius": lambda: potentials.find_critical_radius(
+            spec, cfg.n, cfg.p, EPS, tuple(cfg.t_bracket), beta_floor=cfg.beta_floor),
+    }
+    out = best_ms(kernels, args.repeat)
+    out.update({"eps": EPS, "reduction_nodes": grid.size,
+                "collocation_nodes": full.grid.size, "repeat": args.repeat})
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

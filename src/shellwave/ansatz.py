@@ -23,6 +23,7 @@ __all__ = [
     "AnsatzParams",
     "build_z",
     "build_zdot",
+    "build_z_and_zdot",
     "grid_for",
 ]
 
@@ -121,7 +122,13 @@ def cutoff(params: AnsatzParams, r):
     lo = params.C1 / (16.0 * params.eps**3)
     hi = params.C1 / (8.0 * params.eps**3)
     t = np.clip((np.asarray(r, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
-    return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+    # off the ramp t is 0 or 1, and so is the polynomial exactly: floor(t)
+    # gives it there, and the costly t**3 runs on the ramp's nodes only
+    out = np.floor(t)
+    on = (t > 0.0) & (t < 1.0)
+    ramp = t[on]
+    out[on] = ramp**3 * (10.0 - 15.0 * ramp + 6.0 * ramp**2)
+    return out
 
 
 def _coverage_check(params: AnsatzParams, grid: RadialGrid) -> None:
@@ -147,11 +154,25 @@ def build_zdot(params: AnsatzParams, spec: PotentialSpec, grid: RadialGrid) -> n
 
     The dispersion term differentiates the closed-form profile in lambda^2
     (lambda^2 = 1 + eps^2 V(eps rho), so d lambda^2/d rho = eps^3 V'(eps rho)).
+    build_z_and_zdot returns it with z, bit for bit, for less work.
+    """
+    return build_z_and_zdot(params, spec, grid)[1]
+
+
+def build_z_and_zdot(params: AnsatzParams, spec: PotentialSpec,
+                     grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """build_z and build_zdot from one cutoff and two sech powers.
+
+    The translation term reuses Q_beta(s - rho) from z, and the drift term
+    evaluates Q_1 once; every expression keeps its rounding order, so both
+    arrays equal the separate evaluations bit for bit.
     """
     params._check_rho()
     _coverage_check(params, grid)
     prof = params.profile(spec)
     s = grid.nodes - params.rho
+    cut = cutoff(params, grid.nodes)
+    q = prof.value(s)
     dlam2 = params.eps**3 * float(spec.deriv(params.eps * params.rho))
     drift = dlam2 * prof.dvalue_dlambda_sq(s) if dlam2 != 0.0 else 0.0
-    return cutoff(params, grid.nodes) * (drift - prof.derivative(s))
+    return cut * q, cut * (drift - prof.derivative(s, q))

@@ -83,6 +83,7 @@ def _member_summary(m) -> dict:
         "eps": m.eps,
         "rho_star": m.rho_star,
         "t_value": m.t_value,
+        "branch_sign": m.branch_sign,
         "layer_radius": m.eps * f.peak_rho,
         "peak_rho": f.peak_rho,
         "residual_max": f.residual_max,
@@ -270,7 +271,7 @@ def _stage_continue(cfg, outdir, eps, rho_samples):
     cols = ("eps", "rho_star", "t_value", "layer_radius", "peak_rho",
             "residual_max", "mass_weighted", "pohozaev_1", "pohozaev_2",
             "newton_iters", "residual_evals", "roundoff_floor", "newton_stop",
-            "remainder_ratio", "rho_evaluations", "dpsi_ok")
+            "remainder_ratio", "rho_evaluations", "dpsi_ok", "branch_sign")
     write_csv(csv_path, cols, ([r[c] for c in cols] for r in rows))
     jpath = os.path.join(outdir, "family.json")
     write_json(jpath, {

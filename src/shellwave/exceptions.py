@@ -62,5 +62,9 @@ class NoSignChange(SolverError):
     """A scalar root bracket does not change sign."""
 
 
+class BranchSwitch(SolverError):
+    """A continuation member sits on another branch than the one before it."""
+
+
 class InsufficientFamily(ShellwaveError):
     """An operation needs more family members than were supplied."""

@@ -45,6 +45,7 @@ from ._lapack import dgtsv
 from .ansatz import AnsatzParams, build_z, grid_for
 from .config import check_schedule
 from .exceptions import (
+    BranchSwitch,
     ConfigError,
     ConvergedToZero,
     NewtonDivergence,
@@ -54,7 +55,7 @@ from .exceptions import (
 from .forces import PowerForce, TruncatedForce
 from .grids import DiscreteOperators, RadialGrid, deriv4
 from .ground_state import GroundStateProfile, ground_state_constants
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, eval_M
 from .reduction import RhoStarResult, find_rho_star
 
 # accepted Newton steps after which a full solve stops
@@ -409,6 +410,7 @@ class FamilyMember:
     eps: float
     rho_star: float
     t_value: float
+    branch_sign: int          # sign of M_eps'' at t_value: the branch's tag
     reduced: RhoStarResult
     full: FullSolution
 
@@ -446,11 +448,17 @@ def continuation_in_eps(
     past the reduction grid), so a member depends on the one before only
     through its t.  tail sets the grids' decay room (AnsatzParams.tail)
     and tol_coeff the full solves' Newton tolerance.
+
+    Each member is tagged with the sign of M_eps'' at its own t, from one
+    eval_M call.  A member whose tag differs from the one before has left
+    the branch (the re-centred window can hold a root of each kind): the
+    continuation stops there with BranchSwitch, before its full solve.
     """
     sched = check_schedule(schedule)
     eps_max = float(sched[0])
     members: list[FamilyMember] = []
     prev_t: float | None = None
+    prev_sign: int | None = None
     for eps in sched:
         try:
             e3 = eps**3
@@ -464,6 +472,13 @@ def continuation_in_eps(
             else:
                 bracket = (max((prev_t - 1.5) / eps, lo), min((prev_t + 1.5) / eps, hi))
             red = find_rho_star(params, spec, bracket, h=h_reduce)
+            t = eps * red.rho_star
+            sign = int(np.sign(eval_M(spec, n, p, eps, t).Mpp))
+            if prev_sign is not None and sign != prev_sign:
+                raise BranchSwitch(
+                    f"t={t:.6g} has sign(M'')={sign:+d}, the member before it "
+                    f"t={prev_t:.6g} and sign(M'')={prev_sign:+d}"
+                )
             star_params = params.with_rho(red.rho_star)
             fine = grid_for(star_params, h_solve)
             seed = build_z(star_params, spec, fine) + np.interp(
@@ -473,7 +488,7 @@ def continuation_in_eps(
             full = solve_full(n, p, eps, spec, seed, fine, trunc_K=trunc_K,
                               tol_coeff=tol_coeff)
             member = FamilyMember(
-                eps=eps, rho_star=red.rho_star, t_value=eps * red.rho_star,
+                eps=eps, rho_star=red.rho_star, t_value=t, branch_sign=sign,
                 reduced=red, full=full,
             )
         except SolverError as exc:
@@ -482,7 +497,7 @@ def continuation_in_eps(
                 failed_eps=float(eps), failure=f"{type(exc).__name__}: {exc}",
             )
         members.append(member)
-        prev_t = member.t_value
+        prev_t, prev_sign = member.t_value, member.branch_sign
     return ContinuationResult(
         members=tuple(members), completed=True, failed_eps=None, failure=None
     )

@@ -32,10 +32,15 @@ from functools import cached_property
 import numpy as np
 
 from . import _heap  # noqa: F401  -- on import, keeps freed arrays in the heap
-from ._lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from ._lapack import dgtsv, dgttrf, dgttrs, dpttrf, dpttrs
 from .exceptions import ConfigError, EigensolverError, EllipticityViolation, HessianSingular
 from .forces import PowerForce
 from .potentials import PotentialSpec
+
+# largest grid RadialGrid.make builds: 64 MiB per float64 array; a full
+# solve holds about ARRAYS_PER_NODE of them (README, Install)
+MAX_NODES = 2**23
+ARRAYS_PER_NODE = 15
 
 __all__ = [
     "RadialGrid",
@@ -63,9 +68,17 @@ class RadialGrid:
             raise ConfigError(f"dimension must be an integer >= 2, got {n}")
         if not (h > 0 and s_max > s_min >= 0):
             raise ConfigError(f"bad grid request: [{s_min}, {s_max}], h={h}")
-        m = int(np.ceil((s_max - s_min) / h - 1e-12))
-        m += m % 2  # Simpson wants an even number of intervals
-        nodes = s_min + h * np.arange(m + 1)
+        intervals = float(np.ceil((s_max - s_min) / h - 1e-12))
+        # Simpson wants an even number of intervals
+        count = intervals + intervals % 2 + 1 if intervals < np.inf else np.inf
+        if not count <= MAX_NODES:
+            gib = ARRAYS_PER_NODE * 8 * count / 2**30
+            raise ConfigError(
+                f"grid on [{s_min}, {s_max}] with h={h} needs {count:,.0f} nodes, "
+                f"over the budget of {MAX_NODES:,}: a full solve would hold about "
+                f"{ARRAYS_PER_NODE} float64 arrays of that size, {gib:,.1f} GiB"
+            )
+        nodes = s_min + h * np.arange(int(count))
         return cls(n=int(n), s_min=s_min, s_max=float(nodes[-1]), h=h, nodes=nodes)
 
     @property
@@ -104,9 +117,10 @@ class RadialGrid:
         return RadialGrid.make(self.n, self.s_max, self.h / 2.0, self.s_min)
 
 
-def tridiag_mul(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of a symmetric tridiagonal matrix in upper-banded storage with v."""
-    out = ab[1] * v
+def tridiag_mul(ab: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Product of a symmetric tridiagonal matrix in upper-banded storage with
+    v, written into out when given."""
+    out = np.multiply(ab[1], v, out=out)
     out[1:] += ab[0, 1:] * v[:-1]
     out[:-1] += ab[0, 1:] * v[1:]
     return out
@@ -119,7 +133,13 @@ class BorderedTridiagonal:
     (m, k) borders with small k (a 1-d array is one column); the transposed
     system is the same solver with C and R swapped.  A is factored once
     (LAPACK dgttrf) and each solve eliminates y through the k x k Schur
-    complement R^T A^{-1} C in O(m) (Keller 1977).
+    complement R^T A^{-1} C in O(m) (Keller 1977).  With one border column
+    (the projected Newton system) the complement is a scalar and y one
+    division, which a zero complement refuses with HessianSingular; with
+    more columns it is a k x k solve.  Each solve is one dgttrs, the
+    elimination, and a tridiagonal product for the backward-error check.
+    A system with one border column that is solved once can skip the kept
+    factorization: see solve_once.
     """
 
     # Block elimination is not backward stable for nearly singular A, so a
@@ -129,35 +149,105 @@ class BorderedTridiagonal:
     BACKWARD_TOL = 1e-10
 
     def __init__(self, ab: np.ndarray, cols: np.ndarray, rows: np.ndarray):
+        self._borders(ab, cols, rows)
+        *self._lu, info = dgttrf(ab[0, 1:], ab[1], ab[0, 1:])
+        _check_pivots(info)
+        if self.size == ab.shape[1] + 1:
+            self._w = dgttrs(*self._lu, self._c)[0]
+            self._schur = float(np.dot(self._r, self._w))
+        else:
+            self._w = dgttrs(*self._lu, self.cols)[0]
+            self._schur = self.rows.T @ self._w
+
+    def _borders(self, ab: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> None:
         m = ab.shape[1]
         self.ab = ab
         self.cols = np.asarray(cols, dtype=float).reshape(m, -1)
         self.rows = np.asarray(rows, dtype=float).reshape(m, -1)
         self.size = m + self.cols.shape[1]
-        *self._lu, info = dgttrf(ab[0, 1:], ab[1], ab[0, 1:])
-        if info > 0:
-            raise HessianSingular(f"zero pivot at row {info} of the tridiagonal block")
-        self._w = dgttrs(*self._lu, self.cols)[0]
-        self._schur = self.rows.T @ self._w
-        row_sums = tridiag_mul(np.abs(ab), np.ones(m)) + np.abs(self.cols).sum(axis=1)
-        self._norm = max(row_sums.max(), np.abs(self.rows).sum(axis=0).max())
+        self._c, self._r = self.cols[:, 0], self.rows[:, 0]  # read when k = 1
+
+    @classmethod
+    def solve_once(cls, ab: np.ndarray, col: np.ndarray, row: np.ndarray,
+                   rhs: np.ndarray) -> np.ndarray:
+        """BorderedTridiagonal(ab, col, row).solve(rhs) for one border
+        column, bit for bit, keeping no factorization.
+
+        LAPACK dgtsv eliminates A for the column and f together: the
+        arithmetic of dgttrf and of dgttrs on each, with the two forward
+        sweeps folded into the elimination.
+        """
+        K = cls.__new__(cls)
+        K._borders(ab, col, row)
+        m = ab.shape[1]
+        if K.size != m + 1:
+            raise ValueError("solve_once takes one border column")
+        b = np.empty((m, 2), order="F")
+        b[:, 0], b[:, 1] = K._c, rhs[:m]
+        *_, b, info = dgtsv(ab[0, 1:], ab[1], ab[0, 1:], b, overwrite_b=True)
+        _check_pivots(info)
+        K._w = b[:, 0]
+        K._schur = float(np.dot(K._r, K._w))
+        return K._solve(b[:, 1], rhs)
+
+    @cached_property
+    def _norm(self) -> float:
+        """Largest absolute row sum of the bordered matrix, A's read off its
+        two diagonals."""
+        if self.size == self.ab.shape[1] + 1:
+            col_sums, row_norm = np.abs(self._c), np.abs(self._r).sum()
+        else:
+            col_sums = np.abs(self.cols).sum(axis=1)
+            row_norm = np.abs(self.rows).sum(axis=0).max()
+        a = np.abs(self.ab)
+        row_sums = a[1]
+        row_sums[1:] += a[0, 1:]
+        row_sums[:-1] += a[0, 1:]
+        row_sums += col_sums
+        return max(row_sums.max(), row_norm)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._solve(dgttrs(*self._lu, rhs[:self.ab.shape[1]])[0], rhs)
+
+    def _solve(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        # x = A^{-1} f
         m = self.ab.shape[1]
         f, g = rhs[:m], rhs[m:]
-        x = dgttrs(*self._lu, f)[0]
-        try:
-            y = np.linalg.solve(self._schur, self.rows.T @ x - g)
-        except np.linalg.LinAlgError as exc:
-            raise HessianSingular(f"singular Schur complement: {exc}") from exc
-        sol = np.concatenate([x - self._w @ y, y])
-        x = sol[:m]
-        res = np.concatenate([tridiag_mul(self.ab, x) + self.cols @ y - f, self.rows.T @ x - g])
-        scale = self._norm * np.abs(sol).max() + np.abs(rhs).max()
-        backward = np.abs(res).max() / max(scale, np.finfo(float).tiny)
-        if not backward <= self.BACKWARD_TOL:
-            raise HessianSingular(f"bordered solve left backward error {backward:.2e}")
+        if self.size == m + 1:
+            if self._schur == 0.0:
+                raise HessianSingular("singular Schur complement")
+            y = (float(np.dot(self._r, x)) - g[0]) / self._schur
+            sol = np.empty(self.size)
+            sol[m] = y
+            x = np.subtract(x, np.multiply(self._w, y, out=sol[:m]), out=sol[:m])
+            res = tridiag_mul(self.ab, x)
+            res += self._c * y
+            res -= f
+            res_max = np.maximum(np.abs(res).max(), abs(np.dot(self._r, x) - g[0]))
+        else:
+            try:
+                y = np.linalg.solve(self._schur, self.rows.T @ x - g)
+            except np.linalg.LinAlgError as exc:
+                raise HessianSingular(f"singular Schur complement: {exc}") from exc
+            sol = np.concatenate([x - self._w @ y, y])
+            x = sol[:m]
+            res_max = np.abs(np.concatenate([tridiag_mul(self.ab, x) + self.cols @ y - f,
+                                             self.rows.T @ x - g])).max()
+        # the backward error is res_max / (norm * max|sol| + max|rhs|), at
+        # most res_max / max|rhs|; the norm is formed only when that bound
+        # does not settle the test, which then decides as the full one does
+        tiny = np.finfo(float).tiny
+        rhs_max = np.abs(rhs).max()
+        if not res_max / max(rhs_max, tiny) <= self.BACKWARD_TOL:
+            backward = res_max / max(self._norm * np.abs(sol).max() + rhs_max, tiny)
+            if not backward <= self.BACKWARD_TOL:
+                raise HessianSingular(f"bordered solve left backward error {backward:.2e}")
         return sol
+
+
+def _check_pivots(info: int) -> None:
+    if info > 0:
+        raise HessianSingular(f"zero pivot at row {info} of the tridiagonal block")
 
 
 def constrained_min_eig(A: np.ndarray, B: np.ndarray, border: np.ndarray) -> float:
@@ -285,8 +375,8 @@ class DiscreteOperators:
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
-    def gram_mul(self, v: np.ndarray) -> np.ndarray:
-        return tridiag_mul(self.gram_banded, v)
+    def gram_mul(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return tridiag_mul(self.gram_banded, v, out=out)
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         """Representative of the functional v -> g.v in the weighted product.
@@ -309,14 +399,23 @@ class DiscreteOperators:
             - np.dot(self.mass_w, self.force.energy_density(u))
         )
 
-    def grad(self, u: np.ndarray) -> np.ndarray:
-        """Vector g with <J'(u), v> = g . v for every grid direction v."""
-        return self.gram_mul(u) - self.mass_w * self.force.f(u)
+    def grad(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Vector g with <J'(u), v> = g . v for every grid direction v,
+        written into out when given."""
+        f = self.force.f(u)
+        f *= self.mass_w
+        g = self.gram_mul(u, out=out)
+        g -= f
+        return g
 
-    def hess_banded(self, u: np.ndarray) -> np.ndarray:
-        """Upper banded (tridiagonal) form of the symmetric discrete J''(u)."""
-        ab = self.gram_banded.copy()
-        ab[1] -= self.mass_w * self.force.fp(u)
+    def hess_banded(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Upper banded (tridiagonal) form of the symmetric discrete J''(u),
+        written into out when given."""
+        fp = self.force.fp(u)
+        fp *= self.mass_w
+        ab = np.empty_like(self.gram_banded) if out is None else out
+        ab[0] = self.gram_banded[0]
+        np.subtract(self.gram_banded[1], fp, out=ab[1])
         return ab
 
     def hess_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

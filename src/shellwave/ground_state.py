@@ -76,10 +76,14 @@ class GroundStateProfile:
         s = np.asarray(s, dtype=float)
         return self.amplitude * self._sech_pow(self.sech_rate * s, self.sech_power)
 
-    def derivative(self, s) -> np.ndarray:
+    def derivative(self, s, value=None) -> np.ndarray:
+        """Q_lam'(s); value, when given, is value(s), which then is not
+        evaluated again."""
         s = np.asarray(s, dtype=float)
         x = self.sech_rate * s
-        return -self.sech_power * self.sech_rate * np.tanh(x) * self.value(s)
+        if value is None:
+            value = self.value(s)
+        return -self.sech_power * self.sech_rate * np.tanh(x) * value
 
     def dvalue_dlambda_sq(self, s) -> np.ndarray:
         """Derivative of the profile with respect to lam^2 at fixed s.
@@ -91,10 +95,9 @@ class GroundStateProfile:
         s = np.asarray(s, dtype=float)
         base = GroundStateProfile(self.p, 1.0)
         pref = self.lam ** (2.0 / (self.p - 1.0) - 2.0)
-        return pref * (
-            base.value(self.lam * s) / (self.p - 1.0)
-            + 0.5 * self.lam * s * base.derivative(self.lam * s)
-        )
+        y = self.lam * s
+        q = base.value(y)
+        return pref * (q / (self.p - 1.0) + 0.5 * self.lam * s * base.derivative(y, q))
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,19 @@ border, guarded by the backward error of each solve (zdot is a
 near-kernel direction of J''), which raises HessianSingular above
 roundoff level.
 
-Each solve records remainder_ratio = ||omega|| / (eps^3 ||z||), the
-quantity the remainder set ||omega|| <= gamma eps^3 ||z|| bounds.
+A solve can record the reduced energy Psi = J(z + omega) and
+remainder_ratio = ||omega|| / (eps^3 ||z||), the quantity the remainder set
+||omega|| <= gamma eps^3 ||z|| bounds.  The rho* search reads them for
+three of its 9-12 solves and computes them only for those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ansatz import AnsatzParams, build_z, build_zdot, grid_for
+from .ansatz import AnsatzParams, build_z, build_z_and_zdot, grid_for
 from .exceptions import (
     ConfigError,
     NewtonDivergence,
@@ -59,18 +61,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReducedSolution:
+    """One projected solve: the remainder omega on grid and the multiplier
+    alpha at (eps, rho).
+
+    psi and remainder_ratio are NaN when the solve was not measured
+    (solve_projected with measure=False).  A solution holds no operators
+    and no z, so keeping it keeps only its own arrays.
+    """
+
     eps: float
     rho: float
     grid: RadialGrid          # the grid omega lives on
     omega: np.ndarray
     alpha: float
-    psi: float
     newton_iters: int         # accepted Newton steps (fixed-point mode: iterations)
     residual_norm: float
     converged: bool
     zdot_norm: float
-    remainder_ratio: float
     contraction_ratios: tuple[float, ...] = ()
+    psi: float = np.nan       # J(z + omega)
+    remainder_ratio: float = np.nan  # ||omega|| / (eps^3 ||z||)
 
 
 def solve_projected(
@@ -80,12 +90,19 @@ def solve_projected(
     mode: str = "newton",
     ops: DiscreteOperators | None = None,
     warm: ReducedSolution | None = None,
+    measure: bool = True,
 ) -> ReducedSolution:
     """Remainder omega and multiplier alpha at params.rho on grid.
 
     Converged means a residual norm at or below TOL.  Newton stops at its
     first failed line search; MAX_ITER bounds the iterates it visits, the
     start included, so MAX_ITER = 1 would return the starting iterate.
+    One Newton iteration assembles J''(z + omega) into the solve's
+    scratch arrays, solves the bordered system for the step
+    (BorderedTridiagonal.solve_once: one dgtsv for the border column and
+    the residual together, a scalar Schur complement, a backward-error
+    check), and measures each line-search trial with one gradient and one
+    Gram solve for its dual norm.
 
     ops are the operators of (grid, params.eps, spec, params.p), built here
     when not given; solves on one grid may share them, which changes no
@@ -93,23 +110,26 @@ def solve_projected(
     with warm, a solution on this grid object at another radius, it starts
     from warm's omega shifted by params.rho - warm.rho (projected back onto
     the constraint) and warm's alpha.  A start whose residual is not finite
-    raises NewtonDivergence in either mode.
+    raises NewtonDivergence in either mode.  measure=False leaves psi and
+    remainder_ratio NaN, which saves an energy and two norms per solve.
     """
     if ops is None:
         ops = DiscreteOperators(grid, params.eps, spec, params.p)
     elif ops.grid is not grid or ops.eps != params.eps or ops.p != params.p:
         raise ConfigError("operators belong to another grid, eps or p")
-    z = build_z(params, spec, grid)
-    zdot = build_zdot(params, spec, grid)
+    z, zdot = build_z_and_zdot(params, spec, grid)
     gzd = ops.gram_mul(zdot)
     nzd2 = float(np.dot(zdot, gzd))
     nzd = np.sqrt(nzd2)
+    ws = _NewtonWork(grid.size)
 
-    def residual_measure(omega: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    def residual_measure(omega: np.ndarray, alpha: float,
+                         out: np.ndarray) -> tuple[np.ndarray, float]:
         # an iterate whose residual overflows measures inf or nan, which
         # fails Newton's Armijo test like any other poor candidate
         with np.errstate(over="ignore", invalid="ignore"):
-            r1 = ops.grad(z + omega) - alpha * gzd
+            r1 = ops.grad(np.add(z, omega, out=ws.u), out=out)
+            r1 -= np.multiply(alpha, gzd, out=ws.u)
             return r1, ops.dual_norm(r1) + abs(float(np.dot(gzd, omega))) / nzd
 
     if mode == "newton":
@@ -126,25 +146,33 @@ def solve_projected(
     else:
         shifted = np.interp(grid.nodes - (params.rho - warm.rho), grid.nodes, warm.omega)
         omega0, alpha0 = _project_out(shifted, zdot, gzd, nzd2), warm.alpha
-    start = residual_measure(omega0, alpha0)
+    start = residual_measure(omega0, alpha0, ws.residual[0])
     if not np.isfinite(start[1]):
         raise NewtonDivergence("residual of the starting iterate is not finite")
     omega, alpha, res, iters, converged, ratios = solver(
-        ops, z, zdot, gzd, nzd2, residual_measure, omega0, alpha0, start
+        ops, ws, z, zdot, gzd, nzd2, residual_measure, omega0, alpha0, start
     )
-    return ReducedSolution(
+    sol = ReducedSolution(
         eps=params.eps,
         rho=params.rho,
         grid=grid,
         omega=omega,
         alpha=float(alpha),
-        psi=float(ops.energy(z + omega)),
         newton_iters=iters,
         residual_norm=float(res),
         converged=converged,
         zdot_norm=float(nzd),
-        remainder_ratio=float(ops.norm(omega) / (params.eps**3 * ops.norm(z))),
         contraction_ratios=tuple(ratios),
+    )
+    return _measured(sol, ops, z) if measure else sol
+
+
+def _measured(sol: ReducedSolution, ops: DiscreteOperators, z: np.ndarray) -> ReducedSolution:
+    """sol with psi and remainder_ratio; z is the manifold element at sol.rho."""
+    return replace(
+        sol,
+        psi=float(ops.energy(z + sol.omega)),
+        remainder_ratio=float(ops.norm(sol.omega) / (sol.eps**3 * ops.norm(z))),
     )
 
 
@@ -152,31 +180,49 @@ def _project_out(omega: np.ndarray, zdot: np.ndarray, gzd: np.ndarray, nzd2: flo
     return omega - (float(np.dot(gzd, omega)) / nzd2) * zdot
 
 
-def _newton_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, start):
+class _NewtonWork:
+    """Scratch arrays one projected solve reuses in every iteration.
+
+    u holds z + omega, hess the banded Hessian, and the two residual arrays
+    the residual of the current iterate and that of a line-search trial,
+    which trade places when the trial is accepted.
+    """
+
+    def __init__(self, m: int):
+        self.u = np.empty(m)
+        self.hess = np.empty((2, m))
+        self.residual = (np.empty(m), np.empty(m))
+
+
+def _newton_iterates(ops, ws, z, zdot, gzd, nzd2, residual_measure, omega, alpha, start):
     # Armijo makes every accepted iterate strictly better than the last, so
     # the current iterate is the best one and a failed search ends the loop
     r1, res = start
+    spare = ws.residual[1]
     accepted = 0
+    neg_gzd = -gzd
     while res > TOL and accepted < MAX_ITER - 1:
-        K = BorderedTridiagonal(ops.hess_banded(z + omega), -gzd, gzd)
+        hess = ops.hess_banded(np.add(z, omega, out=ws.u), out=ws.hess)
         rhs = np.concatenate([r1, [float(np.dot(gzd, omega))]])
-        step = K.solve(rhs)
+        step = BorderedTridiagonal.solve_once(hess, neg_gzd, gzd, rhs)
         t = 1.0
         while True:
             cand_o = _project_out(omega - t * step[:-1], zdot, gzd, nzd2)
             cand_a = alpha - t * step[-1]
-            cand_r1, cand_res = residual_measure(cand_o, cand_a)
+            cand_r1, cand_res = residual_measure(cand_o, cand_a, spare)
             if cand_res <= (1.0 - 1e-4 * t) * res:
                 break
             t /= 2
             if t <= 1e-8:
                 return omega, alpha, res, accepted, False, ()
-        omega, alpha, r1, res = cand_o, cand_a, cand_r1, cand_res
+        omega, alpha, res = cand_o, cand_a, cand_res
+        r1, spare = cand_r1, r1
         accepted += 1
     return omega, alpha, res, accepted, bool(res <= TOL), ()
 
 
-def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alpha, _start):
+def _fixed_point_iterates(ops, ws, z, zdot, gzd, nzd2, residual_measure, omega, alpha,
+                          _start):
     K = BorderedTridiagonal(ops.hess_banded(z), -gzd, gzd)
     deltas: list[float] = []
     converged = False
@@ -197,7 +243,7 @@ def _fixed_point_iterates(ops, z, zdot, gzd, nzd2, residual_measure, omega, alph
     ratios = tuple(
         deltas[k] / deltas[k - 1] for k in range(1, len(deltas)) if deltas[k - 1] > 0
     )
-    _, res = residual_measure(omega, alpha)
+    _, res = residual_measure(omega, alpha, ws.residual[1])
     return omega, alpha, res, it + 1, converged, ratios
 
 
@@ -286,7 +332,8 @@ def find_rho_star(
     warm-started from the evaluated solution nearest in rho (the earliest
     on ties).  A warm start that fails or does not converge is retried
     cold, and both count in evaluations.  Two more solves, 3e-4 rho* on
-    either side, check that Psi is stationary there (dpsi_ok).
+    either side, check that Psi is stationary there (dpsi_ok).  Psi and
+    the remainder ratio are computed for rho* and those two solves only.
     """
     a, b = float(bracket[0]), float(bracket[1])
     grid = grid_for(params, h, rho_max=b)
@@ -295,7 +342,7 @@ def find_rho_star(
     best: ReducedSolution | None = None  # smallest |alpha| so far
     evals = 0
 
-    def at(rho: float) -> ReducedSolution:
+    def at(rho: float, measure: bool = False) -> ReducedSolution:
         nonlocal best, evals
         rp = params.with_rho(rho)
         sol = None
@@ -303,12 +350,12 @@ def find_rho_star(
             evals += 1
             warm = min(solved, key=lambda s: abs(s.rho - rho))
             try:
-                sol = solve_projected(rp, spec, grid, ops=ops, warm=warm)
+                sol = solve_projected(rp, spec, grid, ops=ops, warm=warm, measure=measure)
             except SolverError:
                 pass
         if sol is None or not sol.converged:
             evals += 1
-            sol = solve_projected(rp, spec, grid, ops=ops)
+            sol = solve_projected(rp, spec, grid, ops=ops, measure=measure)
             if not sol.converged:
                 raise NewtonDivergence(f"projected solve stalled at rho={rho}")
         solved.append(sol)
@@ -336,10 +383,10 @@ def find_rho_star(
 
     _illinois(scaled_alpha, a, sa.alpha / sa.zdot_norm, b, sb.alpha / sb.zdot_norm,
               done=lambda: abs(best.alpha) <= 1e-9 * best.zdot_norm)
-    star = best
+    star = _measured(best, ops, build_z(params.with_rho(best.rho), spec, grid))
     delta = 3e-4 * star.rho
-    up = at(min(star.rho + delta, params.omega_window[1]))
-    dn = at(max(star.rho - delta, params.omega_window[0]))
+    up = at(min(star.rho + delta, params.omega_window[1]), measure=True)
+    dn = at(max(star.rho - delta, params.omega_window[0]), measure=True)
     dpsi = (up.psi - dn.psi) / (up.rho - dn.rho)
     return RhoStarResult(
         rho_star=star.rho,

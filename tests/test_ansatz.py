@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellwave.ansatz import AnsatzParams, build_z, build_zdot, cutoff, grid_for
+from shellwave.ansatz import (
+    AnsatzParams,
+    build_z,
+    build_z_and_zdot,
+    build_zdot,
+    cutoff,
+    grid_for,
+)
 from shellwave.exceptions import ConfigError, OutOfConfigurationSet
 from shellwave.potentials import PotentialSpec
 
@@ -98,3 +105,65 @@ def test_grid_for_leaves_decay_room():
                                            abs=2 * grid.h)
     wide = grid_for(params, 0.02, rho_max=params.omega_window[1])
     assert wide.nodes[-1] > params.omega_window[1]
+
+
+# build_z and build_zdot written out as plain formulas, each profile
+# evaluation separate and pow applied to every node of the cutoff
+def plain_cutoff(params, r):
+    lo = params.C1 / (16.0 * params.eps**3)
+    hi = params.C1 / (8.0 * params.eps**3)
+    t = np.clip((np.asarray(r, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
+    return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+
+
+def plain_value(p, lam, s):
+    amp = float(((p + 1.0) * lam**2 / 2.0) ** (1.0 / (p - 1.0)))
+    ax = np.abs(0.5 * (p - 1.0) * lam * s)
+    return amp * np.exp(2.0 / (p - 1.0) * (np.log(2.0) - ax - np.log1p(np.exp(-2.0 * ax))))
+
+
+def plain_derivative(p, lam, s):
+    rate = 0.5 * (p - 1.0) * lam
+    return -(2.0 / (p - 1.0)) * rate * np.tanh(rate * s) * plain_value(p, lam, s)
+
+
+def plain_dvalue_dlambda_sq(p, lam, s):
+    pref = lam ** (2.0 / (p - 1.0) - 2.0)
+    return pref * (plain_value(p, 1.0, lam * s) / (p - 1.0)
+                   + 0.5 * lam * s * plain_derivative(p, 1.0, lam * s))
+
+
+def plain_build_z(params, spec, grid):
+    s = grid.nodes - params.rho
+    return plain_cutoff(params, grid.nodes) * plain_value(params.p, params.beta(spec), s)
+
+
+def plain_build_zdot(params, spec, grid):
+    lam = params.beta(spec)
+    s = grid.nodes - params.rho
+    dlam2 = params.eps**3 * float(spec.deriv(params.eps * params.rho))
+    drift = dlam2 * plain_dvalue_dlambda_sq(params.p, lam, s) if dlam2 != 0.0 else 0.0
+    return plain_cutoff(params, grid.nodes) * (drift - plain_derivative(params.p, lam, s))
+
+
+@pytest.mark.parametrize("family", ["zero", "sine"])
+@pytest.mark.parametrize("n,p", [(2, 3.0), (3, 3.0), (2, 6.0), (3, 6.0)])
+@pytest.mark.parametrize("edge", [False, True])
+def test_z_and_zdot_bitwise(family, n, p, edge):
+    # edge puts the layer on the window's lower edge, where its core
+    # overlaps the cutoff ramp
+    spec = getattr(PotentialSpec, family)()
+    eps = 0.5
+    rho = 0.5 / (2.0 * eps**3) if edge else 17.0
+    params = AnsatzParams.make(n, p, eps, rho, spec, 0.5, 1.5, gamma=0.6)
+    grid = grid_for(params, 0.02)
+    z, zdot = build_z_and_zdot(params, spec, grid)
+    want_z, want_zdot = plain_build_z(params, spec, grid), plain_build_zdot(params, spec, grid)
+    assert z.tobytes() == want_z.tobytes()
+    assert zdot.tobytes() == want_zdot.tobytes()
+    assert build_z(params, spec, grid).tobytes() == want_z.tobytes()
+    assert build_zdot(params, spec, grid).tobytes() == want_zdot.tobytes()
+    cut = plain_cutoff(params, grid.nodes)
+    ramp = (cut > 0.0) & (cut < 1.0)
+    assert bool(np.abs(z[ramp]).max() > 1e-3) is edge
+    assert (family == "zero") is (float(spec.deriv(eps * rho)) == 0.0)

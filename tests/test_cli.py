@@ -345,8 +345,42 @@ def test_continue_and_solve_report_rho_search(tmp_path):
         (member["rho_evaluations"], True)
 
 
+def test_continue_and_solve_report_branch_sign(tmp_path):
+    family, _ = run_stage(tmp_path, "continue", "branch")
+    assert family["members"][0]["branch_sign"] == -1
+    lines = (tmp_path / "branch" / "family.csv").read_text().splitlines()
+    assert lines[0].endswith(",dpsi_ok,branch_sign")
+    assert lines[1].endswith(",true,-1")
+    solve, _ = run_stage(tmp_path, "solve", "branch_solve")
+    assert solve["branch_sign"] == -1
+
+
 def test_parser_subcommands_are_the_stages():
     parser = build_parser()
     assert build_parser() is parser  # built once per process
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(_STAGES)
+
+
+def test_grid_over_the_node_budget_exits_2(tmp_path):
+    # eps = 0.01 asks for a 150M-node scan grid; the address-space limit
+    # keeps a missing guard from taking the machine's memory
+    import resource
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "shellwave.cli", "scan", "--config",
+         str(root / "configs" / "sine_n2.json"), "--eps", "0.01",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 2, proc.stderr
+    assert "config invalid: grid on" in proc.stderr
+    assert "150,002,311 nodes, over the budget of 8,388,608" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -23,7 +23,7 @@ from shellwave.full_solver import (
     tail_decay_check,
 )
 from shellwave.grids import DiscreteOperators, RadialGrid
-from shellwave.potentials import PotentialSpec
+from shellwave.potentials import PotentialSpec, eval_M
 
 from conftest import SINE_C1, SINE_C2, SINE_SCHEDULE, SINE_T_BRACKET
 
@@ -469,3 +469,26 @@ def test_full_solve_holds_few_grid_sized_arrays(sine_family, sine_spec):
     audit = _peak_arrays(lambda: pohozaev_refinement_check(full, sine_spec),
                          grid.refine().size)
     assert audit <= 16.0, audit
+
+
+def test_branch_switch_ends_the_continuation(sine_spec):
+    # started on the partner root (M'' > 0) at eps = 0.3, the re-centred
+    # window at eps = 0.29 also holds the shipped branch's root, which the
+    # rho* search takes
+    res = continuation_in_eps(2, 3.0, sine_spec, (0.3, 0.29, 0.28), SINE_C1, SINE_C2,
+                              (9.9, 10.6), gamma=0.6)
+    assert not res.completed
+    assert res.failed_eps == 0.29
+    [m] = res.members
+    assert (m.branch_sign, round(m.t_value, 3)) == (1, 10.196)
+    assert res.failure.startswith("BranchSwitch: t=9.04613 has sign(M'')=-1")
+    assert "t=10.196 and sign(M'')=+1" in res.failure
+
+
+def test_shipped_families_keep_one_branch(sine_family, supercritical_family, sine_spec):
+    for family in (sine_family, supercritical_family):
+        assert family.completed
+        for m in family.members:
+            n, p = m.full.n, m.full.p
+            curvature = eval_M(sine_spec, n, p, m.eps, m.t_value).Mpp
+            assert m.branch_sign == np.sign(curvature) == -1

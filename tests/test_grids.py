@@ -5,8 +5,9 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from shellwave import full_solver
-from shellwave.ansatz import AnsatzParams, build_z, grid_for
-from shellwave.exceptions import EllipticityViolation, HessianSingular
+from shellwave._lapack import dgttrf, dgttrs
+from shellwave.ansatz import AnsatzParams, build_z, build_zdot, grid_for
+from shellwave.exceptions import ConfigError, EllipticityViolation, HessianSingular
 from shellwave.forces import PowerForce, TruncatedForce
 from shellwave.grids import (
     BorderedTridiagonal,
@@ -16,6 +17,7 @@ from shellwave.grids import (
     tridiag_mul,
 )
 from shellwave.potentials import PotentialSpec
+from shellwave.reduction import solve_projected
 
 
 def make_ops(n=2, rho_max=30.0, h=0.02, eps=0.4, p=3.0, amp=0.5):
@@ -390,3 +392,150 @@ def test_bordered_zero_border(bordered_case):
     K = BorderedTridiagonal(ab, zero, zero)
     with pytest.raises(HessianSingular):
         K.solve(np.ones(K.size))
+
+
+class PlainBordered:
+    """BorderedTridiagonal with every border as a 2-d block: a k x k
+    np.linalg.solve for y, 2-d products, and the row sums of |A| as the
+    product of |A| with a vector of ones."""
+
+    def __init__(self, ab, cols, rows):
+        m = ab.shape[1]
+        self.ab = ab
+        self.cols = np.asarray(cols, dtype=float).reshape(m, -1)
+        self.rows = np.asarray(rows, dtype=float).reshape(m, -1)
+        self.size = m + self.cols.shape[1]
+        *self.lu, info = dgttrf(ab[0, 1:], ab[1], ab[0, 1:])
+        assert info == 0
+        self.w = dgttrs(*self.lu, self.cols)[0]
+        self.schur = self.rows.T @ self.w
+        row_sums = tridiag_mul(np.abs(ab), np.ones(m)) + np.abs(self.cols).sum(axis=1)
+        self.norm = max(row_sums.max(), np.abs(self.rows).sum(axis=0).max())
+
+    def solve(self, rhs):
+        m = self.ab.shape[1]
+        f, g = rhs[:m], rhs[m:]
+        x = dgttrs(*self.lu, f)[0]
+        y = np.linalg.solve(self.schur, self.rows.T @ x - g)
+        sol = np.concatenate([x - self.w @ y, y])
+        x = sol[:m]
+        res = np.concatenate([tridiag_mul(self.ab, x) + self.cols @ y - f, self.rows.T @ x - g])
+        scale = self.norm * np.abs(sol).max() + np.abs(rhs).max()
+        return sol, np.abs(res).max() / scale
+
+
+def assert_bordered_bitwise(ab, cols, rows, rhs):
+    new, plain = BorderedTridiagonal(ab, cols, rows), PlainBordered(ab, cols, rows)
+    want, backward = plain.solve(rhs)
+    assert backward <= BorderedTridiagonal.BACKWARD_TOL
+    assert new.size == plain.size
+    assert new.solve(rhs).tobytes() == want.tobytes()
+    if cols.ndim == 1:
+        once = BorderedTridiagonal.solve_once(ab, cols, rows, rhs)
+        assert once.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bordered_bitwise_on_the_fixture(bordered_case, k):
+    ab, c1, c2 = bordered_case
+    rng = np.random.default_rng(7 + k)
+    borders = [(c1, -c1), (-c1, c1), (c1, c2)] if k == 1 else \
+        [(np.column_stack([c1, c2]), np.column_stack([c2, -c1]))]
+    for cols, rows in borders:
+        for _ in range(3):
+            assert_bordered_bitwise(ab, cols, rows, rng.standard_normal(ab.shape[1] + k))
+
+
+def test_bordered_bitwise_on_a_projected_newton_system():
+    # the first Newton system of a cold projected solve on the shipped
+    # family's eps = 0.4 grid, and the system at its solution
+    spec = PotentialSpec.sine()
+    params = AnsatzParams.make(2, 3.0, 0.4, 21.0, spec, 0.5, 1.5, gamma=0.6, eps_max=0.5)
+    grid = grid_for(params, 0.02, rho_max=params.omega_window[1])
+    ops = DiscreteOperators(grid, 0.4, spec, 3.0)
+    z, zdot = build_z(params, spec, grid), build_zdot(params, spec, grid)
+    gzd = ops.gram_mul(zdot)
+    sol = solve_projected(params, spec, grid, ops=ops)
+    for omega, alpha in ((np.zeros(grid.size), 0.0), (sol.omega, sol.alpha)):
+        rhs = np.concatenate([ops.grad(z + omega) - alpha * gzd, [float(np.dot(gzd, omega))]])
+        assert_bordered_bitwise(ops.hess_banded(z + omega), -gzd, gzd, rhs)
+
+
+def test_scalar_schur_division_matches_a_one_by_one_solve():
+    # the k = 1 path divides by the Schur complement where the block path
+    # runs LAPACK's 1 x 1 solve
+    rng = np.random.default_rng(11)
+    s = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-150, 150, 10_000)
+    b = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-150, 150, 10_000)
+    with np.errstate(over="ignore", under="ignore"):
+        solved = [np.linalg.solve(np.array([[si]]), np.array([bi]))[0] for si, bi in zip(s, b)]
+        assert np.array(solved).tobytes() == (b / s).tobytes()
+
+
+def test_solve_once_pivots_like_the_kept_factorization():
+    # random tridiagonal blocks on which dgttrf pivots in most rows
+    rng = np.random.default_rng(3)
+    for m in (3, 40, 1001):
+        ab = np.zeros((2, m))
+        ab[1] = 0.1 * rng.standard_normal(m)
+        ab[0, 1:] = rng.standard_normal(m - 1)
+        col, row = rng.standard_normal(m), rng.standard_normal(m)
+        rhs = rng.standard_normal(m + 1)
+        want, _ = PlainBordered(ab, col, row).solve(rhs)
+        assert BorderedTridiagonal.solve_once(ab, col, row, rhs).tobytes() == want.tobytes()
+    with pytest.raises(HessianSingular, match="zero pivot"):
+        BorderedTridiagonal.solve_once(neumann_laplacian(40), np.ones(40), np.ones(40),
+                                       np.ones(41))
+    with pytest.raises(ValueError):
+        BorderedTridiagonal.solve_once(ab, np.ones((m, 2)), np.ones((m, 2)), np.ones(m + 2))
+
+
+def test_bordered_zero_schur_complement():
+    # A = I and orthogonal borders: nonzero columns, complement r^T c = 0
+    m = 12
+    ab = np.zeros((2, m))
+    ab[1] = 1.0
+    c, r = np.eye(m)[0], np.eye(m)[1]
+    K = BorderedTridiagonal(ab, c, r)
+    with pytest.raises(HessianSingular, match="Schur"):
+        K.solve(np.ones(m + 1))
+    with pytest.raises(HessianSingular, match="Schur"):
+        BorderedTridiagonal.solve_once(ab, c, r, np.ones(m + 1))
+
+
+def test_node_budget_refuses_before_allocating(monkeypatch):
+    from shellwave import grids
+
+    # 2^23 nodes, 64 MiB per array, take the eps = 0.05 refinement audit's
+    # grid (about 5.4M nodes) and refuse the eps = 0.01 scan's (150M)
+    assert grids.MAX_NODES == 2**23
+    assert 5_400_000 < grids.MAX_NODES < 150_002_311
+    with pytest.raises(ConfigError) as err:
+        RadialGrid.make(2, 3_000_046.19, 0.02)
+    msg = str(err.value)
+    assert "150,002,311 nodes" in msg and "8,388,608" in msg and "16.8 GiB" in msg
+    # the count includes the node that makes the interval count even
+    monkeypatch.setattr(grids, "MAX_NODES", 101)
+    assert RadialGrid.make(2, 100 * 0.5, 0.5).size == 101
+    assert RadialGrid.make(2, 99 * 0.5, 0.5).size == 101
+    with pytest.raises(ConfigError, match="needs 103 nodes"):
+        RadialGrid.make(2, 101 * 0.5, 0.5)
+    with pytest.raises(ConfigError, match="needs inf nodes"):
+        RadialGrid.make(2, np.inf, 0.5)
+
+
+@pytest.mark.parametrize("shift", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_backward_error_guard_decides_as_the_full_test(shift):
+    # the guard first bounds the backward error by res / max|rhs| and forms
+    # the matrix norm only when that bound exceeds the tolerance
+    ones = np.ones(40)
+    rhs = np.linspace(-1.0, 1.0, 41)
+    ab = neumann_laplacian(40, shift)
+    _, backward = PlainBordered(ab, ones, ones).solve(rhs)
+    K = BorderedTridiagonal(ab, ones, ones)
+    if backward <= BorderedTridiagonal.BACKWARD_TOL:
+        K.solve(rhs)
+    else:
+        with pytest.raises(HessianSingular, match="backward error"):
+            K.solve(rhs)
+    assert ("_norm" in vars(K)) is (shift < 1e-4)

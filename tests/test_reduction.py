@@ -291,7 +291,7 @@ def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
     # ends included); the dpsi check then adds its two solves
     params, spec, _ = setup
 
-    def fake(p, spec, grid, ops=None, warm=None):
+    def fake(p, spec, grid, ops=None, warm=None, measure=True):
         return reduction.ReducedSolution(
             eps=p.eps, rho=p.rho, grid=grid, omega=np.zeros(grid.size),
             alpha=float(np.expm1(p.rho - 20.3)), psi=0.0, newton_iters=0,
@@ -392,9 +392,9 @@ def test_nonfinite_candidate_fails_its_armijo_trial(setup):
     real_grad = ops.grad
     calls = []
 
-    def grad(u):
-        calls.append(u)
-        g = real_grad(u)
+    def grad(u, out=None):
+        calls.append(u.copy())  # u is the solve's scratch array
+        g = real_grad(u, out=out)
         return g * np.inf if len(calls) == 2 else g
 
     ops.grad = grad
@@ -404,3 +404,40 @@ def test_nonfinite_candidate_fails_its_armijo_trial(setup):
     # the trial after the poisoned one took half the first step
     half = 0.5 * (calls[0] + calls[1])
     assert np.allclose(calls[2], half, rtol=0.0, atol=1e-12 * np.abs(half).max())
+
+
+def test_energy_only_where_read(setup, monkeypatch):
+    # rho* and the two dpsi solves read Psi; the other 6-9 solves do not
+    params, spec, _ = setup
+    calls = []
+    real = DiscreteOperators.energy
+
+    def energy(self, u):
+        calls.append(u)
+        return real(self, u)
+
+    monkeypatch.setattr(DiscreteOperators, "energy", energy)
+    res = find_rho_star(params, spec, (7.5 / EPS, 9.5 / EPS))
+    assert res.evaluations >= 9
+    assert len(calls) <= 3
+    # what it did compute is what a measured solve computes
+    grid, ops = res.solution.grid, DiscreteOperators(res.solution.grid, EPS, spec, 3.0)
+    z = build_z(params.with_rho(res.rho_star), spec, grid)
+    assert res.psi == res.solution.psi == ops.energy(z + res.solution.omega)
+    assert res.solution.remainder_ratio == \
+        ops.norm(res.solution.omega) / (EPS**3 * ops.norm(z))
+
+
+def test_unmeasured_solve_keeps_only_its_own_arrays(setup):
+    params, spec, grid = setup
+    ops = DiscreteOperators(grid, EPS, spec, 3.0)
+    measured = solve_projected(params, spec, grid, ops=ops)
+    bare = solve_projected(params, spec, grid, ops=ops, measure=False)
+    assert np.isnan(bare.psi) and np.isnan(bare.remainder_ratio)
+    assert np.array_equal(bare.omega, measured.omega) and bare.alpha == measured.alpha
+    arrays = [f.name for f in dataclasses.fields(bare)
+              if isinstance(getattr(bare, f.name), np.ndarray)]
+    assert arrays == ["omega"]
+    assert not any(isinstance(getattr(bare, f.name), DiscreteOperators)
+                   for f in dataclasses.fields(bare))
+
