@@ -19,8 +19,9 @@ machine.
   the checkout's solve_projected can leave them out);
 * ``bordered_factor_solve``: one factorization and solve of the Newton
   system at that solution, as the projected Newton iteration makes it
-  (``BorderedTridiagonal.solve_once`` where the checkout has it, else a
-  ``BorderedTridiagonal`` and its ``solve``);
+  (``grids.bordered_solve``; in older checkouts
+  ``BorderedTridiagonal.solve_once``, or a ``BorderedTridiagonal`` and its
+  ``solve``);
 * ``z_and_zdot``: the manifold element and its rho-derivative at rho*;
 * ``find_rho_star``, ``solve_full``, ``pohozaev_refinement_check`` and
   ``find_critical_radius``: one call each, as the continuation and the
@@ -106,8 +107,9 @@ def main(argv=None) -> int:
 
     search = ({"measure": False} if "measure" in
               inspect.signature(reduction.solve_projected).parameters else {})
-    bordered = getattr(grids.BorderedTridiagonal, "solve_once", None) or (
-        lambda ab, c, r, b: grids.BorderedTridiagonal(ab, c, r).solve(b))
+    bordered = (getattr(grids, "bordered_solve", None)
+                or getattr(getattr(grids, "BorderedTridiagonal", None), "solve_once", None)
+                or (lambda ab, c, r, b: grids.BorderedTridiagonal(ab, c, r).solve(b)))
     kernels = {
         "solve_projected_cold": lambda: reduction.solve_projected(
             params, spec, grid, ops=ops, **search),

@@ -1,4 +1,4 @@
-"""The seven LAPACK routines shellwave calls, loaded without the scipy package.
+"""The five LAPACK routines shellwave calls, loaded without the scipy package.
 
 All of them live in SciPy's compiled module ``scipy/linalg/_flapack``, which
 needs only numpy.  Reaching it through ``scipy.linalg`` first runs scipy's
@@ -14,7 +14,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
 
-__all__ = ["dgtsv", "dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz", "dstein"]
+__all__ = ["dgtsv", "dpttrf", "dpttrs", "dstebz", "dstein"]
 
 
 def _load_flapack():
@@ -35,4 +35,4 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgtsv, dgttrf, dgttrs, dpttrf, dpttrs, dstebz, dstein = (getattr(_flapack, f) for f in __all__)
+dgtsv, dpttrf, dpttrs, dstebz, dstein = (getattr(_flapack, f) for f in __all__)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzParams
-from .config import RunConfig, check_eps, load_config
+from .config import RunConfig, check_eps, first_bracket, load_config
 from .exceptions import ConfigError, ShellwaveError, SolverError
 from .full_solver import (
     asymptotic_terms_check,
@@ -66,12 +66,16 @@ def _append_ledger(outdir: str, record: RunRecord) -> None:
         fh.write(line + "\n")
 
 
-def _pick_eps(cfg: RunConfig, eps: float | None) -> float:
+def _pick_eps(cfg: RunConfig, eps: float | None, bracket: bool = False) -> float:
+    """schedule[0], or the --eps override checked as a schedule entry is:
+    with bracket, also against the first member's bracket rule."""
     if eps is None:
         return float(cfg.schedule[0])
     check_eps("--eps", eps)
     try:
         cfg.spec().lambda0(eps)
+        if bracket:
+            first_bracket(eps, cfg.C1, cfg.C2, cfg.t_bracket)
     except ConfigError as exc:
         raise ConfigError(f"--eps: {exc}") from None
     return float(eps)
@@ -228,7 +232,7 @@ def _stage_scan(cfg, outdir, eps, rho_samples):
 
 
 def _stage_solve(cfg, outdir, eps, rho_samples):
-    e = _pick_eps(cfg, eps)
+    e = _pick_eps(cfg, eps, bracket=True)
     spec = cfg.spec()
     res = _run_family(cfg, [e])
     m = res.members[0]

@@ -55,6 +55,23 @@ def check_eps(name: str, eps) -> float:
     return e
 
 
+def first_bracket(eps: float, C1: float, C2: float, t_bracket) -> tuple[float, float]:
+    """The rho* bracket of a family's first member at eps, or ConfigError
+    naming eps.
+
+    The one rule for every eps a first member can take, a schedule entry
+    or solve's --eps: t_bracket/eps clipped to the configuration window
+    [C1/(2 eps^3), 2 C2/eps^3], which must leave a nonempty interval.
+    """
+    e3 = eps**3
+    lo = max(t_bracket[0] / eps, C1 / (2.0 * e3))
+    hi = min(t_bracket[1] / eps, 2.0 * C2 / e3)
+    if not lo < hi:
+        raise ConfigError(
+            f"t_bracket: window empty at eps={eps:g}; widen C1/C2 or move the bracket")
+    return lo, hi
+
+
 def check_schedule(schedule) -> np.ndarray:
     """The eps schedule as a float array, or ConfigError naming the field.
 
@@ -136,11 +153,7 @@ class RunConfig:
         if not (0.0 < lo < hi):
             raise ConfigError("t_bracket: need 0 < lo < hi")
         for e in self.schedule:
-            w_lo, w_hi = self.C1 / (2.0 * e**3), 2.0 * self.C2 / e**3
-            if max(w_lo, lo / e) >= min(w_hi, hi / e):
-                raise ConfigError(
-                    f"t_bracket: window empty at eps={e:g}; "
-                    "widen C1/C2 or move the bracket")
+            first_bracket(e, self.C1, self.C2, self.t_bracket)
         if not self.gamma > 0.0:
             raise ConfigError("gamma: must be positive")
         if not 0.0 < self.beta_floor < 1.0:

@@ -54,24 +54,41 @@ class TruncatedForce:
     def f(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         a = np.abs(u)
-        tau = np.clip(a - self.K, 0.0, 1.0)
-        blend = self.K**self.p + self._slope * (tau - tau**2 + tau**3 / 3.0)
-        mag = np.where(a <= self.K, a ** (self.p - 1.0) * a, np.where(a <= self.K + 1.0, blend, self._cap))
+        mag = a ** (self.p - 1.0)
+        mag *= a
+        mag = self._above_cap(
+            a, mag, lambda tau: self.K**self.p + self._slope * (tau - tau**2 + tau**3 / 3.0),
+            self._cap)
         return np.multiply(np.sign(u), mag, out=out)
 
     def fp(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         a = np.abs(u)
-        tau = np.clip(a - self.K, 0.0, 1.0)
-        res = np.where(
-            a <= self.K,
-            self.p * a ** (self.p - 1.0),
-            np.where(a <= self.K + 1.0, self._slope * (1.0 - tau) ** 2, 0.0),
-        )
+        res = a ** (self.p - 1.0)
+        res *= self.p
+        res = self._above_cap(a, res, lambda tau: self._slope * (1.0 - tau) ** 2, 0.0)
         if out is None:
             return res
         out[...] = res
         return out
+
+    def _above_cap(self, a, below, blend, cap):
+        """below, the power branch on every node, with the nodes where
+        a > K replaced by blend(tau) up to K+1 and by cap above it.
+
+        Only those nodes evaluate the blend, so on a profile below the cap
+        a call costs about what PowerForce's does.  a and below are numpy
+        scalars on a 0-d call (the collocation origin row): its power
+        branch stays numpy's scalar power, whose last bit can differ from
+        the array loop's.
+        """
+        over = a > self.K
+        if not over.any():
+            return below
+        below, a = np.asarray(below), np.asarray(a)[over]
+        tau = np.clip(a - self.K, 0.0, 1.0)
+        below[over] = np.where(a <= self.K + 1.0, blend(tau), cap)
+        return below
 
     def active_on(self, u: np.ndarray) -> bool:
         """True when the cap actually modified the force along u."""

@@ -43,7 +43,7 @@ import numpy as np
 
 from ._lapack import dgtsv
 from .ansatz import AnsatzParams, build_z, grid_for
-from .config import check_schedule
+from .config import check_schedule, first_bracket
 from .exceptions import (
     BranchSwitch,
     ConfigError,
@@ -440,8 +440,9 @@ def continuation_in_eps(
 ) -> ContinuationResult:
     """Track the layer family down the eps schedule.
 
-    The first member brackets the critical radius inside t_bracket; later
-    members re-center the search in a window of half-width 1.5 around the
+    The first member brackets the critical radius inside t_bracket, clipped
+    to its configuration window (config.first_bracket); later members
+    re-center the search in a window of half-width 1.5 around the
     previous t to stay on the same branch of M'(t) = 0.  Every member's
     full solve is seeded the same way, from its own reduction: z at rho*
     on the fine grid plus the reduction's omega interpolated onto it (zero
@@ -468,7 +469,7 @@ def continuation_in_eps(
                 gamma=gamma, eps_max=eps_max, tail=tail,
             )
             if prev_t is None:
-                bracket = (t_bracket[0] / eps, t_bracket[1] / eps)
+                bracket = first_bracket(eps, C1, C2, t_bracket)
             else:
                 bracket = (max((prev_t - 1.5) / eps, lo), min((prev_t + 1.5) / eps, hi))
             red = find_rho_star(params, spec, bracket, h=h_reduce)

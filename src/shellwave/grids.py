@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _heap  # noqa: F401  -- on import, keeps freed arrays in the heap
-from ._lapack import dgtsv, dgttrf, dgttrs, dpttrf, dpttrs
+from ._lapack import dgtsv, dpttrf, dpttrs
 from .exceptions import ConfigError, EigensolverError, EllipticityViolation, HessianSingular
 from .forces import PowerForce
 from .potentials import PotentialSpec
@@ -46,7 +46,7 @@ __all__ = [
     "RadialGrid",
     "DiscreteOperators",
     "tridiag_mul",
-    "BorderedTridiagonal",
+    "bordered_solve",
     "constrained_min_eig",
     "deriv4",
 ]
@@ -126,128 +126,81 @@ def tridiag_mul(ab: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) ->
     return out
 
 
-class BorderedTridiagonal:
-    """Solver for [[A, C], [R^T, 0]] [x; y] = [f; g] by block elimination.
+# Block elimination is not backward stable for nearly singular A, so a
+# bordered solve whose normwise backward error exceeds this raises.  With a
+# near-kernel border (zdot for J'') x = A^{-1} f - A^{-1} C y cancels and the
+# test suite's solves reach 3.1e-13; 1e-10 flags six digits lost.
+BACKWARD_TOL = 1e-10
+
+
+def bordered_solve(ab: np.ndarray, cols: np.ndarray, rows: np.ndarray,
+                   rhs: np.ndarray) -> np.ndarray:
+    """Solution of [[A, C], [R^T, 0]] [x; y] = [f; g] by block elimination.
 
     A is symmetric tridiagonal in upper-banded (2, m) storage, C and R are
     (m, k) borders with small k (a 1-d array is one column); the transposed
-    system is the same solver with C and R swapped.  A is factored once
-    (LAPACK dgttrf) and each solve eliminates y through the k x k Schur
-    complement R^T A^{-1} C in O(m) (Keller 1977).  With one border column
-    (the projected Newton system) the complement is a scalar and y one
-    division, which a zero complement refuses with HessianSingular; with
-    more columns it is a k x k solve.  Each solve is one dgttrs, the
-    elimination, and a tridiagonal product for the backward-error check.
-    A system with one border column that is solved once can skip the kept
-    factorization: see solve_once.
+    system is the same call with C and R swapped.  One LAPACK dgtsv
+    eliminates A for C and f together, y solves the k x k Schur complement
+    R^T A^{-1} C, which for one border column (the projected Newton
+    system) is a division, and x = A^{-1} f - A^{-1} C y (Keller 1977).  A
+    zero pivot of A, a singular complement, or a normwise backward error
+    above BACKWARD_TOL raises HessianSingular.
     """
-
-    # Block elimination is not backward stable for nearly singular A, so a
-    # solve whose normwise backward error exceeds this raises.  With a
-    # near-kernel border (zdot for J'') x = A^{-1} f - A^{-1} C y cancels and
-    # the test suite's solves reach 3.1e-13; 1e-10 flags six digits lost.
-    BACKWARD_TOL = 1e-10
-
-    def __init__(self, ab: np.ndarray, cols: np.ndarray, rows: np.ndarray):
-        self._borders(ab, cols, rows)
-        *self._lu, info = dgttrf(ab[0, 1:], ab[1], ab[0, 1:])
-        _check_pivots(info)
-        if self.size == ab.shape[1] + 1:
-            self._w = dgttrs(*self._lu, self._c)[0]
-            self._schur = float(np.dot(self._r, self._w))
-        else:
-            self._w = dgttrs(*self._lu, self.cols)[0]
-            self._schur = self.rows.T @ self._w
-
-    def _borders(self, ab: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> None:
-        m = ab.shape[1]
-        self.ab = ab
-        self.cols = np.asarray(cols, dtype=float).reshape(m, -1)
-        self.rows = np.asarray(rows, dtype=float).reshape(m, -1)
-        self.size = m + self.cols.shape[1]
-        self._c, self._r = self.cols[:, 0], self.rows[:, 0]  # read when k = 1
-
-    @classmethod
-    def solve_once(cls, ab: np.ndarray, col: np.ndarray, row: np.ndarray,
-                   rhs: np.ndarray) -> np.ndarray:
-        """BorderedTridiagonal(ab, col, row).solve(rhs) for one border
-        column, bit for bit, keeping no factorization.
-
-        LAPACK dgtsv eliminates A for the column and f together: the
-        arithmetic of dgttrf and of dgttrs on each, with the two forward
-        sweeps folded into the elimination.
-        """
-        K = cls.__new__(cls)
-        K._borders(ab, col, row)
-        m = ab.shape[1]
-        if K.size != m + 1:
-            raise ValueError("solve_once takes one border column")
-        b = np.empty((m, 2), order="F")
-        b[:, 0], b[:, 1] = K._c, rhs[:m]
-        *_, b, info = dgtsv(ab[0, 1:], ab[1], ab[0, 1:], b, overwrite_b=True)
-        _check_pivots(info)
-        K._w = b[:, 0]
-        K._schur = float(np.dot(K._r, K._w))
-        return K._solve(b[:, 1], rhs)
-
-    @cached_property
-    def _norm(self) -> float:
-        """Largest absolute row sum of the bordered matrix, A's read off its
-        two diagonals."""
-        if self.size == self.ab.shape[1] + 1:
-            col_sums, row_norm = np.abs(self._c), np.abs(self._r).sum()
-        else:
-            col_sums = np.abs(self.cols).sum(axis=1)
-            row_norm = np.abs(self.rows).sum(axis=0).max()
-        a = np.abs(self.ab)
-        row_sums = a[1]
-        row_sums[1:] += a[0, 1:]
-        row_sums[:-1] += a[0, 1:]
-        row_sums += col_sums
-        return max(row_sums.max(), row_norm)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(dgttrs(*self._lu, rhs[:self.ab.shape[1]])[0], rhs)
-
-    def _solve(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        # x = A^{-1} f
-        m = self.ab.shape[1]
-        f, g = rhs[:m], rhs[m:]
-        if self.size == m + 1:
-            if self._schur == 0.0:
-                raise HessianSingular("singular Schur complement")
-            y = (float(np.dot(self._r, x)) - g[0]) / self._schur
-            sol = np.empty(self.size)
-            sol[m] = y
-            x = np.subtract(x, np.multiply(self._w, y, out=sol[:m]), out=sol[:m])
-            res = tridiag_mul(self.ab, x)
-            res += self._c * y
-            res -= f
-            res_max = np.maximum(np.abs(res).max(), abs(np.dot(self._r, x) - g[0]))
-        else:
-            try:
-                y = np.linalg.solve(self._schur, self.rows.T @ x - g)
-            except np.linalg.LinAlgError as exc:
-                raise HessianSingular(f"singular Schur complement: {exc}") from exc
-            sol = np.concatenate([x - self._w @ y, y])
-            x = sol[:m]
-            res_max = np.abs(np.concatenate([tridiag_mul(self.ab, x) + self.cols @ y - f,
-                                             self.rows.T @ x - g])).max()
-        # the backward error is res_max / (norm * max|sol| + max|rhs|), at
-        # most res_max / max|rhs|; the norm is formed only when that bound
-        # does not settle the test, which then decides as the full one does
-        tiny = np.finfo(float).tiny
-        rhs_max = np.abs(rhs).max()
-        if not res_max / max(rhs_max, tiny) <= self.BACKWARD_TOL:
-            backward = res_max / max(self._norm * np.abs(sol).max() + rhs_max, tiny)
-            if not backward <= self.BACKWARD_TOL:
-                raise HessianSingular(f"bordered solve left backward error {backward:.2e}")
-        return sol
-
-
-def _check_pivots(info: int) -> None:
+    m = ab.shape[1]
+    cols = np.asarray(cols, dtype=float).reshape(m, -1)
+    rows = np.asarray(rows, dtype=float).reshape(m, -1)
+    k = cols.shape[1]
+    b = np.empty((m, k + 1), order="F")
+    b[:, :k], b[:, k] = cols, rhs[:m]
+    *_, b, info = dgtsv(ab[0, 1:], ab[1], ab[0, 1:], b, overwrite_b=True)
     if info > 0:
         raise HessianSingular(f"zero pivot at row {info} of the tridiagonal block")
+    w, x = b[:, :k], b[:, k]  # A^{-1} C and A^{-1} f
+    f, g = rhs[:m], rhs[m:]
+    if k == 1:
+        c, r, w = cols[:, 0], rows[:, 0], w[:, 0]
+        schur = float(np.dot(r, w))
+        if schur == 0.0:
+            raise HessianSingular("singular Schur complement")
+        y = (float(np.dot(r, x)) - g[0]) / schur
+        sol = np.empty(m + 1)
+        sol[m] = y
+        x = np.subtract(x, np.multiply(w, y, out=sol[:m]), out=sol[:m])
+        res = tridiag_mul(ab, x)
+        res += c * y
+        res -= f
+        res_max = np.maximum(np.abs(res).max(), abs(np.dot(r, x) - g[0]))
+    else:
+        try:
+            y = np.linalg.solve(rows.T @ w, rows.T @ x - g)
+        except np.linalg.LinAlgError as exc:
+            raise HessianSingular(f"singular Schur complement: {exc}") from exc
+        sol = np.concatenate([x - w @ y, y])
+        x = sol[:m]
+        res_max = np.abs(np.concatenate([tridiag_mul(ab, x) + cols @ y - f,
+                                         rows.T @ x - g])).max()
+    # the backward error is res_max / (norm * max|sol| + max|rhs|), at most
+    # res_max / max|rhs|; the norm is formed only when that bound does not
+    # settle the test, which then decides as the full one does
+    tiny = np.finfo(float).tiny
+    rhs_max = np.abs(rhs).max()
+    if not res_max / max(rhs_max, tiny) <= BACKWARD_TOL:
+        norm = _bordered_norm(ab, cols, rows)
+        backward = res_max / max(norm * np.abs(sol).max() + rhs_max, tiny)
+        if not backward <= BACKWARD_TOL:
+            raise HessianSingular(f"bordered solve left backward error {backward:.2e}")
+    return sol
+
+
+def _bordered_norm(ab: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> float:
+    """Largest absolute row sum of [[A, C], [R^T, 0]], A's read off its two
+    diagonals."""
+    a = np.abs(ab)
+    row_sums = a[1]
+    row_sums[1:] += a[0, 1:]
+    row_sums[:-1] += a[0, 1:]
+    row_sums += np.abs(cols).sum(axis=1)
+    return max(row_sums.max(), np.abs(rows).sum(axis=0).max())
 
 
 def constrained_min_eig(A: np.ndarray, B: np.ndarray, border: np.ndarray) -> float:
@@ -261,13 +214,13 @@ def constrained_min_eig(A: np.ndarray, B: np.ndarray, border: np.ndarray) -> flo
     iterations.
     """
     m = A.shape[1]
-    K = BorderedTridiagonal(A, border, border)
-    pad = np.zeros(K.size - m)
+    shifted = A
+    pad = np.zeros(np.size(border) // m)
     v = np.ones(m)
     v /= np.sqrt(max(float(v @ tridiag_mul(B, v)), np.finfo(float).tiny))
     theta_prev = np.inf
     for it in range(60):
-        w = K.solve(np.concatenate([tridiag_mul(B, v), pad]))[:m]
+        w = bordered_solve(shifted, border, border, np.concatenate([tridiag_mul(B, v), pad]))[:m]
         nw = np.sqrt(float(w @ tridiag_mul(B, w)))
         if not np.isfinite(nw) or nw == 0.0:
             raise EigensolverError("constrained inverse iteration collapsed")
@@ -277,7 +230,7 @@ def constrained_min_eig(A: np.ndarray, B: np.ndarray, border: np.ndarray) -> flo
             return theta
         theta_prev = theta
         if it % 6 == 5:  # Rayleigh re-shift; cubic convergence from here
-            K = BorderedTridiagonal(A - theta * B, border, border)
+            shifted = A - theta * B
     raise EigensolverError("constrained inverse iteration did not settle")
 
 

@@ -12,10 +12,10 @@ omega <- -[P J''(z)]^{-1} P(J'(z) + higher-order terms) is kept as a
 fidelity check, and both must agree at the common fixed point.
 
 Both modes solve the bordered system [[J'', -G zdot], [(G zdot)^T, 0]]
-with grids.BorderedTridiagonal: banded LU plus block elimination of the
-border, guarded by the backward error of each solve (zdot is a
-near-kernel direction of J''), which raises HessianSingular above
-roundoff level.
+with grids.bordered_solve: one tridiagonal elimination plus block
+elimination of the border, guarded by the backward error of each solve
+(zdot is a near-kernel direction of J''), which raises HessianSingular
+above roundoff level.
 
 A solve can record the reduced energy Psi = J(z + omega) and
 remainder_ratio = ||omega|| / (eps^3 ||z||), the quantity the remainder set
@@ -36,7 +36,7 @@ from .exceptions import (
     NoSignChange,
     SolverError,
 )
-from .grids import BorderedTridiagonal, DiscreteOperators, RadialGrid
+from .grids import DiscreteOperators, RadialGrid, bordered_solve
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec, _illinois, eval_M
 
@@ -99,8 +99,8 @@ def solve_projected(
     start included, so MAX_ITER = 1 would return the starting iterate.
     One Newton iteration assembles J''(z + omega) into the solve's
     scratch arrays, solves the bordered system for the step
-    (BorderedTridiagonal.solve_once: one dgtsv for the border column and
-    the residual together, a scalar Schur complement, a backward-error
+    (grids.bordered_solve: one dgtsv for the border column and the
+    residual together, a scalar Schur complement, a backward-error
     check), and measures each line-search trial with one gradient and one
     Gram solve for its dual norm.
 
@@ -204,7 +204,7 @@ def _newton_iterates(ops, ws, z, zdot, gzd, nzd2, residual_measure, omega, alpha
     while res > TOL and accepted < MAX_ITER - 1:
         hess = ops.hess_banded(np.add(z, omega, out=ws.u), out=ws.hess)
         rhs = np.concatenate([r1, [float(np.dot(gzd, omega))]])
-        step = BorderedTridiagonal.solve_once(hess, neg_gzd, gzd, rhs)
+        step = bordered_solve(hess, neg_gzd, gzd, rhs)
         t = 1.0
         while True:
             cand_o = _project_out(omega - t * step[:-1], zdot, gzd, nzd2)
@@ -223,14 +223,14 @@ def _newton_iterates(ops, ws, z, zdot, gzd, nzd2, residual_measure, omega, alpha
 
 def _fixed_point_iterates(ops, ws, z, zdot, gzd, nzd2, residual_measure, omega, alpha,
                           _start):
-    K = BorderedTridiagonal(ops.hess_banded(z), -gzd, gzd)
+    hess, neg_gzd = ops.hess_banded(z), -gzd
     deltas: list[float] = []
     converged = False
     for it in range(MAX_ITER):
         # J'(z+omega) = J''(z) omega + (J'(z) + higher order); feed the
         # frozen-Hessian bordered system the full nonlinear right-hand side
         rhs1 = -(ops.grad(z + omega) - ops.hess_mul(z, omega))
-        sol = K.solve(np.concatenate([rhs1, [0.0]]))
+        sol = bordered_solve(hess, neg_gzd, gzd, np.concatenate([rhs1, [0.0]]))
         new_omega = _project_out(sol[:-1], zdot, gzd, nzd2)
         alpha = float(sol[-1])
         deltas.append(ops.norm(new_omega - omega))

@@ -177,6 +177,22 @@ def test_eps_override_that_breaks_the_window_exits_2(tmp_path, capsys, stage, ep
     assert "config invalid: --eps: eps must be positive" in capsys.readouterr().err
 
 
+def test_solve_eps_outside_the_bracket_window_exits_2(tmp_path, capsys):
+    # at eps = 0.15 the configuration window starts at 74.1, above
+    # t_bracket/eps = [50, 63.3]: the rule a schedule entry meets in
+    # validation holds for solve's --eps too
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "sine_n2.json"
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--eps", "0.15"])
+    assert rc == 2
+    assert ("config invalid: --eps: t_bracket: window empty at eps=0.15"
+            in capsys.readouterr().err)
+    # mpot does not clip the bracket to the window: it takes this eps and
+    # finds no root of M' in t_bracket
+    assert main(["mpot", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--eps", "0.15"]) == 3
+    assert "mpot failed: NoCriticalPoint" in capsys.readouterr().err
+
+
 def test_schedule_entry_whose_cube_underflows_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, schedule=[1e-120])
     assert main(["mpot", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

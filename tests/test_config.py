@@ -15,6 +15,7 @@ from shellwave.config import (
     check_eps,
     check_schedule,
     config_from_dict,
+    first_bracket,
     load_config,
 )
 
@@ -203,6 +204,23 @@ def test_shipped_configs_validate():
         cfg = load_config(name)
         cfg.validate()
         assert isinstance(cfg, RunConfig)
+
+
+def test_first_bracket_clips_to_the_window():
+    # both shipped configs' first brackets lie inside their windows, so
+    # they are t_bracket/eps exactly; at eps = 0.17 the window's lower end
+    # C1/(2 eps^3) = 50.9 cuts 7.5/eps = 44.1, and at eps = 0.15 it leaves
+    # nothing (74.1 > 9.5/eps = 63.3)
+    for name in ("configs/sine_n2.json", "configs/sine_n3_supercritical.json"):
+        cfg = load_config(name)
+        e = cfg.schedule[0]
+        want = (cfg.t_bracket[0] / e, cfg.t_bracket[1] / e)
+        assert first_bracket(e, cfg.C1, cfg.C2, cfg.t_bracket) == want
+    assert first_bracket(0.17, 0.5, 1.5, (7.5, 9.5)) == (0.5 / (2.0 * 0.17**3), 9.5 / 0.17)
+    with pytest.raises(ConfigError, match="t_bracket: window empty at eps=0.15"):
+        first_bracket(0.15, 0.5, 1.5, (7.5, 9.5))
+    with pytest.raises(ConfigError, match="t_bracket: window empty at eps=0.15"):
+        make(schedule=[0.15]).validate()
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.3, float("nan"), float("inf"), 1e-120, 1e-300, 1e200])

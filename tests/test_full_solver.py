@@ -22,6 +22,7 @@ from shellwave.full_solver import (
     solve_full,
     tail_decay_check,
 )
+from shellwave.config import first_bracket
 from shellwave.grids import DiscreteOperators, RadialGrid
 from shellwave.potentials import PotentialSpec, eval_M
 
@@ -49,6 +50,50 @@ def test_truncated_force_matches_power_below_cap():
     assert np.allclose(tf.f(u), pf.f(u), rtol=0, atol=0)
     assert np.allclose(tf.fp(u), pf.fp(u), rtol=0, atol=0)
     assert not tf.active_on(u)
+
+
+class NestedWhereTruncatedForce:
+    """TruncatedForce's formulas as nested np.where over every node: the
+    power, the blend and the cap each evaluated everywhere."""
+
+    def __init__(self, p, K):
+        self.p, self.K = p, K
+        self._slope = p * K ** (p - 1.0)
+        self._cap = K**p + self._slope / 3.0
+
+    def f(self, u):
+        u = np.asarray(u, dtype=float)
+        a = np.abs(u)
+        tau = np.clip(a - self.K, 0.0, 1.0)
+        blend = self.K**self.p + self._slope * (tau - tau**2 + tau**3 / 3.0)
+        mag = np.where(a <= self.K, a ** (self.p - 1.0) * a,
+                       np.where(a <= self.K + 1.0, blend, self._cap))
+        return np.multiply(np.sign(u), mag)
+
+    def fp(self, u):
+        u = np.asarray(u, dtype=float)
+        a = np.abs(u)
+        tau = np.clip(a - self.K, 0.0, 1.0)
+        return np.where(a <= self.K, self.p * a ** (self.p - 1.0),
+                        np.where(a <= self.K + 1.0, self._slope * (1.0 - tau) ** 2, 0.0))
+
+
+@pytest.mark.parametrize("p", [3.0, 6.0, 7.0 / 3.0])
+def test_truncated_force_bitwise_against_nested_where(p):
+    # the supercritical config's K = 3, on arrays, into out, and on the 0-d
+    # and scalar values the collocation origin row passes
+    tf, plain = TruncatedForce(p, 3.0), NestedWhereTruncatedForce(p, 3.0)
+    edges = [0.0, -0.0, 3.0, -3.0, np.nextafter(3.0, 4.0), 4.0, -4.0, np.nextafter(4.0, 5.0)]
+    u = np.concatenate([np.random.default_rng(5).uniform(-6.0, 6.0, 20_001), edges])
+    below = np.linspace(-2.9, 2.9, 1001)
+    for v in (u, below):
+        for got, want in ((tf.f(v), plain.f(v)), (tf.fp(v), plain.fp(v)),
+                          (tf.f(v, out=np.empty_like(v)), plain.f(v)),
+                          (tf.fp(v, out=np.empty_like(v)), plain.fp(v))):
+            assert got.tobytes() == want.tobytes()
+    for x in [*edges, 0.5, -2.9, 3.5, -7.0, np.float64(1.7), np.asarray(-3.3), np.asarray(2.2)]:
+        assert np.float64(tf.f(x)).tobytes() == np.float64(plain.f(x)).tobytes()
+        assert np.float64(tf.fp(x)).tobytes() == np.float64(plain.fp(x)).tobytes()
 
 
 def test_truncated_force_cap_behavior():
@@ -469,6 +514,21 @@ def test_full_solve_holds_few_grid_sized_arrays(sine_family, sine_spec):
     audit = _peak_arrays(lambda: pohozaev_refinement_check(full, sine_spec),
                          grid.refine().size)
     assert audit <= 16.0, audit
+
+
+def test_first_member_bracket_is_clipped_to_the_window(sine_spec):
+    # at eps = 0.17 the shipped t_bracket starts below the configuration
+    # window: the rho* search runs on the clipped bracket and names its own
+    # cause instead of leaving the window
+    res = continuation_in_eps(2, 3.0, sine_spec, [0.17], SINE_C1, SINE_C2, SINE_T_BRACKET,
+                              gamma=0.6)
+    lo, hi = first_bracket(0.17, SINE_C1, SINE_C2, SINE_T_BRACKET)
+    assert lo == SINE_C1 / (2.0 * 0.17**3) > SINE_T_BRACKET[0] / 0.17
+    assert (res.members, res.failed_eps) == ((), 0.17)
+    assert res.failure.startswith("NoSignChange") and f"[{lo!r}, {hi!r}]" in res.failure
+    # a bracket the window leaves empty is a config error naming eps
+    with pytest.raises(ConfigError, match="t_bracket: window empty at eps=0.17"):
+        continuation_in_eps(2, 3.0, sine_spec, [0.17], SINE_C1, SINE_C2, (7.5, 8.0))
 
 
 def test_branch_switch_ends_the_continuation(sine_spec):

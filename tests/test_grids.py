@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from shellwave import full_solver
-from shellwave._lapack import dgttrf, dgttrs
+from shellwave import full_solver, grids
 from shellwave.ansatz import AnsatzParams, build_z, build_zdot, grid_for
 from shellwave.exceptions import ConfigError, EllipticityViolation, HessianSingular
 from shellwave.forces import PowerForce, TruncatedForce
 from shellwave.grids import (
-    BorderedTridiagonal,
     DiscreteOperators,
     RadialGrid,
+    bordered_solve,
     deriv4,
     tridiag_mul,
 )
@@ -345,15 +345,15 @@ def test_bordered_matches_dense(bordered_case, k):
     ab, c1, c2 = bordered_case
     cols = c1 if k == 1 else np.column_stack([c1, c2])
     rows = -c1 if k == 1 else np.column_stack([c2, -c1])
-    K = BorderedTridiagonal(ab, cols, rows)
     dense = dense_bordered(ab, cols, rows)
-    assert K.size == dense.shape[0]
-    rhs = np.random.default_rng(k).standard_normal(K.size)
+    rhs = np.random.default_rng(k).standard_normal(dense.shape[0])
     want = np.linalg.solve(dense, rhs)
-    assert np.max(np.abs(K.solve(rhs) - want)) <= 1e-10 * np.max(np.abs(want))
+    got = bordered_solve(ab, cols, rows, rhs)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     # transposed system: A is symmetric, so C and R trade places
     want_t = np.linalg.solve(dense.T, rhs)
-    got_t = BorderedTridiagonal(ab, rows, cols).solve(rhs)
+    got_t = bordered_solve(ab, rows, cols, rhs)
     assert np.max(np.abs(got_t - want_t)) <= 1e-10 * np.max(np.abs(want_t))
 
 
@@ -370,8 +370,8 @@ def test_bordered_singular_block():
     ab = neumann_laplacian(40)
     assert np.all(tridiag_mul(ab, np.ones(40)) == 0.0)
     border = np.linspace(0.0, 1.0, 40)
-    with pytest.raises(HessianSingular):
-        BorderedTridiagonal(ab, border, border)
+    with pytest.raises(HessianSingular, match="zero pivot"):
+        bordered_solve(ab, border, border, np.ones(41))
 
 
 def test_bordered_backward_error_guard():
@@ -380,22 +380,21 @@ def test_bordered_backward_error_guard():
     # to singular cancels catastrophically; the residual check must notice
     ones = np.ones(40)
     rhs = np.linspace(-1.0, 1.0, 41)
-    BorderedTridiagonal(neumann_laplacian(40, 1e-6), ones, ones).solve(rhs)
-    K = BorderedTridiagonal(neumann_laplacian(40, 1e-12), ones, ones)
+    bordered_solve(neumann_laplacian(40, 1e-6), ones, ones, rhs)
     with pytest.raises(HessianSingular, match="backward error"):
-        K.solve(rhs)
+        bordered_solve(neumann_laplacian(40, 1e-12), ones, ones, rhs)
 
 
 def test_bordered_zero_border(bordered_case):
     ab = bordered_case[0]
     zero = np.zeros(ab.shape[1])
-    K = BorderedTridiagonal(ab, zero, zero)
-    with pytest.raises(HessianSingular):
-        K.solve(np.ones(K.size))
+    with pytest.raises(HessianSingular, match="Schur"):
+        bordered_solve(ab, zero, zero, np.ones(ab.shape[1] + 1))
 
 
 class PlainBordered:
-    """BorderedTridiagonal with every border as a 2-d block: a k x k
+    """The bordered solve as a kept LAPACK dgttrf factorization and one
+    dgttrs per right-hand side, with every border as a 2-d block: a k x k
     np.linalg.solve for y, 2-d products, and the row sums of |A| as the
     product of |A| with a vector of ones."""
 
@@ -425,14 +424,9 @@ class PlainBordered:
 
 
 def assert_bordered_bitwise(ab, cols, rows, rhs):
-    new, plain = BorderedTridiagonal(ab, cols, rows), PlainBordered(ab, cols, rows)
-    want, backward = plain.solve(rhs)
-    assert backward <= BorderedTridiagonal.BACKWARD_TOL
-    assert new.size == plain.size
-    assert new.solve(rhs).tobytes() == want.tobytes()
-    if cols.ndim == 1:
-        once = BorderedTridiagonal.solve_once(ab, cols, rows, rhs)
-        assert once.tobytes() == want.tobytes()
+    want, backward = PlainBordered(ab, cols, rows).solve(rhs)
+    assert backward <= grids.BACKWARD_TOL
+    assert bordered_solve(ab, cols, rows, rhs).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -472,22 +466,20 @@ def test_scalar_schur_division_matches_a_one_by_one_solve():
         assert np.array(solved).tobytes() == (b / s).tobytes()
 
 
-def test_solve_once_pivots_like_the_kept_factorization():
-    # random tridiagonal blocks on which dgttrf pivots in most rows
+def test_bordered_solve_pivots_like_the_kept_factorization():
+    # random tridiagonal blocks on which dgttrf pivots in most rows, with
+    # one border column (1-d, as the projected Newton step passes it) or two
     rng = np.random.default_rng(3)
-    for m in (3, 40, 1001):
-        ab = np.zeros((2, m))
-        ab[1] = 0.1 * rng.standard_normal(m)
-        ab[0, 1:] = rng.standard_normal(m - 1)
-        col, row = rng.standard_normal(m), rng.standard_normal(m)
-        rhs = rng.standard_normal(m + 1)
-        want, _ = PlainBordered(ab, col, row).solve(rhs)
-        assert BorderedTridiagonal.solve_once(ab, col, row, rhs).tobytes() == want.tobytes()
-    with pytest.raises(HessianSingular, match="zero pivot"):
-        BorderedTridiagonal.solve_once(neumann_laplacian(40), np.ones(40), np.ones(40),
-                                       np.ones(41))
-    with pytest.raises(ValueError):
-        BorderedTridiagonal.solve_once(ab, np.ones((m, 2)), np.ones((m, 2)), np.ones(m + 2))
+    for k in (1, 2):
+        for m in (3, 40, 1001):
+            ab = np.zeros((2, m))
+            ab[1] = 0.1 * rng.standard_normal(m)
+            ab[0, 1:] = rng.standard_normal(m - 1)
+            shape = (m,) if k == 1 else (m, k)
+            cols, rows = rng.standard_normal(shape), rng.standard_normal(shape)
+            rhs = rng.standard_normal(m + k)
+            want, _ = PlainBordered(ab, cols, rows).solve(rhs)
+            assert bordered_solve(ab, cols, rows, rhs).tobytes() == want.tobytes()
 
 
 def test_bordered_zero_schur_complement():
@@ -496,11 +488,12 @@ def test_bordered_zero_schur_complement():
     ab = np.zeros((2, m))
     ab[1] = 1.0
     c, r = np.eye(m)[0], np.eye(m)[1]
-    K = BorderedTridiagonal(ab, c, r)
     with pytest.raises(HessianSingular, match="Schur"):
-        K.solve(np.ones(m + 1))
+        bordered_solve(ab, c, r, np.ones(m + 1))
+    # and a singular 2 x 2 complement
+    cols, rows = np.eye(m)[:, :2], np.eye(m)[:, 1:3]
     with pytest.raises(HessianSingular, match="Schur"):
-        BorderedTridiagonal.solve_once(ab, c, r, np.ones(m + 1))
+        bordered_solve(ab, cols, rows, np.ones(m + 2))
 
 
 def test_node_budget_refuses_before_allocating(monkeypatch):
@@ -525,17 +518,26 @@ def test_node_budget_refuses_before_allocating(monkeypatch):
 
 
 @pytest.mark.parametrize("shift", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
-def test_backward_error_guard_decides_as_the_full_test(shift):
+def test_backward_error_guard_decides_as_the_full_test(shift, monkeypatch):
     # the guard first bounds the backward error by res / max|rhs| and forms
     # the matrix norm only when that bound exceeds the tolerance
     ones = np.ones(40)
     rhs = np.linspace(-1.0, 1.0, 41)
     ab = neumann_laplacian(40, shift)
     _, backward = PlainBordered(ab, ones, ones).solve(rhs)
-    K = BorderedTridiagonal(ab, ones, ones)
-    if backward <= BorderedTridiagonal.BACKWARD_TOL:
-        K.solve(rhs)
+    norms = []
+    norm = grids._bordered_norm
+
+    def counted(*args):
+        norms.append(norm(*args))
+        return norms[-1]
+
+    monkeypatch.setattr(grids, "_bordered_norm", counted)
+    if backward <= grids.BACKWARD_TOL:
+        bordered_solve(ab, ones, ones, rhs)
     else:
         with pytest.raises(HessianSingular, match="backward error"):
-            K.solve(rhs)
-    assert ("_norm" in vars(K)) is (shift < 1e-4)
+            bordered_solve(ab, ones, ones, rhs)
+    assert len(norms) == (shift < 1e-4)
+    if norms:
+        assert norms == [PlainBordered(ab, ones, ones).norm]

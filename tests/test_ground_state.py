@@ -269,6 +269,17 @@ def test_nondegeneracy_report_structure():
     assert rep.quad_form_qq == pytest.approx(-2.0 * 16.0 / 3.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("p, floor", [
+    (3.0, 0.4995103912581916), (6.0, 0.5862154398419588),
+    (2.0, 0.39982026534111165), (7.0 / 3.0, 0.44417247292923034),
+])
+def test_complement_floor_bitwise(p, floor):
+    # the spectrum stage's floor (half width 20/lam, step 0.05), pinned to
+    # the last bit: the shifted bordered solves of its inverse iteration
+    # must keep their arithmetic
+    assert nondegeneracy_report(GroundStateProfile(p=p, lam=1.0)).complement_floor == floor
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
 def test_complement_floor_matches_dense(p, complement_min_dense):
     # the banded shift-invert floor against the dense null-space eigh, on

@@ -9,9 +9,9 @@ from shellwave import reduction
 from shellwave.ansatz import AnsatzParams, build_z, build_zdot, grid_for
 from shellwave.exceptions import ConfigError, HessianSingular, NewtonDivergence, NoSignChange
 from shellwave.grids import (
-    BorderedTridiagonal,
     DiscreteOperators,
     RadialGrid,
+    bordered_solve,
     constrained_min_eig,
     tridiag_mul,
 )
@@ -187,8 +187,8 @@ def _plain_projected_newton(params, spec, grid, tol=1e-10, max_iter=60):
             stall += 1
         if res <= tol or stall >= 3:
             break
-        K = BorderedTridiagonal(ops.hess_banded(z + omega), -gzd, gzd)
-        step = K.solve(np.concatenate([r1, [float(np.dot(gzd, omega))]]))
+        step = bordered_solve(ops.hess_banded(z + omega), -gzd, gzd,
+                              np.concatenate([r1, [float(np.dot(gzd, omega))]]))
         t, ok = 1.0, False
         while t > 1e-8:
             _, cres = measure(project(omega - t * step[:-1]), alpha - t * step[-1])
