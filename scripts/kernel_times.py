@@ -5,7 +5,10 @@
 
 The package is imported from ``<root>/src`` (this checkout by default), so
 one copy of this script times any checkout that has the same public
-functions.  Set-up runs the config's continuation once, untimed, to find
+functions: ``ansatz.build_z_and_zdot``, ``grids.bordered_solve``,
+``config.rho_bracket``, ``full_solver.RECENTRE`` and the ``measure`` option
+of ``reduction.solve_projected``.  Checkouts older than those are not
+timed.  Set-up runs the config's continuation once, untimed, to find
 the eps = 0.3 member and the rho* bracket that continuation gives it.  The
 kernels then run in turn, --repeat rounds of one call each, and each
 kernel's minimum is kept: spreading every kernel's calls over the whole
@@ -15,13 +18,10 @@ machine.
 * ``solve_projected_cold`` and ``solve_projected_warm``: one projected solve
   at rho* on the rho* search's grid, with its operators built beforehand,
   from omega = 0 or warm-started from the solve 3e-4 rho* below, made as
-  the rho* search makes them (without Psi and the remainder ratio where
-  the checkout's solve_projected can leave them out);
+  the rho* search makes them (without Psi and the remainder ratio);
 * ``bordered_factor_solve``: one factorization and solve of the Newton
   system at that solution, as the projected Newton iteration makes it
-  (``grids.bordered_solve``; in older checkouts
-  ``BorderedTridiagonal.solve_once``, or a ``BorderedTridiagonal`` and its
-  ``solve``);
+  (``grids.bordered_solve``);
 * ``z_and_zdot``: the manifold element and its rho-derivative at rho*;
 * ``find_rho_star``, ``solve_full``, ``pohozaev_refinement_check`` and
   ``find_critical_radius``: one call each, as the continuation and the
@@ -34,7 +34,6 @@ and the repeat count.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -68,7 +67,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     from shellwave import ansatz, full_solver, grids, potentials, reduction
-    from shellwave.config import load_config
+    from shellwave.config import load_config, rho_bracket
 
     cfg = load_config(os.path.join(args.root, "configs", "sine_n2.json"))
     spec = cfg.spec()
@@ -81,22 +80,18 @@ def main(argv=None) -> int:
         h_solve=cfg.grid.h_solve, tail=cfg.grid.tail,
         tol_coeff=cfg.tolerances.solve_tol_coeff)
     member, prev = family.members[-1], family.members[-2]
-    e3 = EPS**3
-    lo, hi = cfg.C1 / (2.0 * e3), 2.0 * cfg.C2 / e3
     params = ansatz.AnsatzParams.make(
         cfg.n, cfg.p, EPS, member.rho_star, spec, cfg.C1, cfg.C2,
         gamma=cfg.gamma, eps_max=float(sched[0]), tail=cfg.grid.tail)
-    bracket = (max((prev.t_value - 1.5) / EPS, lo), min((prev.t_value + 1.5) / EPS, hi))
+    bracket = rho_bracket(EPS, cfg.C1, cfg.C2, (prev.t_value - full_solver.RECENTRE,
+                                                prev.t_value + full_solver.RECENTRE))
     grid = ansatz.grid_for(params, cfg.grid.h_reduce, rho_max=bracket[1])
     ops = grids.DiscreteOperators(grid, EPS, spec, cfg.p)
     below = params.with_rho(member.rho_star * (1.0 - 3e-4))
     near = reduction.solve_projected(below, spec, grid, ops=ops)
     sol = reduction.solve_projected(params, spec, grid, ops=ops)
 
-    # older checkouts build z and zdot separately
-    both = getattr(ansatz, "build_z_and_zdot", None) or (
-        lambda p, s, g: (ansatz.build_z(p, s, g), ansatz.build_zdot(p, s, g)))
-    z, zdot = both(params, spec, grid)
+    z, zdot = ansatz.build_z_and_zdot(params, spec, grid)
     gzd = ops.gram_mul(zdot)
     hess = ops.hess_banded(z + sol.omega)
     rhs = np.concatenate([ops.grad(z + sol.omega) - sol.alpha * gzd, [0.0]])
@@ -105,18 +100,13 @@ def main(argv=None) -> int:
     seed = ansatz.build_z(params, spec, full.grid) + np.interp(
         full.grid.nodes, red.solution.grid.nodes, red.solution.omega, left=0.0, right=0.0)
 
-    search = ({"measure": False} if "measure" in
-              inspect.signature(reduction.solve_projected).parameters else {})
-    bordered = (getattr(grids, "bordered_solve", None)
-                or getattr(getattr(grids, "BorderedTridiagonal", None), "solve_once", None)
-                or (lambda ab, c, r, b: grids.BorderedTridiagonal(ab, c, r).solve(b)))
     kernels = {
         "solve_projected_cold": lambda: reduction.solve_projected(
-            params, spec, grid, ops=ops, **search),
+            params, spec, grid, ops=ops, measure=False),
         "solve_projected_warm": lambda: reduction.solve_projected(
-            params, spec, grid, ops=ops, warm=near, **search),
-        "bordered_factor_solve": lambda: bordered(hess, -gzd, gzd, rhs),
-        "z_and_zdot": lambda: both(params, spec, grid),
+            params, spec, grid, ops=ops, warm=near, measure=False),
+        "bordered_factor_solve": lambda: grids.bordered_solve(hess, -gzd, gzd, rhs),
+        "z_and_zdot": lambda: ansatz.build_z_and_zdot(params, spec, grid),
         "find_rho_star": lambda: reduction.find_rho_star(
             params, spec, bracket, h=cfg.grid.h_reduce),
         "solve_full": lambda: full_solver.solve_full(

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import omega_window
 from .exceptions import ConfigError, OutOfConfigurationSet
 from .grids import RadialGrid
 from .ground_state import GroundStateProfile
@@ -96,8 +97,7 @@ class AnsatzParams:
 
     @property
     def omega_window(self) -> tuple[float, float]:
-        e3 = self.eps**3
-        return (self.C1 / (2.0 * e3), 2.0 * self.C2 / e3)
+        return omega_window(self.eps, self.C1, self.C2)
 
     def with_rho(self, rho: float) -> "AnsatzParams":
         out = replace(self, rho=float(rho))

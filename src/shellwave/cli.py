@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzParams
-from .config import RunConfig, check_eps, first_bracket, load_config
+from .config import RunConfig, check_eps, first_bracket, load_config, omega_window
 from .exceptions import ConfigError, ShellwaveError, SolverError
 from .full_solver import (
     asymptotic_terms_check,
@@ -203,8 +203,7 @@ def _stage_scan(cfg, outdir, eps, rho_samples):
         raise ConfigError("--rho-samples: need at least 8")
     spec = cfg.spec()
     eps_max = max(float(cfg.schedule[0]), e)
-    w_lo, w_hi = cfg.C1 / (2.0 * e**3), 2.0 * cfg.C2 / e**3
-    params = AnsatzParams.make(cfg.n, cfg.p, e, 0.5 * (w_lo + w_hi), spec,
+    params = AnsatzParams.make(cfg.n, cfg.p, e, omega_window(e, cfg.C1, cfg.C2)[0], spec,
                                cfg.C1, cfg.C2, gamma=cfg.gamma,
                                eps_max=eps_max, tail=cfg.grid.tail)
     curve = reduced_energy_scan(params, spec, k, h=cfg.grid.h_reduce)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, OutOfConfigurationSet
 from .potentials import PotentialSpec
 
 
@@ -55,21 +55,43 @@ def check_eps(name: str, eps) -> float:
     return e
 
 
-def first_bracket(eps: float, C1: float, C2: float, t_bracket) -> tuple[float, float]:
-    """The rho* bracket of a family's first member at eps, or ConfigError
-    naming eps.
-
-    The one rule for every eps a first member can take, a schedule entry
-    or solve's --eps: t_bracket/eps clipped to the configuration window
-    [C1/(2 eps^3), 2 C2/eps^3], which must leave a nonempty interval.
-    """
+def omega_window(eps: float, C1: float, C2: float) -> tuple[float, float]:
+    """The configuration window [C1/(2 eps^3), 2 C2/eps^3] of rho at eps."""
     e3 = eps**3
-    lo = max(t_bracket[0] / eps, C1 / (2.0 * e3))
-    hi = min(t_bracket[1] / eps, 2.0 * C2 / e3)
+    return C1 / (2.0 * e3), 2.0 * C2 / e3
+
+
+def rho_bracket(eps: float, C1: float, C2: float, t_interval) -> tuple[float, float]:
+    """The rho* bracket of a family member at eps whose t lies in t_interval:
+    t_interval/eps clipped to the configuration window, or
+    OutOfConfigurationSet naming eps when nothing is left.
+
+    The one rule for every member: the first takes t_bracket
+    (first_bracket), a later one the previous t +- full_solver.RECENTRE.
+    """
+    w_lo, w_hi = omega_window(eps, C1, C2)
+    lo = max(t_interval[0] / eps, w_lo)
+    hi = min(t_interval[1] / eps, w_hi)
     if not lo < hi:
-        raise ConfigError(
-            f"t_bracket: window empty at eps={eps:g}; widen C1/C2 or move the bracket")
+        raise OutOfConfigurationSet(
+            f"t in [{t_interval[0]:.6g}, {t_interval[1]:.6g}] leaves no rho in the "
+            f"configuration window [{w_lo:.6g}, {w_hi:.6g}] at eps={eps:g}")
     return lo, hi
+
+
+def first_bracket(eps: float, C1: float, C2: float, t_bracket) -> tuple[float, float]:
+    """The rho* bracket of a family's first member at eps (rho_bracket on
+    t_bracket), or ConfigError naming eps.
+
+    The one check for every eps a first member can take, a schedule entry
+    or solve's --eps.
+    """
+    try:
+        return rho_bracket(eps, C1, C2, t_bracket)
+    except OutOfConfigurationSet:
+        raise ConfigError(
+            f"t_bracket: window empty at eps={eps:g}; widen C1/C2 or move the bracket"
+        ) from None
 
 
 def check_schedule(schedule) -> np.ndarray:
@@ -145,8 +167,9 @@ class RunConfig:
         if not self.p > 1.0:
             raise ConfigError("p: need p > 1")
         check_schedule(self.schedule)
-        if not (self.C1 > 0.0 and self.C2 > 0.0):
-            raise ConfigError("C1/C2: must be positive")
+        for name in ("C1", "C2"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name}: must be positive and finite")
         if not self.C1 < 4.0 * self.C2:
             raise ConfigError("C1/C2: configuration window [C1/(2e^3), 2 C2/e^3] is empty")
         lo, hi = self.t_bracket

@@ -14,12 +14,12 @@ class ConfigError(ShellwaveError):
     """Invalid configuration or input validation failure."""
 
 
-class OutOfConfigurationSet(ShellwaveError):
-    """A radius or parameter left the admissible set (e.g. rho outside Omega_eps)."""
-
-
 class SolverError(ShellwaveError):
     """Base class for numerical failures."""
+
+
+class OutOfConfigurationSet(SolverError):
+    """A radius or parameter left the admissible set (e.g. rho outside Omega_eps)."""
 
 
 class ToleranceNotReached(SolverError):

@@ -43,7 +43,7 @@ import numpy as np
 
 from ._lapack import dgtsv
 from .ansatz import AnsatzParams, build_z, grid_for
-from .config import check_schedule, first_bracket
+from .config import check_schedule, first_bracket, rho_bracket
 from .exceptions import (
     BranchSwitch,
     ConfigError,
@@ -60,6 +60,10 @@ from .reduction import RhoStarResult, find_rho_star
 
 # accepted Newton steps after which a full solve stops
 MAX_ITER = 80
+
+# half-width of the t-interval around the previous member's t in which a
+# continuation searches a later member
+RECENTRE = 1.5
 
 __all__ = [
     "FullSolution",
@@ -440,10 +444,12 @@ def continuation_in_eps(
 ) -> ContinuationResult:
     """Track the layer family down the eps schedule.
 
-    The first member brackets the critical radius inside t_bracket, clipped
-    to its configuration window (config.first_bracket); later members
-    re-center the search in a window of half-width 1.5 around the
-    previous t to stay on the same branch of M'(t) = 0.  Every member's
+    The first member brackets the critical radius inside t_bracket, later
+    members within RECENTRE of the previous t to stay on the same branch
+    of M'(t) = 0; either interval is clipped to the member's configuration
+    window (config.rho_bracket).  A first bracket with nothing left is a
+    ConfigError; a later one ends the family with OutOfConfigurationSet
+    and keeps the members before it.  Every member's
     full solve is seeded the same way, from its own reduction: z at rho*
     on the fine grid plus the reduction's omega interpolated onto it (zero
     past the reduction grid), so a member depends on the one before only
@@ -462,16 +468,14 @@ def continuation_in_eps(
     prev_sign: int | None = None
     for eps in sched:
         try:
-            e3 = eps**3
-            lo, hi = C1 / (2.0 * e3), 2.0 * C2 / e3
-            params = AnsatzParams.make(
-                n=n, p=p, eps=eps, rho=0.5 * (lo + hi), spec=spec, C1=C1, C2=C2,
-                gamma=gamma, eps_max=eps_max, tail=tail,
-            )
             if prev_t is None:
                 bracket = first_bracket(eps, C1, C2, t_bracket)
             else:
-                bracket = (max((prev_t - 1.5) / eps, lo), min((prev_t + 1.5) / eps, hi))
+                bracket = rho_bracket(eps, C1, C2, (prev_t - RECENTRE, prev_t + RECENTRE))
+            params = AnsatzParams.make(
+                n=n, p=p, eps=eps, rho=bracket[0], spec=spec, C1=C1, C2=C2,
+                gamma=gamma, eps_max=eps_max, tail=tail,
+            )
             red = find_rho_star(params, spec, bracket, h=h_reduce)
             t = eps * red.rho_star
             sign = int(np.sign(eval_M(spec, n, p, eps, t).Mpp))

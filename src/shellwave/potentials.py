@@ -7,7 +7,8 @@ A solution layer sitting on the sphere of radius r feels the weight
 and layers can only equilibrate where M_eps'(r) = 0 with nonzero curvature.
 This module owns the potential families (all bounded with bounded first
 derivative), the evaluation of M and its derivatives, and the critical
-radius search.
+radius search: Illinois steps on M' down to neighbouring floats, whose
+end with the smaller |M'| is the root.
 """
 
 from __future__ import annotations
@@ -171,42 +172,38 @@ def eval_M(
     return EffectivePotentialPoint(r=r, M=M, Mp=Mp, Mpp=Mpp)
 
 
-def _illinois(f, a: float, fa: float, b: float, fb: float, xtol: float = 0.0,
-              done=None) -> float:
+def _illinois(f, a: float, fa: float, b: float, fb: float, done=None) -> float:
     """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on [a, b].
 
     fa = f(a) and fb = f(b) differ in sign.  Each step evaluates f at the
     secant root of the two ends, keeps the sign change, and halves the
     value at an end kept twice in a row (superlinear, order about 1.44);
-    a secant point outside the bracket is replaced by the midpoint.  Stops
-    when done() holds, when the secant point is within xtol of the last
-    point evaluated, when the bracket cannot be split, or after 200 steps.
-    Returns the evaluated point (the ends included) with the smallest |f|.
+    a secant point that rounds onto an end is replaced by the float next
+    to that end inside the bracket, which settles a root within an ulp of
+    it in one step where a midpoint would bisect down to it.  Stops
+    when done() holds, at a point where f is exactly zero (returned), or
+    when a and b are neighbouring floats.  Returns the end with the
+    smaller true |f|, the smaller x on ties.
     """
-    best, fbest = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    prev = None
+    ga, gb = fa, fb  # f at a and b; fa and fb are the values the steps halve
     kept = 0  # -1: a was kept by the last step, +1: b was
-    for _ in range(200):
-        if done is not None and done():
-            break
+    while done is None or not done():
         x = (a * fb - b * fa) / (fb - fa)
-        if prev is not None and abs(x - prev) < xtol:
-            break
         if not a < x < b:
-            x = 0.5 * (a + b)
+            # the secant point rounds onto an end: try that end's neighbour
+            x = float(np.nextafter(b, a) if x >= b else np.nextafter(a, b))
             if x in (a, b):
                 break
         fx = f(x)
-        if abs(fx) < abs(fbest):
-            best, fbest = x, fx
-        prev = x
+        if fx == 0.0:
+            return x
         if np.sign(fx) == np.sign(fa):
-            a, fa, fb = x, fx, 0.5 * fb if kept == 1 else fb
+            a, fa, ga, fb = x, fx, fx, 0.5 * fb if kept == 1 else fb
             kept = 1
         else:
-            b, fb, fa = x, fx, 0.5 * fa if kept == -1 else fa
+            b, fb, gb, fa = x, fx, fx, 0.5 * fa if kept == -1 else fa
             kept = -1
-    return best
+    return a if abs(ga) <= abs(gb) else b
 
 
 @dataclass(frozen=True)
@@ -227,12 +224,12 @@ def find_critical_radius(
 ) -> CriticalRadiusResult:
     """Locate the smallest nondegenerate critical radius of M_eps in bracket.
 
-    Scans M' on a uniform grid of 10,000 points, refines every sign change
-    with Illinois steps, and polishes with Newton on M' using the analytic
-    curvature.
-    A polish that leaves the bracket is dropped for the Illinois root it
-    started from.  Roots whose |M''| falls below beta_floor are reported
-    but not eligible.
+    Scans M' on a uniform grid of 10,000 points and runs Illinois steps on
+    every sign change of the scan until its ends are neighbouring floats:
+    the root is the float next to the sign change of the computed M' with
+    the smaller |M'|, the smaller t on ties, so brackets that share a root
+    return it alike.  Its curvature M'' is read there once.  Roots whose
+    |M''| falls below beta_floor are reported but not eligible.
     Raises NoCriticalPoint when the scan finds no sign change,
     DegenerateCriticalPoint when roots exist but all are flatter than the
     floor.
@@ -243,46 +240,17 @@ def find_critical_radius(
     grid = np.linspace(lo, hi, 10_000)
     mp = eval_M(spec, n, p, eps, grid).Mp
 
-    def mp_scalar(r: float) -> float:
-        return float(eval_M(spec, n, p, eps, np.array([r])).Mp[0])
+    def at(r: float) -> EffectivePotentialPoint:
+        return eval_M(spec, n, p, eps, np.array([r]))
 
-    roots: list[float] = []
     sign = np.sign(mp)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        a, b = float(grid[i]), float(grid[i + 1])
-        roots.append(_illinois(mp_scalar, a, float(mp[i]), b, float(mp[i + 1]),
-                               xtol=1e-13 + 1e-14 * b))
-    for i in np.nonzero(sign == 0)[0]:
-        roots.append(float(grid[i]))
-
-    # Newton polish on M' using M''
-    polished: list[tuple[float, float]] = []  # (t, M''(t))
-    for root in roots:
-        t = root
-        for _ in range(8):
-            pt = eval_M(spec, n, p, eps, np.array([t]))
-            if abs(pt.Mpp[0]) < 1e-300:
-                break
-            dt = pt.Mp[0] / pt.Mpp[0]
-            t -= dt
-            if abs(dt) <= 1e-14 * max(1.0, abs(t)):
-                break
-        # of t and its neighbour toward the root keep the smaller |M'| across
-        # the sign change (the smaller t on ties): the polish start drops out
-        pt = eval_M(spec, n, p, eps, np.array([t]))
-        nb = float(np.nextafter(t, -np.inf if pt.Mp[0] * pt.Mpp[0] > 0.0 else np.inf))
-        pn = eval_M(spec, n, p, eps, np.array([nb]))
-        if pn.Mp[0] * pt.Mp[0] <= 0.0 and (abs(pn.Mp[0]), nb) < (abs(pt.Mp[0]), t):
-            t, pt = nb, pn
-        if not lo <= t <= hi:
-            # the polish left the bracket (M'' misled it): keep the root
-            # that the scan's sign change gave
-            t = root
-            pt = eval_M(spec, n, p, eps, np.array([t]))
-        polished.append((float(t), float(pt.Mpp[0])))
+    roots = [_illinois(lambda r: float(at(r).Mp[0]), float(grid[i]), float(mp[i]),
+                       float(grid[i + 1]), float(mp[i + 1]))
+             for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
+    roots += [float(grid[i]) for i in np.nonzero(sign == 0)[0]]
 
     uniq: list[tuple[float, float]] = []
-    for t, curv in sorted(polished):
+    for t, curv in sorted((t, float(at(t).Mpp[0])) for t in roots):
         if not uniq or abs(t - uniq[-1][0]) > 1e-7 * (hi - lo):
             uniq.append((t, curv))
 

@@ -36,7 +36,7 @@ from .exceptions import (
     NoSignChange,
     SolverError,
 )
-from .grids import DiscreteOperators, RadialGrid, bordered_solve
+from .grids import MAX_NODES, DiscreteOperators, RadialGrid, bordered_solve
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec, _illinois, eval_M
 
@@ -267,8 +267,9 @@ def reduced_energy_scan(
 ) -> ScanCurve:
     """Psi, alpha, and the leading-order discrepancy over the rho window,
     with each sample's final residual and, where it failed, the cause."""
-    if rho_samples < 8:
-        raise ConfigError(f"need at least 8 rho samples, got {rho_samples}")
+    if not 8 <= rho_samples <= MAX_NODES:
+        raise ConfigError(
+            f"need between 8 and {MAX_NODES:,} rho samples, got {rho_samples:,}")
     lo, hi = params.omega_window
     rhos = np.linspace(lo, hi, rho_samples)
     grid = grid_for(params, h, rho_max=hi)

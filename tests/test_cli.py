@@ -400,3 +400,35 @@ def test_grid_over_the_node_budget_exits_2(tmp_path):
     assert "config invalid: grid on" in proc.stderr
     assert "150,002,311 nodes, over the budget of 8,388,608" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_rho_samples_over_the_node_budget_exits_2(tmp_path):
+    # one more sample than grids.MAX_NODES, from --rho-samples or from the
+    # config, is refused before the scan allocates its sample arrays; the
+    # address-space limit keeps a missing guard from taking the machine's
+    # memory with a trillion samples
+    import resource
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "sine_n2.json").read_text())
+    cfg["rho_samples"] = 10**12
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(cfg))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    for extra, count in (([str(root / "configs" / "sine_n2.json"), "--rho-samples",
+                           "8388609"], "8,388,609"),
+                         ([str(big)], "1,000,000,000,000")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "shellwave.cli", "scan", "--config", *extra,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": str(root / "src")})
+        assert proc.returncode == 2, proc.stderr
+        assert (f"config invalid: need between 8 and 8,388,608 rho samples, got {count}"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr

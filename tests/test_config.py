@@ -17,7 +17,10 @@ from shellwave.config import (
     config_from_dict,
     first_bracket,
     load_config,
+    omega_window,
+    rho_bracket,
 )
+from shellwave.exceptions import OutOfConfigurationSet, SolverError
 
 BASE = {
     "n": 2,
@@ -221,6 +224,34 @@ def test_first_bracket_clips_to_the_window():
         first_bracket(0.15, 0.5, 1.5, (7.5, 9.5))
     with pytest.raises(ConfigError, match="t_bracket: window empty at eps=0.15"):
         make(schedule=[0.15]).validate()
+
+
+def test_later_brackets_share_the_clip_rule():
+    # rho_bracket clips any t-interval to the window as first_bracket clips
+    # t_bracket, but nothing left is a solver error, which ends a family
+    # and keeps its members
+    assert omega_window(0.3, 0.5, 1.5) == (0.5 / (2.0 * 0.3**3), 2.0 * 1.5 / 0.3**3)
+    assert rho_bracket(0.17, 0.5, 1.5, (7.5, 9.5)) == first_bracket(0.17, 0.5, 1.5, (7.5, 9.5))
+    with pytest.raises(OutOfConfigurationSet, match=r"t in \[7.5, 9.5\] leaves no rho "
+                       r"in the configuration window \[74.0741, 888.889\] at eps=0.15"):
+        rho_bracket(0.15, 0.5, 1.5, (7.5, 9.5))
+    assert issubclass(OutOfConfigurationSet, SolverError)
+
+
+@pytest.mark.parametrize("field", ["C1", "C2"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
+def test_window_constants_must_be_positive_and_finite(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}: must be positive and finite$"):
+        make(**{field: value}).validate()
+
+
+def test_overflowing_C2_in_a_file_names_the_field(tmp_path):
+    # JSON reads 1e999 as inf: the window's upper end would be inf, and
+    # a member's parameters at its centre would evaluate sin(inf)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(BASE).replace('"C2": 1.5', '"C2": 1e999'))
+    with pytest.raises(ConfigError, match="^C2: must be positive and finite$"):
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.3, float("nan"), float("inf"), 1e-120, 1e-300, 1e200])

@@ -531,6 +531,19 @@ def test_first_member_bracket_is_clipped_to_the_window(sine_spec):
         continuation_in_eps(2, 3.0, sine_spec, [0.17], SINE_C1, SINE_C2, (7.5, 8.0))
 
 
+def test_later_member_outside_the_window_keeps_the_family(sine_spec):
+    # with C1 = 2 the window's lower end at eps = 0.3 is 37.04, above the
+    # re-centred bracket (8.635 + 1.5)/0.3 = 33.78: the family ends there
+    # with the cause named and keeps the members at eps = 0.5 and 0.35
+    res = continuation_in_eps(2, 3.0, sine_spec, [0.5, 0.35, 0.3], C1=2.0, C2=1.5,
+                              t_bracket=SINE_T_BRACKET, gamma=0.6)
+    assert (res.completed, res.failed_eps) == (False, 0.3)
+    assert [m.eps for m in res.members] == [0.5, 0.35]
+    assert res.failure == (
+        "OutOfConfigurationSet: t in [7.13498, 10.135] leaves no rho in the "
+        "configuration window [37.037, 111.111] at eps=0.3")
+
+
 def test_branch_switch_ends_the_continuation(sine_spec):
     # started on the partner root (M'' > 0) at eps = 0.3, the re-centred
     # window at eps = 0.29 also holds the shipped branch's root, which the

@@ -175,9 +175,13 @@ def test_critical_radius_bitwise_on_shipped_schedule():
 
 
 def test_critical_radius_work_count(monkeypatch):
-    # one vectorized scan, then per root the Illinois steps, the polish,
-    # the last-bit comparison and the two curvature reads; bisecting each
-    # sign change of the scan down to 1e-13 alone takes about 31 calls
+    # one vectorized scan, then per root the Illinois steps down to
+    # neighbouring floats and one curvature read; bisecting each sign
+    # change of the scan down to 1e-13 alone takes about 31 calls.  At
+    # eps = 0.5001182162470026 the second Illinois point lands one float
+    # above the root and every later secant point rounds onto it: stepping
+    # to its neighbour settles the root in one call, where midpoint steps
+    # took 31 more
     calls = []
     real = potentials.eval_M
 
@@ -187,16 +191,27 @@ def test_critical_radius_work_count(monkeypatch):
 
     monkeypatch.setattr(potentials, "eval_M", counted)
     spec = PotentialSpec.sine()
-    for eps in SINE_N2_T_EPS:
+    for eps in (*SINE_N2_T_EPS, 0.5001182162470026):
         calls.clear()
         find_critical_radius(spec, 2, 3.0, eps, (7.5, 9.5))
         assert len(calls) <= 10, (eps, len(calls))
 
 
+def _next_to_its_sign_change(spec, n, p, eps, t):
+    """t is next to a sign change of the computed M', with the smaller |M'|
+    of the pair (the smaller t on ties), or M'(t) is exactly zero."""
+    def mp(x):
+        return float(eval_M(spec, n, p, eps, np.array([x])).Mp[0])
+
+    below, at, above = mp(np.nextafter(t, 0.0)), mp(t), mp(np.nextafter(t, np.inf))
+    return at == 0.0 or (at * above < 0.0 and abs(at) <= abs(above)) or (
+        below * at < 0.0 and abs(at) < abs(below))
+
+
 def test_critical_radius_last_bit_is_the_sign_change():
     # t_eps is the float next to the sign change of the computed M' with
-    # the smaller |M'| (the smaller t on ties), wherever the polish starts:
-    # a wide bracket gives the same root as the shipped one
+    # the smaller |M'| (the smaller t on ties), whatever bracket the scan
+    # starts from: a wide bracket gives the same root as the shipped one
     spec = PotentialSpec.sine()
     for bracket in ((7.5, 9.5), (2.0, 33.0)):
         res = find_critical_radius(spec, 2, 3.0, 0.3, bracket)
@@ -207,23 +222,31 @@ def test_critical_radius_last_bit_is_the_sign_change():
     # M' changes sign just above t, with |M'| tied across it
     assert mp[1] * mp[2] < 0.0 < mp[0] * mp[1]
     assert abs(mp[1]) == abs(mp[2])
+    # on wide brackets over many roots, where a Newton polish from the
+    # Illinois root ended one float off the sign change
+    for spec, n, p in ((PotentialSpec.cosine(), 4, 6.0),
+                       (PotentialSpec.sine(0.5, 2.0, 0.3), 4, 2.0)):
+        res = find_critical_radius(spec, n, p, 0.4, (2.0, 33.0))
+        assert len(res.roots) > 1
+        for t in res.roots:
+            assert _next_to_its_sign_change(spec, n, p, 0.4, t), t.hex()
 
 
 def test_critical_radius_keeps_the_root_a_wild_polish_leaves():
     # V'' of the wrong sign and a tenth of its size: at eps = 0.5 the
-    # computed M'' is +0.04 where the true one is -3.43, so each Newton
-    # step of the polish multiplies the distance to the root by about 86
-    # and eight steps carry t out of [7.5, 9.5]; the scan's sign change
-    # and its Illinois root remain
+    # computed M'' is +0.04 where the true one is -3.43, so each step of a
+    # Newton polish on M' would multiply the distance to the root by about
+    # 86, and nine of them would carry t out of [7.5, 9.5]; the root comes
+    # from M' alone, and M'' is only read there
     wrong = PotentialSpec("sine", 1.0, 1.0, np.sin, np.cos, lambda r: 0.1 * np.sin(r))
     res = find_critical_radius(wrong, 2, 3.0, 0.5, (7.5, 9.5), beta_floor=0.01)
     want = float.fromhex(SINE_N2_T_EPS[0.5])
     assert res.t_eps == pytest.approx(want, rel=1e-13, abs=0.0)
     assert res.roots == (res.t_eps,)
     assert res.curvature == pytest.approx(0.0403, abs=1e-4)
-    # the polish from that root does leave the bracket
+    # a polish from that root does leave the bracket
     t = res.t_eps
-    for _ in range(8):
+    for _ in range(9):
         pt = eval_M(wrong, 2, 3.0, 0.5, np.array([t]))
         t -= pt.Mp[0] / pt.Mpp[0]
     assert not 7.5 <= t <= 9.5

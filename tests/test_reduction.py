@@ -305,14 +305,15 @@ def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
     assert res.rho_star == pytest.approx(20.3, abs=1e-8)
     assert res.evaluations - 2 <= 15
 
-    # the shared root finder itself, as find_critical_radius calls it
+    # the shared root finder itself, as find_critical_radius calls it: down
+    # to neighbouring floats, the two bracket ends included
     xs = []
 
     def alpha(rho):
         xs.append(rho)
         return float(np.expm1(rho - 20.3))
 
-    root = _illinois(alpha, 18.75, alpha(18.75), 23.75, alpha(23.75), xtol=1e-13)
+    root = _illinois(alpha, 18.75, alpha(18.75), 23.75, alpha(23.75))
     assert root == pytest.approx(20.3, abs=1e-12)
     assert len(xs) <= 15, len(xs)
 
