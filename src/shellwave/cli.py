@@ -199,8 +199,6 @@ def _stage_mpot(cfg, outdir, eps, rho_samples):
 def _stage_scan(cfg, outdir, eps, rho_samples):
     e = _pick_eps(cfg, eps)
     k = cfg.rho_samples if rho_samples is None else rho_samples
-    if k < 8:
-        raise ConfigError("--rho-samples: need at least 8")
     spec = cfg.spec()
     eps_max = max(float(cfg.schedule[0]), e)
     params = AnsatzParams.make(cfg.n, cfg.p, e, omega_window(e, cfg.C1, cfg.C2)[0], spec,

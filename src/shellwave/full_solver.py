@@ -52,7 +52,7 @@ from .exceptions import (
     SolverError,
     TruncationSaturated,
 )
-from .forces import PowerForce, TruncatedForce
+from .forces import TruncatedForce
 from .grids import DiscreteOperators, RadialGrid, deriv4
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec, eval_M
@@ -128,23 +128,26 @@ def _sup(v: np.ndarray) -> float:
 
 
 def _newton_step(ops: DiscreteOperators, force, u: np.ndarray, R: np.ndarray,
-                 J: np.ndarray) -> np.ndarray:
-    """Newton direction J(u)^-1 R, solved in place on R and the (3, m) J.
+                 dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Newton direction J(u)^-1 R, solved in place on R.
 
-    R is dgtsv's right-hand side and comes back holding the step, so the
-    residual at u is gone after the call; the Newton loop reads only its
-    max-norm, which it kept.  LAPACK dgtsv on the three diagonals of
-    strong_jacobian is the routine solve_banded((1, 1), ...) calls, so the
-    step has the same bits.
+    dl, d and du take strong_jacobian's three diagonals, and dgtsv
+    overwrites them, so they may be any scratch arrays of lengths m-1, m
+    and m-1 that are free until the call returns; the Newton loop passes
+    its line-search buffers for dl and du.  R is dgtsv's right-hand side
+    and comes back holding the step, so the residual at u is gone after
+    the call; the Newton loop reads only its max-norm, which it kept.
+    LAPACK dgtsv on those diagonals is the routine solve_banded((1, 1),
+    ...) calls, so the step has the same bits.
     """
-    ops.strong_jacobian(u, force=force, out=J)
-    if not np.isfinite(_sup(J[1])):
+    ops.strong_jacobian(u, dl, d, du, force=force)
+    if not np.isfinite(_sup(d)):
         raise NewtonDivergence("Newton Jacobian is not finite")
-    *_, du, info = dgtsv(J[2, :-1], J[1], J[0, 1:], R, overwrite_dl=1,
-                         overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    *_, step, info = dgtsv(dl, d, du, R, overwrite_dl=1, overwrite_d=1,
+                           overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise NewtonDivergence(f"Newton Jacobian is singular (zero pivot at row {info})")
-    return du
+    return step
 
 
 def _accept_bounds(ops: DiscreteOperators, u: np.ndarray,
@@ -167,8 +170,7 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
     seed_peak = _sup(u)
     if not np.isfinite(seed_peak):
         raise NewtonDivergence("Newton seed is not finite")
-    R, Rc, cand = (np.empty_like(u) for _ in range(3))
-    J = np.empty((3, u.size))
+    R, Rc, cand, diag = (np.empty_like(u) for _ in range(4))
     iters, stop = 0, "max_iter"
     # overflow in a rejected candidate is expected; a non-finite state raises
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,7 +185,9 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
                 break
             # once u is acceptable, a shorter step only finds noise
             settled = rmax <= max(thr, floor)
-            du = _newton_step(ops, force, u, R, J)
+            # the line search rewrites Rc and cand, so they can take the
+            # Jacobian's off-diagonals
+            du = _newton_step(ops, force, u, R, Rc[:-1], diag, cand[:-1])
             t, ok = 1.0, False
             while t > 1e-8:
                 np.multiply(du, t, out=cand)
@@ -240,6 +244,9 @@ def solve_full(
         force = ops.force
     u, rmax, iters, evals, floor, stop = _newton_strong(ops, force, seed,
                                                         tol_coeff, MAX_ITER)
+    # the collocation workspace would otherwise stay under the audit's
+    # temporaries
+    del ops._colloc
     if float(u[:-1].min()) <= 0.0:
         raise SolverError("solution lost positivity")
     if K is not None and float(u.max()) >= K:

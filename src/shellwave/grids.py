@@ -38,9 +38,10 @@ from .forces import PowerForce
 from .potentials import PotentialSpec
 
 # largest grid RadialGrid.make builds: 64 MiB per float64 array; a full
-# solve holds about ARRAYS_PER_NODE of them (README, Install)
+# solve and its refinement audit hold fewer than ARRAYS_PER_NODE of them
+# (README, Install)
 MAX_NODES = 2**23
-ARRAYS_PER_NODE = 15
+ARRAYS_PER_NODE = 11
 
 __all__ = [
     "RadialGrid",
@@ -260,8 +261,9 @@ class DiscreteOperators:
 
     Only w is built eagerly.  The Simpson weights omega are built by the
     first quad, which in a full solve is its audit, after the Newton
-    buffers are freed; the collocation workspace by the first residual;
-    the energy-picture weights and the Gram matrix, which a full solve
+    buffers are freed; the collocation workspace by the first residual
+    or Jacobian (solve_full deletes it once Newton returns); the
+    energy-picture weights and the Gram matrix, which a full solve
     never reads, on first use.
     """
 
@@ -387,9 +389,11 @@ class DiscreteOperators:
 
         Needs the grid to start at the origin; the first row uses the
         symmetric limit -n u''(0) (mirror node), and the last row is the
-        Dirichlet condition u(s_max) = 0.  Writes into out when given;
-        temporaries live in the operators' workspace, so one residual
-        allocates at most its result.
+        Dirichlet condition u(s_max) = 0.  Writes into out when given (out
+        must not share memory with u).  The second difference and the
+        transport term are formed in the interior of the result and w u and
+        f(u) in the workspace's fwd, so one residual allocates at most its
+        result.
         """
         if self.grid.s_min != 0.0:
             raise ConfigError("collocation residual requires a grid starting at 0")
@@ -403,64 +407,63 @@ class DiscreteOperators:
         # differences are exact, so the evaluation floor is ~eps*|u''|
         # instead of ~eps*|u|/h^2 (matters for the residual invariant)
         fwd = np.subtract(u[1:], u[:-1], out=ws.fwd)
-        lap = np.subtract(fwd[1:], fwd[:-1], out=ws.lap)
+        lap = np.subtract(fwd[1:], fwd[:-1], out=R[1:-1])
         lap /= ws.h2
-        # fwd is free once lap is formed: it holds the transport, then f(u)
+        # fwd is free once lap is formed: it holds the transport, w u, f(u)
         transport = np.subtract(u[2:], u[:-2], out=fwd[1:])
         transport *= ws.curv
         transport /= ws.two_h
         lap += transport
         # w u - lap - f(u), in the rounding order of -lap + w u - f(u)
-        mid = np.multiply(self.w[1:-1], u[1:-1], out=R[1:-1])
-        mid -= lap
+        wu = np.multiply(self.w[1:-1], u[1:-1], out=fwd[1:])
+        mid = np.subtract(wu, lap, out=lap)
         mid -= force.f(u[1:-1], out=fwd[1:])
         R[0] = -2.0 * n * (u[1] - u[0]) / h**2 + self.w[0] * u[0] - force.f(u[0])
         R[-1] = u[-1]
         return R
 
-    def strong_jacobian(self, u: np.ndarray, force=None,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        """Tridiagonal Jacobian of strong_residual in solve_banded (1,1) layout.
+    def strong_jacobian(self, u: np.ndarray, dl: np.ndarray, d: np.ndarray,
+                        du: np.ndarray, force=None) -> None:
+        """Tridiagonal Jacobian of strong_residual, written into the
+        caller's sub-, main and superdiagonal buffers (LAPACK dgtsv's dl, d
+        and du: lengths m-1, m, m-1).
 
-        Writes all three diagonals on each call, so out needs no zeroing.
-        Only the diagonal depends on u; the off-diagonals come from the
-        workspace's transport coefficients.
+        Writes every entry of the three, so they need no zeroing, and reads
+        none, so they may hold anything; the banded (3, m) layout of
+        solve_banded((1, 1), ...) is the views (du, d, dl) = (J[0, 1:],
+        J[1], J[2, :-1]) with J[0, 0] = J[2, -1] = 0.  The transport
+        coefficients (n-1)/(2 h s) are formed in dl before the
+        off-diagonals are, and f'(u) in the workspace's fwd.
         """
         if force is None:
             force = self.force
-        ws = self._colloc
+        s = self.grid.nodes
         h = self.h
         n = self.grid.n
-        J = np.empty((3, self.grid.size)) if out is None else out
-        J[0, 0] = 0.0
-        J[0, 1] = -2.0 * n / h**2
-        np.subtract(-1.0 / h**2, ws.transport, out=J[0, 2:])   # superdiagonal
-        diag = np.add(2.0 / h**2, self.w[1:-1], out=J[1, 1:-1])
-        diag -= force.fp(u[1:-1], out=ws.lap)
-        J[1, 0] = 2.0 * n / h**2 + self.w[0] - force.fp(np.asarray(u[0]))
-        J[1, -1] = 1.0
-        np.add(-1.0 / h**2, ws.transport, out=J[2, :-2])       # subdiagonal
-        J[2, -2:] = 0.0
-        return J
+        transport = np.multiply(2.0 * h, s[1:-1], out=dl[:-1])
+        np.divide(n - 1, transport, out=transport)
+        du[0] = -2.0 * n / h**2
+        np.subtract(-1.0 / h**2, transport, out=du[1:])
+        np.add(-1.0 / h**2, transport, out=dl[:-1])
+        dl[-1] = 0.0
+        diag = np.add(2.0 / h**2, self.w[1:-1], out=d[1:-1])
+        diag -= force.fp(u[1:-1], out=self._colloc.fwd[1:])
+        d[0] = 2.0 * n / h**2 + self.w[0] - force.fp(np.asarray(u[0]))
+        d[-1] = 1.0
 
 
 class _CollocationWork:
-    """Stencil coefficients and scratch arrays of the collocation kernels.
+    """Stencil coefficients and scratch array of the collocation kernels.
 
-    curv = (n-1)/s feeds the residual's transport term and transport =
-    (n-1)/(2 h s) the Jacobian's off-diagonals; each is the expression the
-    kernels used inline, so keeping it changes no bit.  The two scratch
-    arrays fwd and lap are overwritten by every kernel call.
+    curv = (n-1)/s feeds the residual's transport term; it is the
+    expression the kernel used inline, so keeping it changes no bit.  The
+    scratch array fwd is overwritten by every kernel call.
     """
 
     def __init__(self, grid: RadialGrid):
         s = grid.nodes
         h = grid.h
-        n = grid.n
-        m = grid.size
         self.h2 = h**2
         self.two_h = 2.0 * h
-        self.curv = (n - 1) / s[1:-1]
-        self.transport = (n - 1) / (2.0 * h * s[1:-1])
-        self.fwd = np.empty(m - 1)
-        self.lap = np.empty(m - 2)
+        self.curv = (grid.n - 1) / s[1:-1]
+        self.fwd = np.empty(grid.size - 1)

@@ -196,10 +196,13 @@ class _NewtonWork:
 
 def _newton_iterates(ops, ws, z, zdot, gzd, nzd2, residual_measure, omega, alpha, start):
     # Armijo makes every accepted iterate strictly better than the last, so
-    # the current iterate is the best one and a failed search ends the loop
+    # the current iterate is the best one and a failed search ends the loop.
+    # A search tries the full step, then halves from the step length the
+    # last search accepted: the lengths between failed one iterate earlier.
     r1, res = start
     spare = ws.residual[1]
     accepted = 0
+    last = 1.0
     neg_gzd = -gzd
     while res > TOL and accepted < MAX_ITER - 1:
         hess = ops.hess_banded(np.add(z, omega, out=ws.u), out=ws.hess)
@@ -212,9 +215,10 @@ def _newton_iterates(ops, ws, z, zdot, gzd, nzd2, residual_measure, omega, alpha
             cand_r1, cand_res = residual_measure(cand_o, cand_a, spare)
             if cand_res <= (1.0 - 1e-4 * t) * res:
                 break
-            t /= 2
+            t = last if t > last else t / 2
             if t <= 1e-8:
                 return omega, alpha, res, accepted, False, ()
+        last = t
         omega, alpha, res = cand_o, cand_a, cand_res
         r1, spare = cand_r1, r1
         accepted += 1

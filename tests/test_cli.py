@@ -406,7 +406,8 @@ def test_rho_samples_over_the_node_budget_exits_2(tmp_path):
     # one more sample than grids.MAX_NODES, from --rho-samples or from the
     # config, is refused before the scan allocates its sample arrays; the
     # address-space limit keeps a missing guard from taking the machine's
-    # memory with a trillion samples
+    # memory with a trillion samples.  Too few samples from --rho-samples
+    # meet the same check, in the scan, with the same message
     import resource
     import subprocess
     import sys
@@ -422,7 +423,9 @@ def test_rho_samples_over_the_node_budget_exits_2(tmp_path):
 
     for extra, count in (([str(root / "configs" / "sine_n2.json"), "--rho-samples",
                            "8388609"], "8,388,609"),
-                         ([str(big)], "1,000,000,000,000")):
+                         ([str(big)], "1,000,000,000,000"),
+                         ([str(root / "configs" / "sine_n2.json"), "--rho-samples",
+                           "7"], "7")):
         proc = subprocess.run(
             [sys.executable, "-m", "shellwave.cli", "scan", "--config", *extra,
              "--out", str(tmp_path / "o")],

@@ -26,7 +26,7 @@ from shellwave.config import first_bracket
 from shellwave.grids import DiscreteOperators, RadialGrid
 from shellwave.potentials import PotentialSpec, eval_M
 
-from conftest import SINE_C1, SINE_C2, SINE_SCHEDULE, SINE_T_BRACKET
+from conftest import SINE_C1, SINE_C2, SINE_SCHEDULE, SINE_T_BRACKET, banded_jacobian
 
 
 def member_at(family, eps):
@@ -304,8 +304,9 @@ def test_newton_step_matches_solve_banded(sine_family, sine_spec):
     ops = DiscreteOperators(grid, 0.5, sine_spec, 3.0)
     u = build_z(params, sine_spec, grid)
     R = ops.strong_residual(u)
-    want = solve_banded((1, 1), ops.strong_jacobian(u), R)
-    got = _newton_step(ops, ops.force, u, R, np.empty((3, grid.size)))
+    want = solve_banded((1, 1), banded_jacobian(ops, u), R)
+    m = grid.size
+    got = _newton_step(ops, ops.force, u, R, np.empty(m - 1), np.empty(m), np.empty(m - 1))
     assert got.tobytes() == want.tobytes()
 
 
@@ -362,8 +363,7 @@ def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
     line search halves t until Armijo holds or the step stops moving u."""
     u = np.array(u0, dtype=float)
     u[-1] = 0.0
-    R, Rc, cand = (np.empty_like(u) for _ in range(3))
-    J = np.empty((3, u.size))
+    R, Rc, cand, diag = (np.empty_like(u) for _ in range(4))
     iters = 0
     with np.errstate(over="ignore", invalid="ignore"):
         rmax = _sup(ops.strong_residual(u, force=force, out=R))
@@ -372,7 +372,7 @@ def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
             thr = tol_coeff * (1.0 + _sup(u) ** ops.p)
             if rmax <= 0.02 * thr:
                 break
-            du = _newton_step(ops, force, u, R, J)
+            du = _newton_step(ops, force, u, R, Rc[:-1], diag, cand[:-1])
             t, ok = 1.0, False
             while t > 1e-8:
                 np.multiply(du, t, out=cand)
@@ -502,18 +502,19 @@ def _peak_arrays(fn, size):
 def test_full_solve_holds_few_grid_sized_arrays(sine_family, sine_spec):
     # the eps = 0.3 member's grid, built afresh so no quadrature factor is
     # cached on it, seeded with the member's own profile; the memory peak
-    # is the Newton loop's (u, R, Rc, cand, the (3, m) Jacobian, w and the
-    # collocation workspace) or the audit's, whichever is larger
+    # is the Newton loop's (u, R, Rc, cand, the Jacobian's diagonal, w and
+    # the collocation workspace's curv and fwd) or the audit's, whichever
+    # is larger
     full = member_at(sine_family, 0.3).full
     grid = RadialGrid.make(2, full.grid.s_max, full.grid.h)
     assert np.array_equal(grid.nodes, full.grid.nodes)
     seed = full.profile.copy()
     solve = _peak_arrays(lambda: solve_full(2, 3.0, 0.3, sine_spec, seed, grid),
                          grid.size)
-    assert solve <= 15.0, solve
+    assert solve <= 9.0, solve
     audit = _peak_arrays(lambda: pohozaev_refinement_check(full, sine_spec),
                          grid.refine().size)
-    assert audit <= 16.0, audit
+    assert audit <= 11.0, audit
 
 
 def test_first_member_bracket_is_clipped_to_the_window(sine_spec):

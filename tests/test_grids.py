@@ -19,6 +19,8 @@ from shellwave.grids import (
 from shellwave.potentials import PotentialSpec
 from shellwave.reduction import solve_projected
 
+from conftest import banded_jacobian
+
 
 def make_ops(n=2, rho_max=30.0, h=0.02, eps=0.4, p=3.0, amp=0.5):
     grid = RadialGrid.make(n, rho_max, h)
@@ -300,9 +302,11 @@ def test_collocation_kernels_bitwise(n, p, capped):
     assert ops.strong_residual(u, force=force, out=out) is out
     assert out.tobytes() == kept.tobytes()
     want = plain_jacobian(ops, u, fp)
-    assert ops.strong_jacobian(u, force=force).tobytes() == want.tobytes()
+    assert banded_jacobian(ops, u, force=force).tobytes() == want.tobytes()
+    # every entry of the three buffers is written, whatever they held
     J = np.full((3, grid.size), np.nan)
-    assert ops.strong_jacobian(u, force=force, out=J) is J
+    ops.strong_jacobian(u, J[2, :-1], J[1], J[0, 1:], force=force)
+    J[0, 0] = J[2, -1] = 0.0
     assert J.tobytes() == want.tobytes()
 
 
@@ -315,7 +319,7 @@ def test_solve_strong_linear_manufactured():
     # strong_residual includes -u^3; add it back to isolate the linear part,
     # whose matrix is the Jacobian at zero
     rhs = ops.strong_residual(u_exact) + u_exact**3
-    ab = ops.strong_jacobian(np.zeros_like(rhs))
+    ab = banded_jacobian(ops, np.zeros_like(rhs))
     u = solve_banded((1, 1), ab, rhs)
     assert np.max(np.abs(u - u_exact)) < 1e-12
 
@@ -506,7 +510,7 @@ def test_node_budget_refuses_before_allocating(monkeypatch):
     with pytest.raises(ConfigError) as err:
         RadialGrid.make(2, 3_000_046.19, 0.02)
     msg = str(err.value)
-    assert "150,002,311 nodes" in msg and "8,388,608" in msg and "16.8 GiB" in msg
+    assert "150,002,311 nodes" in msg and "8,388,608" in msg and "12.3 GiB" in msg
     # the count includes the node that makes the interval count even
     monkeypatch.setattr(grids, "MAX_NODES", 101)
     assert RadialGrid.make(2, 100 * 0.5, 0.5).size == 101

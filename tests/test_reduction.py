@@ -239,6 +239,72 @@ def test_cold_projected_solve_bitwise_with_shared_ops():
         assert (cold.psi, cold.remainder_ratio) == (sol.psi, sol.remainder_ratio)
 
 
+def _halving_newton_iterates(ops, ws, z, zdot, gzd, nzd2, residual_measure, omega,
+                             alpha, start):
+    """reduction._newton_iterates with every line search halving from 1:
+    the reference the resumed halving must match bit for bit."""
+    r1, res = start
+    spare = ws.residual[1]
+    accepted = 0
+    neg_gzd = -gzd
+    while res > reduction.TOL and accepted < reduction.MAX_ITER - 1:
+        hess = ops.hess_banded(np.add(z, omega, out=ws.u), out=ws.hess)
+        rhs = np.concatenate([r1, [float(np.dot(gzd, omega))]])
+        step = bordered_solve(hess, neg_gzd, gzd, rhs)
+        t = 1.0
+        while True:
+            cand_o = reduction._project_out(omega - t * step[:-1], zdot, gzd, nzd2)
+            cand_a = alpha - t * step[-1]
+            cand_r1, cand_res = residual_measure(cand_o, cand_a, spare)
+            if cand_res <= (1.0 - 1e-4 * t) * res:
+                break
+            t /= 2
+            if t <= 1e-8:
+                return omega, alpha, res, accepted, False, ()
+        omega, alpha, res = cand_o, cand_a, cand_res
+        r1, spare = cand_r1, r1
+        accepted += 1
+    return omega, alpha, res, accepted, bool(res <= reduction.TOL), ()
+
+
+def test_stalled_scan_samples_work_count(monkeypatch):
+    # the two samples of the shipped eps = 0.5 scan (33 radii on [2, 24])
+    # whose solves stall: halving every line search from 1/2 takes 114 and
+    # 166 residual evaluations; resuming at the step length the last search
+    # accepted skips lengths that failed one iterate earlier, and lands on
+    # the same iterates
+    spec = PotentialSpec.sine()
+    params = AnsatzParams.make(2, 3.0, 0.5, 2.0, spec, 0.5, 1.5,
+                               gamma=0.6, eps_max=0.5)
+    grid = grid_for(params, 0.02, rho_max=params.omega_window[1])
+    ops = DiscreteOperators(grid, 0.5, spec, 3.0)
+    evals = 0
+    dual_norm = ops.dual_norm
+
+    def counting(g):
+        nonlocal evals
+        evals += 1
+        return dual_norm(g)
+
+    def solve(rho):
+        nonlocal evals
+        evals = 0
+        return solve_projected(params.with_rho(rho), spec, grid, ops=ops, measure=False)
+
+    ops.dual_norm = counting
+    for rho, halving, resumed in ((2.0, 114, 39), (2.6875, 166, 49)):
+        sol = solve(rho)
+        assert not sol.converged
+        assert evals <= resumed, (rho, evals)
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, "_newton_iterates", _halving_newton_iterates)
+            ref = solve(rho)
+        assert evals == halving, (rho, evals)
+        assert np.array_equal(sol.omega, ref.omega)
+        assert (sol.alpha, sol.residual_norm, sol.newton_iters) == (
+            ref.alpha, ref.residual_norm, ref.newton_iters)
+
+
 def test_operators_and_warm_start_must_match_the_grid(setup):
     params, spec, grid = setup
     other = DiscreteOperators(grid, 0.45, spec, 3.0)
