@@ -77,12 +77,11 @@ def main(argv=None) -> int:
     family = full_solver.continuation_in_eps(
         cfg.n, cfg.p, spec, sched, cfg.C1, cfg.C2, tuple(cfg.t_bracket),
         gamma=cfg.gamma, trunc_K=cfg.trunc_K, h_reduce=cfg.grid.h_reduce,
-        h_solve=cfg.grid.h_solve, tail=cfg.grid.tail,
-        tol_coeff=cfg.tolerances.solve_tol_coeff)
+        h_solve=cfg.grid.h_solve, tol_coeff=cfg.tolerances.solve_tol_coeff)
     member, prev = family.members[-1], family.members[-2]
     params = ansatz.AnsatzParams.make(
         cfg.n, cfg.p, EPS, member.rho_star, spec, cfg.C1, cfg.C2,
-        gamma=cfg.gamma, eps_max=float(sched[0]), tail=cfg.grid.tail)
+        gamma=cfg.gamma, eps_max=float(sched[0]))
     bracket = rho_bracket(EPS, cfg.C1, cfg.C2, (prev.t_value - full_solver.RECENTRE,
                                                 prev.t_value + full_solver.RECENTRE))
     grid = ansatz.grid_for(params, cfg.grid.h_reduce, rho_max=bracket[1])

@@ -1,16 +1,15 @@
 """Drive every pipeline stage for one config and print the report.
 
-Stages run in dependency order through the same entry point as the
-console script, so artifacts and the run ledger match a manual session.
+Stages run in the CLI's order through the same entry point as the console
+script, so artifacts and the run ledger match running the stages by hand.
+--eps goes to the stages that read it.
 """
 
 import argparse
 import sys
 
+from shellwave.cli import STAGE_OVERRIDES
 from shellwave.cli import main as shellwave_main
-
-STAGES = ("ground", "spectrum", "mpot", "scan", "solve",
-          "continue", "normalize", "report")
 
 
 def main() -> int:
@@ -20,11 +19,11 @@ def main() -> int:
     ap.add_argument("--eps", type=float, default=None,
                     help="single-eps stages use this instead of schedule[0]")
     args = ap.parse_args()
-    for stage in STAGES:
+    for stage, overrides in STAGE_OVERRIDES.items():
         argv = [stage, "--config", args.config]
         if args.out is not None:
             argv += ["--out", args.out]
-        if args.eps is not None and stage in ("mpot", "scan", "solve"):
+        if args.eps is not None and "eps" in overrides:
             argv += ["--eps", str(args.eps)]
         print(f"== {stage}", flush=True)
         rc = shellwave_main(argv)

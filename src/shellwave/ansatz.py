@@ -31,14 +31,15 @@ __all__ = [
 # p <= ~1 makes the remainder decay-rate window (lambda0/min{p,2}, lambda0)
 # collapse; reject early rather than emit garbage profiles
 P_FLOOR = 1.05
+# decay room, in lengths 1/lambda0, that every grid keeps past the layer
+TAIL = 40.0
 
 
 @dataclass(frozen=True)
 class AnsatzParams:
     """Frozen parameter bundle for one (eps, rho) manifold element.
 
-    gamma is the remainder-set radius, ||omega|| <= gamma eps^3 ||z||; tail
-    is the decay room, in lengths 1/lambda0, that grids keep past the layer.
+    gamma is the remainder-set radius, ||omega|| <= gamma eps^3 ||z||.
     """
 
     n: int
@@ -49,7 +50,6 @@ class AnsatzParams:
     C2: float
     gamma: float
     lambda0: float
-    tail: float
 
     @classmethod
     def make(
@@ -63,7 +63,6 @@ class AnsatzParams:
         C2: float,
         gamma: float = 2.0,
         eps_max: float | None = None,
-        tail: float = 40.0,
     ) -> "AnsatzParams":
         if p <= P_FLOOR:
             raise ConfigError(
@@ -72,13 +71,13 @@ class AnsatzParams:
             )
         if n < 2:
             raise ConfigError(f"need n >= 2, got {n}")
-        if not (eps > 0 and C1 > 0 and C2 > 0 and gamma > 0 and tail > 0):
-            raise ConfigError("eps, C1, C2, gamma, tail must be positive")
+        if not (eps > 0 and C1 > 0 and C2 > 0 and gamma > 0):
+            raise ConfigError("eps, C1, C2, gamma must be positive")
         lam0 = spec.lambda0(eps_max if eps_max is not None else eps)
         params = cls(
             n=int(n), p=float(p), eps=float(eps), rho=float(rho),
             C1=float(C1), C2=float(C2), gamma=float(gamma),
-            lambda0=float(lam0), tail=float(tail),
+            lambda0=float(lam0),
         )
         params._check_rho()
         beta = params.beta(spec)
@@ -112,9 +111,9 @@ class AnsatzParams:
 
 
 def grid_for(params: AnsatzParams, h: float, rho_max: float | None = None) -> RadialGrid:
-    """Grid from the origin past the layer, with tail/lambda0 of decay room."""
+    """Grid from the origin past the layer, with TAIL/lambda0 of decay room."""
     top = params.rho if rho_max is None else rho_max
-    return RadialGrid.make(params.n, top + params.tail / params.lambda0, h)
+    return RadialGrid.make(params.n, top + TAIL / params.lambda0, h)
 
 
 def cutoff(params: AnsatzParams, r):
@@ -132,7 +131,7 @@ def cutoff(params: AnsatzParams, r):
 
 
 def _coverage_check(params: AnsatzParams, grid: RadialGrid) -> None:
-    need = params.rho + params.tail / params.lambda0
+    need = params.rho + TAIL / params.lambda0
     if grid.s_max < need - 1e-9:
         raise ConfigError(
             f"grid ends at {grid.s_max}, needs to cover rho + tail/lambda0 = {need}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import os
 import sys
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzParams
-from .config import RunConfig, check_eps, first_bracket, load_config, omega_window
+from .config import (RunConfig, check_eps, check_rho_samples, first_bracket, load_config,
+                     omega_window)
 from .exceptions import ConfigError, ShellwaveError, SolverError
 from .full_solver import (
     asymptotic_terms_check,
@@ -111,7 +113,7 @@ def _run_family(cfg: RunConfig, schedule) -> object:
         cfg.n, cfg.p, cfg.spec(), schedule, cfg.C1, cfg.C2,
         tuple(cfg.t_bracket), gamma=cfg.gamma, trunc_K=cfg.trunc_K,
         h_reduce=cfg.grid.h_reduce, h_solve=cfg.grid.h_solve,
-        tail=cfg.grid.tail, tol_coeff=cfg.tolerances.solve_tol_coeff)
+        tol_coeff=cfg.tolerances.solve_tol_coeff)
     if not res.members:
         raise SolverError(f"continuation produced no members: {res.failure}")
     if not res.completed:
@@ -122,7 +124,7 @@ def _run_family(cfg: RunConfig, schedule) -> object:
 
 # ---------------------------------------------------------------- stages
 
-def _stage_ground(cfg, outdir, eps, rho_samples):
+def _stage_ground(cfg, outdir):
     prof = GroundStateProfile(p=cfg.p, lam=1.0)
     c = ground_state_constants(prof, n=cfg.n)
     q1, q2, q3, spread = identity_spread(c)
@@ -147,7 +149,7 @@ def _stage_ground(cfg, outdir, eps, rho_samples):
     return outputs, passes
 
 
-def _stage_spectrum(cfg, outdir, eps, rho_samples):
+def _stage_spectrum(cfg, outdir):
     prof = GroundStateProfile(p=cfg.p, lam=1.0)
     rep = nondegeneracy_report(prof)
     path = os.path.join(outdir, "spectrum.json")
@@ -169,7 +171,7 @@ def _stage_spectrum(cfg, outdir, eps, rho_samples):
     return outputs, passes
 
 
-def _stage_mpot(cfg, outdir, eps, rho_samples):
+def _stage_mpot(cfg, outdir, eps=None):
     e = _pick_eps(cfg, eps)
     spec = cfg.spec()
     lo, hi = cfg.t_bracket
@@ -196,14 +198,13 @@ def _stage_mpot(cfg, outdir, eps, rho_samples):
     return outputs, passes
 
 
-def _stage_scan(cfg, outdir, eps, rho_samples):
+def _stage_scan(cfg, outdir, eps=None, rho_samples=None):
     e = _pick_eps(cfg, eps)
-    k = cfg.rho_samples if rho_samples is None else rho_samples
+    k = cfg.rho_samples if rho_samples is None else check_rho_samples("--rho-samples", rho_samples)
     spec = cfg.spec()
     eps_max = max(float(cfg.schedule[0]), e)
     params = AnsatzParams.make(cfg.n, cfg.p, e, omega_window(e, cfg.C1, cfg.C2)[0], spec,
-                               cfg.C1, cfg.C2, gamma=cfg.gamma,
-                               eps_max=eps_max, tail=cfg.grid.tail)
+                               cfg.C1, cfg.C2, gamma=cfg.gamma, eps_max=eps_max)
     curve = reduced_energy_scan(params, spec, k, h=cfg.grid.h_reduce)
     csv_path = os.path.join(outdir, "scan.csv")
     write_csv(csv_path, ("rho", "psi", "alpha", "discrepancy", "residual",
@@ -228,7 +229,7 @@ def _stage_scan(cfg, outdir, eps, rho_samples):
     return outputs, passes
 
 
-def _stage_solve(cfg, outdir, eps, rho_samples):
+def _stage_solve(cfg, outdir, eps=None):
     e = _pick_eps(cfg, eps, bracket=True)
     spec = cfg.spec()
     res = _run_family(cfg, [e])
@@ -265,7 +266,7 @@ def _stage_solve(cfg, outdir, eps, rho_samples):
     return outputs, passes
 
 
-def _stage_continue(cfg, outdir, eps, rho_samples):
+def _stage_continue(cfg, outdir):
     res = _run_family(cfg, cfg.schedule)
     rows = [_member_summary(m) for m in res.members]
     csv_path = os.path.join(outdir, "family.csv")
@@ -298,7 +299,7 @@ def _stage_continue(cfg, outdir, eps, rho_samples):
     return outputs, passes
 
 
-def _stage_normalize(cfg, outdir, eps, rho_samples):
+def _stage_normalize(cfg, outdir):
     spec = cfg.spec()
     res = _run_family(cfg, cfg.schedule)
     records = [to_original(m.full, spec) for m in res.members]
@@ -343,7 +344,7 @@ def _require_run_dir(outdir: str, name: str) -> None:
         raise ConfigError(f"{name}: no run directory at {outdir!r}")
 
 
-def _stage_report(cfg, outdir, eps, rho_samples):
+def _stage_report(cfg, outdir):
     ledger = os.path.join(outdir, LEDGER_NAME)
     lines = []
     if os.path.exists(ledger):
@@ -384,6 +385,7 @@ def _stage_report(cfg, outdir, eps, rho_samples):
     return {"report": path}, {}
 
 
+# in the order a full run takes them
 _STAGES = {
     "ground": _stage_ground,
     "spectrum": _stage_spectrum,
@@ -394,10 +396,15 @@ _STAGES = {
     "normalize": _stage_normalize,
     "report": _stage_report,
 }
+# stage -> the overrides it reads, its parameters after (cfg, outdir);
+# each is a flag of that stage alone
+STAGE_OVERRIDES = {name: tuple(inspect.signature(fn).parameters)[2:]
+                   for name, fn in _STAGES.items()}
+_OVERRIDE_ARGS = {"eps": {"type": float, "help": "use this eps instead of schedule[0]"},
+                  "rho_samples": {"type": int, "help": "override the scan sample count"}}
 
 
-def run(cfg: RunConfig, subcommand: str, eps: float | None = None,
-        rho_samples: int | None = None) -> RunRecord:
+def run(cfg: RunConfig, subcommand: str, **overrides) -> RunRecord:
     if subcommand not in _STAGES:
         raise ConfigError(f"unknown subcommand '{subcommand}'")
     outdir = cfg.outdir
@@ -410,7 +417,7 @@ def run(cfg: RunConfig, subcommand: str, eps: float | None = None,
             raise ConfigError(f"outdir: cannot create directory {outdir!r}: "
                               f"{exc.strerror or exc}") from None
     t0 = time.perf_counter()
-    outputs, passes = _STAGES[subcommand](cfg, outdir, eps, rho_samples)
+    outputs, passes = _STAGES[subcommand](cfg, outdir, **overrides)
     wall = time.perf_counter() - t0
     record = RunRecord(
         subcommand=subcommand,
@@ -448,10 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to a JSON or key=value config file")
         sp.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
-        sp.add_argument("--eps", type=float, default=None,
-                        help="override eps for single-eps stages")
-        sp.add_argument("--rho-samples", type=int, default=None,
-                        dest="rho_samples", help="override scan sample count")
+        # absent unless given, so main passes only the overrides given
+        for dest in STAGE_OVERRIDES[name]:
+            sp.add_argument("--" + dest.replace("_", "-"), default=argparse.SUPPRESS,
+                            **_OVERRIDE_ARGS[dest])
     return parser
 
 
@@ -463,14 +470,15 @@ def main(argv=None) -> int:
         if args.command == "report" and args.config is None:
             if args.out is None:
                 raise ConfigError("report: need --config or --out")
-            _stage_report(None, args.out, None, None)
+            _stage_report(None, args.out)
             return 0
         if args.config is None:
             raise ConfigError("--config is required")
         cfg = load_config(args.config)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, outdir=args.out)
-        run(cfg, args.command, eps=args.eps, rho_samples=args.rho_samples)
+        run(cfg, args.command, **{k: v for k, v in vars(args).items()
+                                  if k in STAGE_OVERRIDES[args.command]})
     except ConfigError as exc:
         print(f"shellwave: config invalid: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, OutOfConfigurationSet
+from .grids import MAX_NODES
 from .potentials import PotentialSpec
 
 
@@ -53,6 +54,15 @@ def check_eps(name: str, eps) -> float:
         raise ConfigError(
             f"{name}: eps must be positive with eps^3 a finite normal float, got {e!r}")
     return e
+
+
+def check_rho_samples(name: str, k: int) -> int:
+    """k, or ConfigError naming the field: the one rule for the scan's
+    sample count, a config's rho_samples or a --rho-samples override, is
+    8 <= k <= grids.MAX_NODES, so the sample arrays stay in the grid budget."""
+    if not 8 <= k <= MAX_NODES:
+        raise ConfigError(f"{name}: need between 8 and {MAX_NODES:,} rho samples, got {k:,}")
+    return k
 
 
 def omega_window(eps: float, C1: float, C2: float) -> tuple[float, float]:
@@ -116,16 +126,12 @@ def check_schedule(schedule) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """Step sizes and tail padding shared by all stages.
-
-    h_reduce is the reduction/scan step, h_solve the full-solve step; the
-    domain extends tail/lambda0 decay lengths past the outermost radius of
-    interest so Dirichlet truncation sits far below the other error terms.
-    """
+    """Step sizes shared by all stages: h_reduce is the reduction/scan
+    step, h_solve the full-solve step (the decay room past the layer is
+    ansatz.TAIL)."""
 
     h_reduce: float = 0.02
     h_solve: float = 2e-3
-    tail: float = 40.0
 
 
 @dataclass(frozen=True)
@@ -183,11 +189,10 @@ class RunConfig:
             raise ConfigError("beta_floor: must lie in (0, 1)")
         if self.trunc_K is not None and not self.trunc_K > 0.0:
             raise ConfigError("trunc_K: must be positive when given")
-        if self.rho_samples < 8:
-            raise ConfigError("rho_samples: need at least 8")
+        check_rho_samples("rho_samples", self.rho_samples)
         g = self.grid
-        if not (g.h_reduce > 0.0 and g.h_solve > 0.0 and g.tail > 0.0):
-            raise ConfigError("grid: steps and tail must be positive")
+        if not (g.h_reduce > 0.0 and g.h_solve > 0.0):
+            raise ConfigError("grid: steps must be positive")
         if g.h_solve > g.h_reduce:
             raise ConfigError("grid: h_solve must not exceed h_reduce")
         if not self.tolerances.solve_tol_coeff > 0.0:

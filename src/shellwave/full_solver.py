@@ -446,7 +446,6 @@ def continuation_in_eps(
     trunc_K: float | None = None,
     h_reduce: float = 0.02,
     h_solve: float = 2e-3,
-    tail: float = 40.0,
     tol_coeff: float = 1e-10,
 ) -> ContinuationResult:
     """Track the layer family down the eps schedule.
@@ -460,8 +459,7 @@ def continuation_in_eps(
     full solve is seeded the same way, from its own reduction: z at rho*
     on the fine grid plus the reduction's omega interpolated onto it (zero
     past the reduction grid), so a member depends on the one before only
-    through its t.  tail sets the grids' decay room (AnsatzParams.tail)
-    and tol_coeff the full solves' Newton tolerance.
+    through its t.  tol_coeff sets the full solves' Newton tolerance.
 
     Each member is tagged with the sign of M_eps'' at its own t, from one
     eval_M call.  A member whose tag differs from the one before has left
@@ -481,7 +479,7 @@ def continuation_in_eps(
                 bracket = rho_bracket(eps, C1, C2, (prev_t - RECENTRE, prev_t + RECENTRE))
             params = AnsatzParams.make(
                 n=n, p=p, eps=eps, rho=bracket[0], spec=spec, C1=C1, C2=C2,
-                gamma=gamma, eps_max=eps_max, tail=tail,
+                gamma=gamma, eps_max=eps_max,
             )
             red = find_rho_star(params, spec, bracket, h=h_reduce)
             t = eps * red.rho_star

@@ -383,9 +383,10 @@ class DiscreteOperators:
     def _colloc(self) -> "_CollocationWork":
         return _CollocationWork(self.grid)
 
-    def strong_residual(self, u: np.ndarray, force=None,
+    def strong_residual(self, u: np.ndarray, force,
                         out: np.ndarray | None = None) -> np.ndarray:
-        """Pointwise residual of -u'' - (n-1)/s u' + w u - f(u) with BC rows.
+        """Pointwise residual of -u'' - (n-1)/s u' + w u - f(u) with BC rows,
+        f = force.f (self.force, or the full solver's truncated force).
 
         Needs the grid to start at the origin; the first row uses the
         symmetric limit -n u''(0) (mirror node), and the last row is the
@@ -397,8 +398,6 @@ class DiscreteOperators:
         """
         if self.grid.s_min != 0.0:
             raise ConfigError("collocation residual requires a grid starting at 0")
-        if force is None:
-            force = self.force
         ws = self._colloc
         h = self.h
         n = self.grid.n
@@ -423,7 +422,7 @@ class DiscreteOperators:
         return R
 
     def strong_jacobian(self, u: np.ndarray, dl: np.ndarray, d: np.ndarray,
-                        du: np.ndarray, force=None) -> None:
+                        du: np.ndarray, force) -> None:
         """Tridiagonal Jacobian of strong_residual, written into the
         caller's sub-, main and superdiagonal buffers (LAPACK dgtsv's dl, d
         and du: lengths m-1, m, m-1).
@@ -435,8 +434,6 @@ class DiscreteOperators:
         coefficients (n-1)/(2 h s) are formed in dl before the
         off-diagonals are, and f'(u) in the workspace's fwd.
         """
-        if force is None:
-            force = self.force
         s = self.grid.nodes
         h = self.h
         n = self.grid.n

@@ -31,6 +31,10 @@ __all__ = [
     "nondegeneracy_report",
 ]
 
+# the spectral audit's interval (-W, W), W = SPECTRUM_HALF_WIDTH / lam, and step
+SPECTRUM_HALF_WIDTH = 20.0
+SPECTRUM_STEP = 1e-2
+
 
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
@@ -209,21 +213,16 @@ def identity_spread(c: GroundStateConstants) -> tuple[float, float, float, float
 
 
 def linearized_spectrum(
-    profile: GroundStateProfile,
-    half_width: float | None = None,
-    step: float = 1e-2,
-    k: int = 2,
+    profile: GroundStateProfile, k: int = 2
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of -d^2/ds^2 + lam^2 - p Q^(p-1) with zero BCs.
 
-    Discretized by second differences on (-W, W); returns (eigenvalues,
-    eigenvectors, nodes) with eigenvectors l2-normalized, sign fixed so the
+    Discretized by second differences on (-W, W), W = SPECTRUM_HALF_WIDTH
+    / lam, with step SPECTRUM_STEP; returns (eigenvalues, eigenvectors,
+    nodes) with eigenvectors l2-normalized, sign fixed so the
     largest-magnitude component is positive.
     """
-    if half_width is None:
-        half_width = 20.0 / profile.lam
-    if half_width < 10.0 / profile.lam:
-        raise ConfigError("domain too small for the requested spectrum")
+    half_width, step = SPECTRUM_HALF_WIDTH / profile.lam, SPECTRUM_STEP
     m = int(round(2.0 * half_width / step))
     nodes = -half_width + step * np.arange(1, m)
     pot = profile.lam**2 - profile.p * profile.value(nodes) ** (profile.p - 1.0)
@@ -279,11 +278,7 @@ def _floor_pencil(
     return L, B, border
 
 
-def nondegeneracy_report(
-    profile: GroundStateProfile,
-    half_width: float | None = None,
-    step: float = 1e-2,
-) -> NondegeneracyReport:
+def nondegeneracy_report(profile: GroundStateProfile) -> NondegeneracyReport:
     """Spectral audit of L = -d^2/ds^2 + lam^2 - p Q^(p-1).
 
     Reports the quadratic form at Q (strictly negative), the lowest two
@@ -293,12 +288,9 @@ def nondegeneracy_report(
     quotient both use the flat H^1 inner product int(v'w' + vw); the
     quotient's minimum comes from a coarser grid of step 0.05.
     """
-    if half_width is None:
-        half_width = 20.0 / profile.lam
-
     # quadratic form at Q by quadrature
-    S = half_width
-    m = int(np.ceil(2 * S / step))
+    S = SPECTRUM_HALF_WIDTH / profile.lam
+    m = int(np.ceil(2 * S / SPECTRUM_STEP))
     m += m % 2
     s = np.linspace(-S, S, m + 1)
     h = s[1] - s[0]
@@ -309,7 +301,7 @@ def nondegeneracy_report(
     lp1 = _simpson(q ** (profile.p + 1.0), h)
     form_ref = (1.0 - profile.p) * lp1
 
-    vals, vecs, nodes = linearized_spectrum(profile, half_width, step, k=2)
+    vals, vecs, nodes = linearized_spectrum(profile, k=2)
     qp_nodes = profile.derivative(nodes)
     cos = float(
         abs(np.dot(vecs[:, 1], qp_nodes))
@@ -317,7 +309,7 @@ def nondegeneracy_report(
     )
 
     # complement Rayleigh floor on a coarser grid
-    L, B, border = _floor_pencil(profile, half_width, 0.05)
+    L, B, border = _floor_pencil(profile, S, 0.05)
     floor = constrained_min_eig(L, B, border)
 
     return NondegeneracyReport(

@@ -30,13 +30,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import AnsatzParams, build_z, build_z_and_zdot, grid_for
+from .config import check_rho_samples
 from .exceptions import (
     ConfigError,
     NewtonDivergence,
     NoSignChange,
     SolverError,
 )
-from .grids import MAX_NODES, DiscreteOperators, RadialGrid, bordered_solve
+from .grids import DiscreteOperators, RadialGrid, bordered_solve
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec, _illinois, eval_M
 
@@ -271,9 +272,7 @@ def reduced_energy_scan(
 ) -> ScanCurve:
     """Psi, alpha, and the leading-order discrepancy over the rho window,
     with each sample's final residual and, where it failed, the cause."""
-    if not 8 <= rho_samples <= MAX_NODES:
-        raise ConfigError(
-            f"need between 8 and {MAX_NODES:,} rho samples, got {rho_samples:,}")
+    check_rho_samples("rho_samples", rho_samples)
     lo, hi = params.omega_window
     rhos = np.linspace(lo, hi, rho_samples)
     grid = grid_for(params, h, rho_max=hi)

@@ -69,7 +69,7 @@ def write_plot_data(path: str, xlabel: str, ylabel: str, x, y) -> None:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("plot columns differ in length")
-    body = "".join(f"{fmt(a)} {fmt(b)}\n" for a, b in zip(x.tolist(), y.tolist()))
+    body = "".join(f"{a!r} {b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
     with _open_lf(path) as fh:
         fh.write(f"{xlabel} {ylabel}\n" + body)
 

@@ -15,7 +15,7 @@ SINE_C1, SINE_C2 = 0.5, 1.5
 SINE_T_BRACKET = (7.5, 9.5)
 
 
-def banded_jacobian(ops, u, force=None):
+def banded_jacobian(ops, u, force):
     """strong_jacobian in solve_banded's (1, 1) layout, written through
     three views of one (3, m) array whose unused corners stay zero."""
     J = np.zeros((3, len(u)))

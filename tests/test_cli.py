@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from shellwave.cli import _STAGES, build_parser, main
+from shellwave.cli import _STAGES, STAGE_OVERRIDES, build_parser, main
 
 BASE = {
     "n": 2,
@@ -108,10 +108,18 @@ def test_mistyped_nested_number_exits_2(tmp_path, capsys):
     # a key=value value that is not JSON reads as a bare string
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in BASE.items())
-                    + "grid.tail = 4O\n")
+                    + "grid.h_solve = 4O\n")
     rc = main(["ground", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "grid.tail: must be a number" in capsys.readouterr().err
+    assert "grid.h_solve: must be a number" in capsys.readouterr().err
+
+
+def test_grid_tail_is_not_a_config_field(tmp_path, capsys):
+    # the decay room past the layer is the constant ansatz.TAIL
+    cfg = write_cfg(tmp_path, grid={"tail": 40.0})
+    assert main(["ground", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config invalid: grid: unknown field 'tail'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
@@ -297,15 +305,6 @@ def run_stage(tmp_path, stage, name, **over):
     return json.loads((out / artifact).read_text()), rec["passes"]
 
 
-def test_grid_tail_changes_solve_grid(tmp_path):
-    # h_solve = 0.004 halves the nodes of both solves and keeps the test short
-    short, _ = run_stage(tmp_path, "solve", "t30",
-                         grid={"tail": 30.0, "h_solve": 0.004})
-    full, _ = run_stage(tmp_path, "solve", "t40",
-                        grid={"tail": 40.0, "h_solve": 0.004})
-    assert short["grid_size"] < full["grid_size"]
-
-
 def test_solve_tol_coeff_changes_family_member(tmp_path):
     loose, _ = run_stage(tmp_path, "continue", "loose",
                          tolerances={"solve_tol_coeff": 1e-6})
@@ -371,6 +370,38 @@ def test_continue_and_solve_report_branch_sign(tmp_path):
     assert solve["branch_sign"] == -1
 
 
+# the flags a stage takes besides --config and --out
+READ_FLAGS = {"mpot": ["--eps"], "scan": ["--eps", "--rho-samples"], "solve": ["--eps"]}
+UNREAD_FLAGS = [(stage, flag) for stage in _STAGES for flag in ("--eps", "--rho-samples")
+                if flag not in READ_FLAGS.get(stage, [])]
+
+
+def test_each_stage_takes_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {stage: [opt for a in sp._actions for opt in a.option_strings
+                     if opt not in ("-h", "--help", "--config", "--out")]
+             for stage, sp in sub.choices.items()}
+    assert flags == {stage: READ_FLAGS.get(stage, []) for stage in _STAGES}
+    assert sum(2 + len(v) for v in flags.values()) == 20  # settable flags
+    assert len(UNREAD_FLAGS) == 12
+    assert {stage: [f"--{o.replace('_', '-')}" for o in STAGE_OVERRIDES[stage]]
+            for stage in _STAGES} == flags
+
+
+@pytest.mark.parametrize("stage,flag", UNREAD_FLAGS)
+def test_flag_the_stage_does_not_read_exits_2(tmp_path, capsys, stage, flag):
+    # argparse refuses it before the stage runs: no artifact, no ledger line
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "o"
+    value = {"--eps": "0.4", "--rho-samples": "9"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([stage, "--config", cfg, "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parser_subcommands_are_the_stages():
     parser = build_parser()
     assert build_parser() is parser  # built once per process
@@ -404,10 +435,11 @@ def test_grid_over_the_node_budget_exits_2(tmp_path):
 
 def test_rho_samples_over_the_node_budget_exits_2(tmp_path):
     # one more sample than grids.MAX_NODES, from --rho-samples or from the
-    # config, is refused before the scan allocates its sample arrays; the
+    # config, is refused before the scan allocates its sample arrays, and
+    # the config's count is refused when it loads, for any stage; the
     # address-space limit keeps a missing guard from taking the machine's
     # memory with a trillion samples.  Too few samples from --rho-samples
-    # meet the same check, in the scan, with the same message
+    # meet the same check; each message names the field
     import resource
     import subprocess
     import sys
@@ -421,17 +453,18 @@ def test_rho_samples_over_the_node_budget_exits_2(tmp_path):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
-    for extra, count in (([str(root / "configs" / "sine_n2.json"), "--rho-samples",
-                           "8388609"], "8,388,609"),
-                         ([str(big)], "1,000,000,000,000"),
-                         ([str(root / "configs" / "sine_n2.json"), "--rho-samples",
-                           "7"], "7")):
+    shipped = str(root / "configs" / "sine_n2.json")
+    for stage, extra, field, count in (
+            ("scan", [shipped, "--rho-samples", "8388609"], "--rho-samples", "8,388,609"),
+            ("scan", [str(big)], "rho_samples", "1,000,000,000,000"),
+            ("mpot", [str(big)], "rho_samples", "1,000,000,000,000"),
+            ("scan", [shipped, "--rho-samples", "7"], "--rho-samples", "7")):
         proc = subprocess.run(
-            [sys.executable, "-m", "shellwave.cli", "scan", "--config", *extra,
+            [sys.executable, "-m", "shellwave.cli", stage, "--config", *extra,
              "--out", str(tmp_path / "o")],
             capture_output=True, text=True, preexec_fn=limit,
             env={**os.environ, "PYTHONPATH": str(root / "src")})
         assert proc.returncode == 2, proc.stderr
-        assert (f"config invalid: need between 8 and 8,388,608 rho samples, got {count}"
-                in proc.stderr)
+        assert (f"config invalid: {field}: need between 8 and 8,388,608 rho samples, "
+                f"got {count}" in proc.stderr)
         assert "Traceback" not in proc.stderr

@@ -127,7 +127,7 @@ def test_missing_field_rejected():
         ({"grid": {"h_reduce": 1e-3, "h_solve": 2e-3}}, "h_solve"),
         ({"tolerances": {"solve_tol_coeff": 0.0}}, "tolerances"),
         # nested numbers are coerced like top-level ones, bools rejected
-        ({"grid": {"tail": [1]}}, r"grid\.tail"),
+        ({"grid": {"h_solve": [1]}}, r"grid\.h_solve"),
         ({"grid": {"h_reduce": True}}, r"grid\.h_reduce"),
         ({"tolerances": {"solve_tol_coeff": None}}, r"tolerances\.solve_tol_coeff"),
         ({"potential": {"family": "sine", "amplitude": "x"}}, r"potential\.amplitude"),

@@ -303,8 +303,8 @@ def test_newton_step_matches_solve_banded(sine_family, sine_spec):
     grid = m.full.grid
     ops = DiscreteOperators(grid, 0.5, sine_spec, 3.0)
     u = build_z(params, sine_spec, grid)
-    R = ops.strong_residual(u)
-    want = solve_banded((1, 1), banded_jacobian(ops, u), R)
+    R = ops.strong_residual(u, force=ops.force)
+    want = solve_banded((1, 1), banded_jacobian(ops, u, force=ops.force), R)
     m = grid.size
     got = _newton_step(ops, ops.force, u, R, np.empty(m - 1), np.empty(m), np.empty(m - 1))
     assert got.tobytes() == want.tobytes()

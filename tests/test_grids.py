@@ -211,7 +211,7 @@ def test_strong_residual_order_two():
         with np.errstate(divide="ignore", invalid="ignore"):
             curv = np.where(s > 0, (n - 1) / np.where(s > 0, s, 1.0) * up, 0.0)
         lu = -upp - curv + w * u - u**3
-        res = ops.strong_residual(u) - lu
+        res = ops.strong_residual(u, force=ops.force) - lu
         return np.max(np.abs(res[1:-1]))
 
     r1, r2 = residual_sup(0.02), residual_sup(0.01)
@@ -318,8 +318,8 @@ def test_solve_strong_linear_manufactured():
     u_exact = np.exp(-((s - 20.0) / 3.0) ** 2)
     # strong_residual includes -u^3; add it back to isolate the linear part,
     # whose matrix is the Jacobian at zero
-    rhs = ops.strong_residual(u_exact) + u_exact**3
-    ab = banded_jacobian(ops, np.zeros_like(rhs))
+    rhs = ops.strong_residual(u_exact, force=ops.force) + u_exact**3
+    ab = banded_jacobian(ops, np.zeros_like(rhs), force=ops.force)
     u = solve_banded((1, 1), ab, rhs)
     assert np.max(np.abs(u - u_exact)) < 1e-12
 

@@ -212,7 +212,7 @@ def test_shooting_recovers_closed_form():
 def test_linearized_spectrum_poschl_teller():
     # p=3, lam=1: the linearized operator has eigenvalues -3 and 0
     prof = GroundStateProfile(p=3.0, lam=1.0)
-    vals, vecs, nodes = linearized_spectrum(prof, half_width=20.0, step=1e-2)
+    vals, vecs, nodes = linearized_spectrum(prof)
     assert vals[0] == pytest.approx(-3.0, abs=1e-3)
     assert vals[1] == pytest.approx(0.0, abs=1e-3)
     qp = prof.derivative(nodes)
