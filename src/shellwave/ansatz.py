@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import omega_window
+from .config import P_FLOOR, omega_window
 from .exceptions import ConfigError, OutOfConfigurationSet
 from .grids import RadialGrid
 from .ground_state import GroundStateProfile
@@ -28,9 +28,6 @@ __all__ = [
     "grid_for",
 ]
 
-# p <= ~1 makes the remainder decay-rate window (lambda0/min{p,2}, lambda0)
-# collapse; reject early rather than emit garbage profiles
-P_FLOOR = 1.05
 # decay room, in lengths 1/lambda0, that every grid keeps past the layer
 TAIL = 40.0
 

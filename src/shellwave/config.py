@@ -65,6 +65,11 @@ def check_rho_samples(name: str, k: int) -> int:
     return k
 
 
+# p <= ~1 makes the remainder decay-rate window (lambda0/min{p,2}, lambda0)
+# collapse; reject early rather than emit garbage profiles
+P_FLOOR = 1.05
+
+
 def omega_window(eps: float, C1: float, C2: float) -> tuple[float, float]:
     """The configuration window [C1/(2 eps^3), 2 C2/eps^3] of rho at eps."""
     e3 = eps**3
@@ -170,8 +175,8 @@ class RunConfig:
     def validate(self) -> None:
         if int(self.n) != self.n or self.n < 2:
             raise ConfigError("n: need an integer dimension >= 2")
-        if not self.p > 1.0:
-            raise ConfigError("p: need p > 1")
+        if not self.p > P_FLOOR:
+            raise ConfigError(f"p: need p > {P_FLOOR}")
         check_schedule(self.schedule)
         for name in ("C1", "C2"):
             if not 0.0 < getattr(self, name) < np.inf:

@@ -97,7 +97,7 @@ class FullSolution:
     audit: PohozaevAudit
     truncation_active: bool
     newton_iters: int         # accepted Newton steps
-    residual_evals: int       # strong_residual evaluations, line searches included
+    residual_evals: int       # residual evaluations, line searches included
     roundoff_floor: float     # 2 eps_mach max|u| / h^2
     newton_stop: str          # "tolerance", "roundoff" or "max_iter"
     force_cap: float | None
@@ -127,11 +127,83 @@ def _sup(v: np.ndarray) -> float:
     return float(max(v.max(), -v.min()))
 
 
-def _newton_step(ops: DiscreteOperators, force, u: np.ndarray, R: np.ndarray,
+class _Collocation:
+    """The three-point collocation scheme on one grid: the residual, its
+    tridiagonal Jacobian and their workspace, with w and the force bound.
+
+    The first row is the symmetric limit -n u''(0) (mirror node, so the
+    grid must start at the origin) and the last the Dirichlet condition
+    u(s_max) = 0.  curv = (n-1)/s is the residual's transport factor; the
+    scratch array fwd is overwritten by every call.  _newton_strong builds
+    one per solve, so the workspace dies with the Newton loop.
+    """
+
+    def __init__(self, grid: RadialGrid, w: np.ndarray, force):
+        if grid.s_min != 0.0:
+            raise ConfigError("collocation residual requires a grid starting at 0")
+        self.grid, self.w, self.force = grid, w, force
+        self.curv = (grid.n - 1) / grid.nodes[1:-1]
+        self.fwd = np.empty(grid.size - 1)
+
+    def residual(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Pointwise residual of -u'' - (n-1)/s u' + w u - f(u) with the
+        boundary rows, written into out when given (out must not share
+        memory with u).  The second difference and the transport term are
+        formed in the interior of the result and w u and f(u) in fwd, so
+        one residual allocates at most its result.
+        """
+        h, n = self.grid.h, self.grid.n
+        R = np.empty_like(u) if out is None else out
+        # difference-of-differences: on monotone stretches the first
+        # differences are exact, so the evaluation floor is ~eps*|u''|
+        # instead of ~eps*|u|/h^2 (matters for the residual invariant)
+        fwd = np.subtract(u[1:], u[:-1], out=self.fwd)
+        lap = np.subtract(fwd[1:], fwd[:-1], out=R[1:-1])
+        lap /= h**2
+        # fwd is free once lap is formed: it holds the transport, w u, f(u)
+        transport = np.subtract(u[2:], u[:-2], out=fwd[1:])
+        transport *= self.curv
+        transport /= 2.0 * h
+        lap += transport
+        # w u - lap - f(u), in the rounding order of -lap + w u - f(u)
+        wu = np.multiply(self.w[1:-1], u[1:-1], out=fwd[1:])
+        mid = np.subtract(wu, lap, out=lap)
+        mid -= self.force.f(u[1:-1], out=fwd[1:])
+        R[0] = -2.0 * n * (u[1] - u[0]) / h**2 + self.w[0] * u[0] - self.force.f(u[0])
+        R[-1] = u[-1]
+        return R
+
+    def jacobian(self, u: np.ndarray, dl: np.ndarray, d: np.ndarray,
+                 du: np.ndarray) -> None:
+        """Tridiagonal Jacobian of residual, written into the caller's
+        sub-, main and superdiagonal buffers (LAPACK dgtsv's dl, d and du:
+        lengths m-1, m, m-1).
+
+        Writes every entry of the three, so they need no zeroing, and reads
+        none, so they may hold anything; the banded (3, m) layout of
+        solve_banded((1, 1), ...) is the views (du, d, dl) = (J[0, 1:],
+        J[1], J[2, :-1]) with J[0, 0] = J[2, -1] = 0.  The transport
+        coefficients (n-1)/(2 h s) are formed in dl before the
+        off-diagonals are, and f'(u) in fwd.
+        """
+        h, n = self.grid.h, self.grid.n
+        transport = np.multiply(2.0 * h, self.grid.nodes[1:-1], out=dl[:-1])
+        np.divide(n - 1, transport, out=transport)
+        du[0] = -2.0 * n / h**2
+        np.subtract(-1.0 / h**2, transport, out=du[1:])
+        np.add(-1.0 / h**2, transport, out=dl[:-1])
+        dl[-1] = 0.0
+        diag = np.add(2.0 / h**2, self.w[1:-1], out=d[1:-1])
+        diag -= self.force.fp(u[1:-1], out=self.fwd[1:])
+        d[0] = 2.0 * n / h**2 + self.w[0] - self.force.fp(np.asarray(u[0]))
+        d[-1] = 1.0
+
+
+def _newton_step(colloc: _Collocation, u: np.ndarray, R: np.ndarray,
                  dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Newton direction J(u)^-1 R, solved in place on R.
 
-    dl, d and du take strong_jacobian's three diagonals, and dgtsv
+    dl, d and du take colloc.jacobian's three diagonals, and dgtsv
     overwrites them, so they may be any scratch arrays of lengths m-1, m
     and m-1 that are free until the call returns; the Newton loop passes
     its line-search buffers for dl and du.  R is dgtsv's right-hand side
@@ -140,7 +212,7 @@ def _newton_step(ops: DiscreteOperators, force, u: np.ndarray, R: np.ndarray,
     LAPACK dgtsv on those diagonals is the routine solve_banded((1, 1),
     ...) calls, so the step has the same bits.
     """
-    ops.strong_jacobian(u, dl, d, du, force=force)
+    colloc.jacobian(u, dl, d, du)
     if not np.isfinite(_sup(d)):
         raise NewtonDivergence("Newton Jacobian is not finite")
     *_, step, info = dgtsv(dl, d, du, R, overwrite_dl=1, overwrite_d=1,
@@ -170,11 +242,12 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
     seed_peak = _sup(u)
     if not np.isfinite(seed_peak):
         raise NewtonDivergence("Newton seed is not finite")
+    colloc = _Collocation(ops.grid, ops.w, force)
     R, Rc, cand, diag = (np.empty_like(u) for _ in range(4))
     iters, stop = 0, "max_iter"
     # overflow in a rejected candidate is expected; a non-finite state raises
     with np.errstate(over="ignore", invalid="ignore"):
-        rmax = _sup(ops.strong_residual(u, force=force, out=R))
+        rmax = _sup(colloc.residual(u, out=R))
         evals = 1
         if not np.isfinite(rmax):
             raise NewtonDivergence("residual of the Newton seed is not finite")
@@ -187,14 +260,14 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
             settled = rmax <= max(thr, floor)
             # the line search rewrites Rc and cand, so they can take the
             # Jacobian's off-diagonals
-            du = _newton_step(ops, force, u, R, Rc[:-1], diag, cand[:-1])
+            du = _newton_step(colloc, u, R, Rc[:-1], diag, cand[:-1])
             t, ok = 1.0, False
             while t > 1e-8:
                 np.multiply(du, t, out=cand)
                 np.subtract(u, cand, out=cand)
                 if np.array_equal(cand, u):
                     break
-                rc = _sup(ops.strong_residual(cand, force=force, out=Rc))
+                rc = _sup(colloc.residual(cand, out=Rc))
                 evals += 1
                 if rc <= (1.0 - 1e-4 * t) * rmax:
                     ok = True
@@ -244,9 +317,6 @@ def solve_full(
         force = ops.force
     u, rmax, iters, evals, floor, stop = _newton_strong(ops, force, seed,
                                                         tol_coeff, MAX_ITER)
-    # the collocation workspace would otherwise stay under the audit's
-    # temporaries
-    del ops._colloc
     if float(u[:-1].min()) <= 0.0:
         raise SolverError("solution lost positivity")
     if K is not None and float(u.max()) >= K:

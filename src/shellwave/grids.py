@@ -1,4 +1,4 @@
-"""Radial grids, weighted quadrature, discrete energy and residuals.
+"""Radial grids, weighted quadrature and the discrete energy.
 
 All rescaled computations live on a uniform grid in the stretched radial
 variable s, carrying the measure s^(n-1) ds.
@@ -16,8 +16,9 @@ Two discrete pictures coexist and are kept strictly separate:
   alternating coefficients while the mass part carries the node's own, so
   the cancellation between -u'' and (w u - u^p) fails node by node.)
 * the collocation picture (pointwise residual of the radial ODE with a
-  mirror node at the origin and Dirichlet at s_max), used by the full
-  Newton solver.
+  mirror node at the origin and Dirichlet at s_max), which the full
+  Newton solver owns (full_solver._Collocation); it reads only w from
+  here.
 
 Scalar integrals of known samples (masses, Pohozaev terms, asymptotic
 checks) go through composite Simpson, which is a quadrature question only
@@ -261,10 +262,8 @@ class DiscreteOperators:
 
     Only w is built eagerly.  The Simpson weights omega are built by the
     first quad, which in a full solve is its audit, after the Newton
-    buffers are freed; the collocation workspace by the first residual
-    or Jacobian (solve_full deletes it once Newton returns); the
-    energy-picture weights and the Gram matrix, which a full solve
-    never reads, on first use.
+    buffers are freed; the energy-picture weights and the Gram matrix,
+    which a full solve never reads, on first use.
     """
 
     def __init__(self, grid: RadialGrid, eps: float, spec: PotentialSpec, p: float):
@@ -376,91 +375,3 @@ class DiscreteOperators:
     def hess_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """J''(u) v."""
         return self.gram_mul(v) - self.mass_w * self.force.fp(u) * v
-
-    # ---- collocation picture ------------------------------------------
-
-    @cached_property
-    def _colloc(self) -> "_CollocationWork":
-        return _CollocationWork(self.grid)
-
-    def strong_residual(self, u: np.ndarray, force,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        """Pointwise residual of -u'' - (n-1)/s u' + w u - f(u) with BC rows,
-        f = force.f (self.force, or the full solver's truncated force).
-
-        Needs the grid to start at the origin; the first row uses the
-        symmetric limit -n u''(0) (mirror node), and the last row is the
-        Dirichlet condition u(s_max) = 0.  Writes into out when given (out
-        must not share memory with u).  The second difference and the
-        transport term are formed in the interior of the result and w u and
-        f(u) in the workspace's fwd, so one residual allocates at most its
-        result.
-        """
-        if self.grid.s_min != 0.0:
-            raise ConfigError("collocation residual requires a grid starting at 0")
-        ws = self._colloc
-        h = self.h
-        n = self.grid.n
-        R = np.empty_like(u) if out is None else out
-        # difference-of-differences: on monotone stretches the first
-        # differences are exact, so the evaluation floor is ~eps*|u''|
-        # instead of ~eps*|u|/h^2 (matters for the residual invariant)
-        fwd = np.subtract(u[1:], u[:-1], out=ws.fwd)
-        lap = np.subtract(fwd[1:], fwd[:-1], out=R[1:-1])
-        lap /= ws.h2
-        # fwd is free once lap is formed: it holds the transport, w u, f(u)
-        transport = np.subtract(u[2:], u[:-2], out=fwd[1:])
-        transport *= ws.curv
-        transport /= ws.two_h
-        lap += transport
-        # w u - lap - f(u), in the rounding order of -lap + w u - f(u)
-        wu = np.multiply(self.w[1:-1], u[1:-1], out=fwd[1:])
-        mid = np.subtract(wu, lap, out=lap)
-        mid -= force.f(u[1:-1], out=fwd[1:])
-        R[0] = -2.0 * n * (u[1] - u[0]) / h**2 + self.w[0] * u[0] - force.f(u[0])
-        R[-1] = u[-1]
-        return R
-
-    def strong_jacobian(self, u: np.ndarray, dl: np.ndarray, d: np.ndarray,
-                        du: np.ndarray, force) -> None:
-        """Tridiagonal Jacobian of strong_residual, written into the
-        caller's sub-, main and superdiagonal buffers (LAPACK dgtsv's dl, d
-        and du: lengths m-1, m, m-1).
-
-        Writes every entry of the three, so they need no zeroing, and reads
-        none, so they may hold anything; the banded (3, m) layout of
-        solve_banded((1, 1), ...) is the views (du, d, dl) = (J[0, 1:],
-        J[1], J[2, :-1]) with J[0, 0] = J[2, -1] = 0.  The transport
-        coefficients (n-1)/(2 h s) are formed in dl before the
-        off-diagonals are, and f'(u) in the workspace's fwd.
-        """
-        s = self.grid.nodes
-        h = self.h
-        n = self.grid.n
-        transport = np.multiply(2.0 * h, s[1:-1], out=dl[:-1])
-        np.divide(n - 1, transport, out=transport)
-        du[0] = -2.0 * n / h**2
-        np.subtract(-1.0 / h**2, transport, out=du[1:])
-        np.add(-1.0 / h**2, transport, out=dl[:-1])
-        dl[-1] = 0.0
-        diag = np.add(2.0 / h**2, self.w[1:-1], out=d[1:-1])
-        diag -= force.fp(u[1:-1], out=self._colloc.fwd[1:])
-        d[0] = 2.0 * n / h**2 + self.w[0] - force.fp(np.asarray(u[0]))
-        d[-1] = 1.0
-
-
-class _CollocationWork:
-    """Stencil coefficients and scratch array of the collocation kernels.
-
-    curv = (n-1)/s feeds the residual's transport term; it is the
-    expression the kernel used inline, so keeping it changes no bit.  The
-    scratch array fwd is overwritten by every kernel call.
-    """
-
-    def __init__(self, grid: RadialGrid):
-        s = grid.nodes
-        h = grid.h
-        self.h2 = h**2
-        self.two_h = 2.0 * h
-        self.curv = (grid.n - 1) / s[1:-1]
-        self.fwd = np.empty(grid.size - 1)

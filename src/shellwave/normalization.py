@@ -7,9 +7,12 @@ into the unit-mass solution of
 
 through u_a(x) = c u(x/eps) with c = (eps^n m)^(-1/2), m the full n-dim
 mass of u, which forces a = (m eps^(n - 4/(p-1)))^((p-1)/2) and
-mu = -1/eps^2.  Everything here is bookkeeping on top of solved profiles:
-no new discretization enters, so the original-equation residual inherits
-the collocation residual through E(eps s) = c eps^{-2} R(s).
+mu = -1/eps^2.  mass_check recomputes the mass with the amplitude
+k = (a eps^2)^(-1/(p-1)) that the equation's scaling ties to a, so it
+tests mass_to_a rather than restating c.  Everything here is bookkeeping
+on top of solved profiles: no new discretization enters, so the
+original-equation residual inherits the collocation residual through
+E(eps s) = c eps^{-2} R(s).
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ def to_original(full: FullSolution, spec: PotentialSpec) -> NormalizedRecord:
     area = sphere_area(n)
     m_nd = area * full.mass_weighted
     a = mass_to_a(m_nd, eps, n, p)
-    c2 = 1.0 / (eps**n * m_nd)
-    mass_check = c2 * eps**n * m_nd
+    k = (a * eps**2) ** (-1.0 / (p - 1.0))
+    mass_check = k**2 * eps**n * m_nd
     peak = float(np.abs(full.profile).max())
     eq1_rel = full.residual_max / peak
     t = eps * rho

@@ -15,11 +15,12 @@ SINE_C1, SINE_C2 = 0.5, 1.5
 SINE_T_BRACKET = (7.5, 9.5)
 
 
-def banded_jacobian(ops, u, force):
-    """strong_jacobian in solve_banded's (1, 1) layout, written through
-    three views of one (3, m) array whose unused corners stay zero."""
+def banded_jacobian(colloc, u):
+    """The collocation Jacobian in solve_banded's (1, 1) layout, written
+    through three views of one (3, m) array whose unused corners stay
+    zero."""
     J = np.zeros((3, len(u)))
-    ops.strong_jacobian(u, J[2, :-1], J[1], J[0, 1:], force=force)
+    colloc.jacobian(u, J[2, :-1], J[1], J[0, 1:])
     return J
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from shellwave import normalization
 from shellwave.cli import _STAGES, STAGE_OVERRIDES, build_parser, main
 
 BASE = {
@@ -102,6 +103,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     rc = main(["ground", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config invalid" in capsys.readouterr().err
+
+
+def test_p_below_the_ansatz_floor_exits_2(tmp_path, capsys):
+    # the ansatz refuses p <= 1.05, so ground and mpot must not pass a
+    # config that scan then rejects
+    cfg = write_cfg(tmp_path, p=1.03)
+    assert main(["ground", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config invalid: p: need p > 1.05" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mistyped_nested_number_exits_2(tmp_path, capsys):
@@ -240,6 +250,21 @@ def test_replay_is_byte_identical(tmp_path):
     assert b1.keys() == b2.keys()
     for name in b1:
         assert b1[name] == b2[name], f"{name} differs between replays"
+
+
+@pytest.mark.parametrize("skew", [1.0, 1.01])
+def test_unit_mass_fails_on_a_wrong_mass_to_a(tmp_path, monkeypatch, skew):
+    # mass_check takes its amplitude from a, so a 1% error in mass_to_a's
+    # exponent moves it by about 6% and the flag must read False
+    def mass_to_a(m, eps, n, p):
+        return float((m * eps ** (n - 4.0 / (p - 1.0))) ** (skew * (p - 1.0) / 2.0))
+
+    monkeypatch.setattr(normalization, "mass_to_a", mass_to_a)
+    cfg = write_cfg(tmp_path, schedule=[0.5])
+    out = tmp_path / "o"
+    assert main(["normalize", "--config", cfg, "--out", str(out)]) == 0
+    (line,) = (out / "runs.jsonl").read_text().splitlines()
+    assert json.loads(line)["passes"]["unit_mass"] is (skew == 1.0)
 
 
 def test_out_override_matches_config_outdir(tmp_path):

@@ -142,6 +142,8 @@ def test_missing_field_rejected():
         ({"outdir": 5}, "outdir: must be a string"),
         ({"outdir": None}, "outdir: must be a string"),
         ({"outdir": ["out"]}, "outdir: must be a string"),
+        # the ansatz's floor, so no stage accepts a p that scan would refuse
+        ({"p": 1.03}, "p"),
     ],
 )
 def test_validation_errors_name_the_field(over, field):

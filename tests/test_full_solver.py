@@ -11,6 +11,7 @@ from shellwave.exceptions import ConfigError, ConvergedToZero, NewtonDivergence
 from shellwave.forces import PowerForce, TruncatedForce
 import shellwave.full_solver as full_solver
 from shellwave.full_solver import (
+    _Collocation,
     _newton_step,
     _newton_strong,
     _sup,
@@ -296,17 +297,58 @@ def test_newton_work_count(sine_family):
     assert f.roundoff_floor == 2.0 * np.finfo(float).eps * f.profile.max() / f.grid.h**2
 
 
+def test_strong_residual_order_two():
+    # manufactured solution: plug a smooth profile into the operator on two
+    # grids; the residual against the analytic right-hand side must drop 4x
+    spec = PotentialSpec.sine(amplitude=0.5)
+    eps, p, n = 0.4, 3.0, 2
+
+    def residual_sup(h):
+        grid = RadialGrid.make(n, 30.0, h)
+        ops = DiscreteOperators(grid, eps, spec, p)
+        s = grid.nodes
+        u = np.exp(-((s - 15.0) / 2.0) ** 2)
+        # analytic L[u] = -u'' - (n-1)/s u' + w u - u^3
+        up = -2.0 * (s - 15.0) / 4.0 * u
+        upp = (-0.5 + ((s - 15.0) / 2.0) ** 2) * u
+        w = 1.0 + eps**2 * spec.value(eps * s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv = np.where(s > 0, (n - 1) / np.where(s > 0, s, 1.0) * up, 0.0)
+        lu = -upp - curv + w * u - u**3
+        res = _Collocation(grid, ops.w, ops.force).residual(u) - lu
+        return np.max(np.abs(res[1:-1]))
+
+    r1, r2 = residual_sup(0.02), residual_sup(0.01)
+    assert r2 <= r1 / 3.5
+
+
+def test_solve_strong_linear_manufactured():
+    spec = PotentialSpec.zero()
+    grid = RadialGrid.make(2, 40.0, 0.01)
+    ops = DiscreteOperators(grid, 0.4, spec, 3.0)
+    s = grid.nodes
+    u_exact = np.exp(-((s - 20.0) / 3.0) ** 2)
+    colloc = _Collocation(grid, ops.w, ops.force)
+    # the residual includes -u^3; add it back to isolate the linear part,
+    # whose matrix is the Jacobian at zero
+    rhs = colloc.residual(u_exact) + u_exact**3
+    ab = banded_jacobian(colloc, np.zeros_like(rhs))
+    u = solve_banded((1, 1), ab, rhs)
+    assert np.max(np.abs(u - u_exact)) < 1e-12
+
+
 def test_newton_step_matches_solve_banded(sine_family, sine_spec):
     m = member_at(sine_family, 0.5)
     params = AnsatzParams.make(2, 3.0, 0.5, m.rho_star, sine_spec, 0.5, 1.5,
                                gamma=0.6)
     grid = m.full.grid
     ops = DiscreteOperators(grid, 0.5, sine_spec, 3.0)
+    colloc = _Collocation(grid, ops.w, ops.force)
     u = build_z(params, sine_spec, grid)
-    R = ops.strong_residual(u, force=ops.force)
-    want = solve_banded((1, 1), banded_jacobian(ops, u, force=ops.force), R)
+    R = colloc.residual(u)
+    want = solve_banded((1, 1), banded_jacobian(colloc, u), R)
     m = grid.size
-    got = _newton_step(ops, ops.force, u, R, np.empty(m - 1), np.empty(m), np.empty(m - 1))
+    got = _newton_step(colloc, u, R, np.empty(m - 1), np.empty(m), np.empty(m - 1))
     assert got.tobytes() == want.tobytes()
 
 
@@ -363,23 +405,24 @@ def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
     line search halves t until Armijo holds or the step stops moving u."""
     u = np.array(u0, dtype=float)
     u[-1] = 0.0
+    colloc = _Collocation(ops.grid, ops.w, force)
     R, Rc, cand, diag = (np.empty_like(u) for _ in range(4))
     iters = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        rmax = _sup(ops.strong_residual(u, force=force, out=R))
+        rmax = _sup(colloc.residual(u, out=R))
         evals = 1
         while iters < max_iter:
             thr = tol_coeff * (1.0 + _sup(u) ** ops.p)
             if rmax <= 0.02 * thr:
                 break
-            du = _newton_step(ops, force, u, R, Rc[:-1], diag, cand[:-1])
+            du = _newton_step(colloc, u, R, Rc[:-1], diag, cand[:-1])
             t, ok = 1.0, False
             while t > 1e-8:
                 np.multiply(du, t, out=cand)
                 np.subtract(u, cand, out=cand)
                 if np.array_equal(cand, u):
                     break
-                rc = _sup(ops.strong_residual(cand, force=force, out=Rc))
+                rc = _sup(colloc.residual(cand, out=Rc))
                 evals += 1
                 if rc <= (1.0 - 1e-4 * t) * rmax:
                     ok = True

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from shellwave import full_solver, grids
@@ -95,9 +95,14 @@ def test_dual_norm_matches_banded_cholesky():
 QUADRATURE_FACTORS = {"simpson_coeffs", "trapezoid_coeffs", "radial_weight", "mid_weight"}
 
 
+def arrays_held(obj) -> set:
+    return {k for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+
+
 def test_solve_full_builds_no_energy_picture(monkeypatch):
     # a full solve and its audit read only omega and w, omega not before
-    # the audit's first quad, and the grid keeps no quadrature factor
+    # the audit's first quad, the collocation workspace stays with the
+    # Newton loop, and the grid keeps no quadrature factor
     made, during_newton = [], []
 
     class Recorded(DiscreteOperators):
@@ -109,7 +114,7 @@ def test_solve_full_builds_no_energy_picture(monkeypatch):
 
     def newton(ops, *args):
         out = real_newton(ops, *args)
-        during_newton.append(set(vars(ops)))
+        during_newton.append(arrays_held(ops))
         return out
 
     monkeypatch.setattr(full_solver, "DiscreteOperators", Recorded)
@@ -119,13 +124,19 @@ def test_solve_full_builds_no_energy_picture(monkeypatch):
     grid = grid_for(params, 0.02)
     full = full_solver.solve_full(2, 3.0, 0.5, spec, build_z(params, spec, grid), grid)
     (ops,) = made
-    (names,) = during_newton
-    assert "omega" not in names and "_colloc" in names
-    assert "omega" in vars(ops)
+    (held,) = during_newton
+    assert held == {"w"}
+    assert arrays_held(ops) == {"w", "omega"}
     full_solver.pohozaev_audit(ops, full.profile)
     assert {"gram_banded", "mass_w", "kin_w"}.isdisjoint(vars(ops))
     assert QUADRATURE_FACTORS.isdisjoint(vars(grid))
     assert QUADRATURE_FACTORS.isdisjoint(vars(full.grid))
+
+
+def test_operators_hold_no_collocation_kernels():
+    # the collocation scheme belongs to the full solver
+    assert not hasattr(DiscreteOperators, "strong_residual")
+    assert not hasattr(DiscreteOperators, "strong_jacobian")
 
 
 def test_lazy_energy_weights_match_eager_formulas():
@@ -193,31 +204,6 @@ def test_hess_quadform_consistent():
     assert float(v @ tridiag_mul(ops.hess_banded(u), v)) == pytest.approx(want, rel=1e-12)
 
 
-def test_strong_residual_order_two():
-    # manufactured solution: plug a smooth profile into the operator on two
-    # grids; the residual against the analytic right-hand side must drop 4x
-    spec = PotentialSpec.sine(amplitude=0.5)
-    eps, p, n = 0.4, 3.0, 2
-
-    def residual_sup(h):
-        grid = RadialGrid.make(n, 30.0, h)
-        ops = DiscreteOperators(grid, eps, spec, p)
-        s = grid.nodes
-        u = np.exp(-((s - 15.0) / 2.0) ** 2)
-        # analytic L[u] = -u'' - (n-1)/s u' + w u - u^3
-        up = -2.0 * (s - 15.0) / 4.0 * u
-        upp = (-0.5 + ((s - 15.0) / 2.0) ** 2) * u
-        w = 1.0 + eps**2 * spec.value(eps * s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            curv = np.where(s > 0, (n - 1) / np.where(s > 0, s, 1.0) * up, 0.0)
-        lu = -upp - curv + w * u - u**3
-        res = ops.strong_residual(u, force=ops.force) - lu
-        return np.max(np.abs(res[1:-1]))
-
-    r1, r2 = residual_sup(0.02), residual_sup(0.01)
-    assert r2 <= r1 / 3.5
-
-
 def plain_power(p, u):
     return np.abs(u) ** (p - 1.0) * u
 
@@ -262,7 +248,8 @@ def plain_residual(ops, u, f):
 
 def plain_jacobian(ops, u, fp):
     """The (3, m) stencil template the operators once kept, minus f'(u) on
-    the diagonal: the reference strong_jacobian must match bit for bit."""
+    the diagonal: the reference the collocation Jacobian must match bit for
+    bit."""
     s, h, n, m = ops.grid.nodes, ops.h, ops.grid.n, ops.grid.size
     ab = np.zeros((3, m))
     transport = (n - 1) / (2.0 * h * s[1:-1])
@@ -292,36 +279,23 @@ def test_collocation_kernels_bitwise(n, p, capped):
         force = PowerForce(p)
         f = lambda v: plain_power(p, v)  # noqa: E731
         fp = lambda v: plain_power_slope(p, v)  # noqa: E731
-    first = ops.strong_residual(u, force=force)
+    colloc = full_solver._Collocation(grid, ops.w, force)
+    first = colloc.residual(u)
     kept = first.copy()
-    second = ops.strong_residual(0.5 * u, force=force)
+    second = colloc.residual(0.5 * u)
     assert first.tobytes() == kept.tobytes()
     assert first.tobytes() == plain_residual(ops, u, f).tobytes()
     assert second.tobytes() == plain_residual(ops, 0.5 * u, f).tobytes()
     out = np.empty_like(u)
-    assert ops.strong_residual(u, force=force, out=out) is out
+    assert colloc.residual(u, out=out) is out
     assert out.tobytes() == kept.tobytes()
     want = plain_jacobian(ops, u, fp)
-    assert banded_jacobian(ops, u, force=force).tobytes() == want.tobytes()
+    assert banded_jacobian(colloc, u).tobytes() == want.tobytes()
     # every entry of the three buffers is written, whatever they held
     J = np.full((3, grid.size), np.nan)
-    ops.strong_jacobian(u, J[2, :-1], J[1], J[0, 1:], force=force)
+    colloc.jacobian(u, J[2, :-1], J[1], J[0, 1:])
     J[0, 0] = J[2, -1] = 0.0
     assert J.tobytes() == want.tobytes()
-
-
-def test_solve_strong_linear_manufactured():
-    spec = PotentialSpec.zero()
-    grid = RadialGrid.make(2, 40.0, 0.01)
-    ops = DiscreteOperators(grid, 0.4, spec, 3.0)
-    s = grid.nodes
-    u_exact = np.exp(-((s - 20.0) / 3.0) ** 2)
-    # strong_residual includes -u^3; add it back to isolate the linear part,
-    # whose matrix is the Jacobian at zero
-    rhs = ops.strong_residual(u_exact, force=ops.force) + u_exact**3
-    ab = banded_jacobian(ops, np.zeros_like(rhs), force=ops.force)
-    u = solve_banded((1, 1), ab, rhs)
-    assert np.max(np.abs(u - u_exact)) < 1e-12
 
 
 def dense_bordered(ab, cols, rows):
