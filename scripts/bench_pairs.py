@@ -16,6 +16,13 @@ ran first.  A metric's better direction comes from the change checkout's
 prints for pipeline-sine-n2 (``stage.scan_s`` and so on) are recorded
 with each run and summarized the same way, lower being better, so a
 pipeline claim shows which stage moved.
+
+A metric's change is ``clear`` when the change wins at least 9 of 10
+pairs and its median beats the parent's by more than the parent's
+interquartile spread.  Each workload and seed also counts, per side, the
+runs whose checks failed and the share of operations that failed; the
+script exits 1 when a change run fails its checks or fails more
+operations than the parent run of its pair.
 """
 
 from __future__ import annotations
@@ -71,6 +78,24 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     med_p, med_c = statistics.median(parent), statistics.median(change)
     out["change_wins"] = f"{wins}/{len(parent)}"
     out["median_change"] = f"{100.0 * (med_c / med_p - 1.0):+.1f}%"
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    out["clear"] = bool(wins >= 0.9 * len(parent) and sign * (med_p - med_c) > q3 - q1)
+    return out
+
+
+def run_health(parent: list[dict], change: list[dict]) -> dict:
+    """Runs whose checks failed and failed operations on each side, and the
+    pairs whose change run failed its checks or failed more operations
+    than its parent run; parent[i] and change[i] are the rows of pair i."""
+    out = {}
+    for side, rows in zip(SIDES, (parent, change)):
+        failed = sum(r["failed"] for r in rows)
+        attempted = sum(r["attempted"] for r in rows)
+        out[side] = {"incorrect_runs": sum(not r["correct"] for r in rows),
+                     "failed_ops": f"{failed}/{attempted}",
+                     "failed_share": round(failed / attempted, 4) if attempted else 0.0}
+    out["worse_pairs"] = [c["pair"] for p, c in zip(parent, change)
+                          if not c["correct"] or c["failed"] > p["failed"]]
     return out
 
 
@@ -122,7 +147,10 @@ def main(argv=None) -> int:
             summary = {name: summarize([r[name] for r in runs["parent"]],
                                        [r[name] for r in runs["change"]], how)
                        for name, how in how_of.items()}
-            workloads[f"{workload} seed {seed}"] = {"summary": summary, "runs": runs}
+            workloads[f"{workload} seed {seed}"] = {
+                "summary": summary,
+                "health": run_health(runs["parent"], runs["change"]),
+                "runs": runs}
 
     seeds = ", ".join(str(s) for s in args.seed)
     doc = {
@@ -133,7 +161,9 @@ def main(argv=None) -> int:
             f"(seeds {seeds}), untraced, each side from its own checkout, run one "
             "at a time; the side that runs first alternates (parent first in even "
             "pairs). Quartiles are statistics.quantiles(method='inclusive'); a "
-            "pair with equal values counts as a win for neither side."),
+            "pair with equal values counts as a win for neither side. A change "
+            "is clear when it wins at least 9/10 of the pairs and its median "
+            "beats the parent's by more than the parent's interquartile range."),
         "claim": args.claim,
         "workloads": workloads,
     }
@@ -141,14 +171,23 @@ def main(argv=None) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    worse = False
     for key, w in workloads.items():
         for name, s in w["summary"].items():
             print(f"{key} {name}: parent {s['parent_median']} "
                   f"[{s['parent_q1']}, {s['parent_q3']}]  change {s['change_median']} "
                   f"[{s['change_q1']}, {s['change_q3']}]  wins {s['change_wins']}  "
-                  f"{s['median_change']}")
+                  f"{s['median_change']}" + ("  clear" if s["clear"] else ""))
+        health = w["health"]
+        print(f"{key} runs: " + "  ".join(
+            f"{side} {health[side]['incorrect_runs']} incorrect, "
+            f"{health[side]['failed_ops']} operations failed" for side in SIDES))
+        if health["worse_pairs"]:
+            worse = True
+            print(f"{key}: the change run is incorrect or fails more operations "
+                  f"in pairs {health['worse_pairs']}", file=sys.stderr)
     print(f"wrote {path}")
-    return 0
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":

@@ -33,6 +33,15 @@ search that fails ends the loop (repeating it from the same u would repeat
 it exactly), as do a residual below 2% of the tolerance and MAX_ITER
 accepted steps; newton_stop records which ("roundoff", "tolerance",
 "max_iter").
+
+Which solves polish.  The full steps an acceptable iterate still takes
+(the polish) move only noise-level bits, but those bits reach the defects:
+stopping at the first acceptable iterate moves the eps = 0.3 member's
+defects by 1.5e-12, a soft mode of that member.  So every solve whose
+profile is an output (continuation members, the solve stage, cold solves)
+polishes.  The refinement re-solve of pohozaev_refinement_check does not:
+its only output is a shrink ratio of about 4, so it returns its first
+acceptable iterate, with newton_stop "acceptable".
 """
 
 from __future__ import annotations
@@ -99,7 +108,7 @@ class FullSolution:
     newton_iters: int         # accepted Newton steps
     residual_evals: int       # residual evaluations, line searches included
     roundoff_floor: float     # 2 eps_mach max|u| / h^2
-    newton_stop: str          # "tolerance", "roundoff" or "max_iter"
+    newton_stop: str          # "tolerance", "roundoff", "acceptable" or "max_iter"
     force_cap: float | None
 
     @property
@@ -236,7 +245,7 @@ def _accept_bounds(ops: DiscreteOperators, u: np.ndarray,
 
 
 def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
-                   tol_coeff: float, max_iter: int):
+                   tol_coeff: float, max_iter: int, polish: bool):
     u = np.array(u0, dtype=float)
     u[-1] = 0.0
     seed_peak = _sup(u)
@@ -258,6 +267,9 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
                 break
             # once u is acceptable, a shorter step only finds noise
             settled = rmax <= max(thr, floor)
+            if settled and not polish:
+                stop = "acceptable"
+                break
             # the line search rewrites Rc and cand, so they can take the
             # Jacobian's off-diagonals
             du = _newton_step(colloc, u, R, Rc[:-1], diag, cand[:-1])
@@ -302,7 +314,15 @@ def solve_full(
     grid: RadialGrid,
     trunc_K: float | None = None,
     tol_coeff: float = 1e-10,
+    *,
+    polish: bool = True,
 ) -> FullSolution:
+    """Newton solve of the collocation system from seed on grid.
+
+    With polish False the solve returns its first acceptable iterate
+    instead of taking full steps from it until one fails (module
+    docstring, "Stopping rules"); only pohozaev_refinement_check sets it.
+    """
     if len(seed) != grid.size:
         raise ConfigError("seed length does not match the grid")
     seed_peak = float(np.abs(seed).max())
@@ -316,7 +336,7 @@ def solve_full(
         K = None
         force = ops.force
     u, rmax, iters, evals, floor, stop = _newton_strong(ops, force, seed,
-                                                        tol_coeff, MAX_ITER)
+                                                        tol_coeff, MAX_ITER, polish)
     if float(u[:-1].min()) <= 0.0:
         raise SolverError("solution lost positivity")
     if K is not None and float(u.max()) >= K:
@@ -395,14 +415,16 @@ def pohozaev_refinement_check(
 ) -> tuple[PohozaevAudit, PohozaevAudit, tuple[float, float]]:
     """Re-solve on the half-step grid and report the defect shrink factors.
 
-    Both audits are the ones solve_full attached to the two solutions.
+    Both audits are the ones solve_full attached to the two solutions.  The
+    re-solve stops at its first acceptable iterate (polish=False): the
+    shrink ratio does not see the bits the polish would move.
     """
     fine = full.grid.refine()
     seed = np.interp(fine.nodes, full.grid.nodes, full.profile)
     refined = solve_full(
         full.n, full.p, full.eps, spec, seed, fine,
         trunc_K=trunc_K if trunc_K is not None else full.force_cap,
-        tol_coeff=tol_coeff,
+        tol_coeff=tol_coeff, polish=False,
     )
     tiny = np.finfo(float).tiny
     ratios = (

@@ -50,9 +50,17 @@ def _open_lf(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _column_cells(col) -> list[str]:
+    """The text of one column: a column of floats (numpy's included) is
+    formatted at once from a list of Python floats, any other by fmt."""
+    if all(issubclass(t, (float, np.floating)) for t in set(map(type, col))):
+        return list(map(repr, np.array(col, dtype=float).tolist()))
+    return list(map(fmt, col))
+
+
 def write_csv(path: str, header, rows) -> None:
     lines = [",".join(header)]
-    lines += [",".join(map(fmt, row)) for row in rows]
+    lines += map(",".join, zip(*(_column_cells(col) for col in zip(*rows))))
     with _open_lf(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,6 +1,7 @@
 """Summary arithmetic of scripts/bench_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -68,3 +69,75 @@ def test_parse_output_without_stage_lines():
     res, stages = bench_pairs.parse_output(text)
     assert res["correct"] is True
     assert stages == {}
+
+
+def test_clear_needs_nine_of_ten_wins_and_a_gap_above_the_spread():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    faster = [x - 0.6 for x in parent]
+    s = bench_pairs.summarize(parent, faster, "lower")
+    # parent quartiles 1.225 and 1.675: a 0.6 gap beats the 0.45 spread
+    assert s["change_wins"] == "10/10" and s["clear"] is True
+    assert bench_pairs.summarize(parent, faster, "higher")["clear"] is False
+    # ten wins by less than the spread
+    close = [x - 0.1 for x in parent]
+    assert bench_pairs.summarize(parent, close, "lower")["clear"] is False
+    # the gap, but two pairs lost
+    lost = faster[:8] + [parent[8] + 0.1, parent[9] + 0.1]
+    s = bench_pairs.summarize(parent, lost, "lower")
+    assert s["change_wins"] == "8/10" and s["clear"] is False
+    nine = faster[:9] + [parent[9] + 0.1]
+    assert bench_pairs.summarize(parent, nine, "lower")["clear"] is True
+
+
+def row(pair, correct=True, failed=0, attempted=46):
+    return {"pair": pair, "correct": correct, "failed": failed, "attempted": attempted}
+
+
+def test_run_health_counts_and_flags_worse_pairs():
+    parent = [row(0, failed=2), row(1, failed=2), row(2, correct=False, failed=2)]
+    change = [row(0, failed=2), row(1, failed=3), row(2, correct=False, failed=1)]
+    h = bench_pairs.run_health(parent, change)
+    assert h["parent"] == {"incorrect_runs": 1, "failed_ops": "6/138",
+                           "failed_share": 0.0435}
+    assert h["change"]["incorrect_runs"] == 1 and h["change"]["failed_ops"] == "6/138"
+    # pair 1 fails one more operation, pair 2's change run is incorrect
+    assert h["worse_pairs"] == [1, 2]
+    assert bench_pairs.run_health(change, parent)["worse_pairs"] == [2]
+
+
+def fake_run(results):
+    """A run_once stand-in: the i-th run of a checkout returns its
+    results[checkout][i] = (correct, failed), with job_s 0.5 for the parent
+    and 0.4 for the change."""
+    done = {side: 0 for side in results}
+
+    def run_once(checkout, workload, seed):
+        correct, failed = results[checkout][done[checkout]]
+        done[checkout] += 1
+        job_s = 0.5 if checkout == "parent" else 0.4
+        return ({"correct": correct, "attempted": 46, "failed": failed,
+                 "metrics": {"job_s": {"value": job_s, "unit": "s"}}}, {})
+
+    return run_once
+
+
+@pytest.mark.parametrize("change_runs, worse, code", [
+    ([(True, 2), (True, 2)], [], 0),
+    ([(True, 2), (False, 2)], [1], 1),
+    ([(True, 3), (True, 1)], [0], 1),
+])
+def test_main_exits_1_when_a_change_run_is_worse(tmp_path, monkeypatch,
+                                                 change_runs, worse, code):
+    change = str(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "job_s", "better": "lower"}]}')
+    results = {"parent": [(True, 2), (True, 2)], change: change_runs}
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run(results))
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    argv = ["--parent", "parent", "--change", change, "--workload", "w",
+            "--seed", "0", "--pairs", "2", "--tag", "t", "--claim", "none"]
+    assert bench_pairs.main(argv) == code
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    w = doc["workloads"]["w seed 0"]
+    assert w["health"]["worse_pairs"] == worse
+    assert w["summary"]["job_s"]["change_wins"] == "2/2"

@@ -385,7 +385,7 @@ def test_non_finite_jacobian_diverges():
     ops = DiscreteOperators(grid, 0.4, PotentialSpec.zero(), 3.0)
     seed = np.exp(-((grid.nodes - 5.0) ** 2))
     with pytest.raises(NewtonDivergence, match="Jacobian is not finite"):
-        _newton_strong(ops, _Slope(3.0, 0.0, np.nan), seed, 1e-10, 80)
+        _newton_strong(ops, _Slope(3.0, 0.0, np.nan), seed, 1e-10, 80, True)
 
 
 def test_singular_jacobian_diverges():
@@ -397,7 +397,7 @@ def test_singular_jacobian_diverges():
     ops = DiscreteOperators(grid, 0.4, PotentialSpec.zero(), 3.0)
     seed = np.array([1.0, 0.5, 0.0])
     with pytest.raises(NewtonDivergence, match="singular"):
-        _newton_strong(ops, _Slope(3.0, 19.0, 25.0), seed, 1e-10, 80)
+        _newton_strong(ops, _Slope(3.0, 19.0, 25.0), seed, 1e-10, 80, True)
 
 
 def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
@@ -442,7 +442,9 @@ def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
 def halving_families(sine_spec):
     """The shipped families solved by the halving loop."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(full_solver, "_newton_strong", _halving_newton_strong)
+        patch.setattr(full_solver, "_newton_strong",
+                      lambda ops, force, u0, tol_coeff, max_iter, polish:
+                      _halving_newton_strong(ops, force, u0, tol_coeff, max_iter))
         sine = continuation_in_eps(
             2, 3.0, sine_spec, SINE_SCHEDULE, SINE_C1, SINE_C2, SINE_T_BRACKET,
             gamma=0.6)
@@ -471,11 +473,8 @@ def test_settled_stop_matches_halving_loop(sine_family, supercritical_family,
     assert sup_new.profile.tobytes() == sup_old.profile.tobytes()
 
 
-def test_family_newton_work(sine_family, sine_spec, monkeypatch):
-    # the halving loop spent 87 evaluations on the coarse members and up to
-    # 20 on one refinement re-solve; seeding members after the first from
-    # the previous profile shifted by the change in rho* spent 32
-    assert sum(m.full.residual_evals for m in sine_family.members) <= 27
+def _refined_solves(family, spec, monkeypatch):
+    """The re-solves pohozaev_refinement_check makes for family's members."""
     refined = []
     solve = full_solver.solve_full
 
@@ -484,12 +483,39 @@ def test_family_newton_work(sine_family, sine_spec, monkeypatch):
         return refined[-1]
 
     monkeypatch.setattr(full_solver, "solve_full", recording)
-    for m in sine_family.members:
-        pohozaev_refinement_check(m.full, sine_spec)
-    assert len(refined) == len(SINE_SCHEDULE)
-    for f in refined:
-        assert f.residual_evals <= 5, (f.eps, f.residual_evals)
-        assert f.newton_stop == "roundoff"
+    for m in family.members:
+        pohozaev_refinement_check(m.full, spec)
+    monkeypatch.setattr(full_solver, "solve_full", solve)
+    assert len(refined) == len(family.members)
+    return refined
+
+
+def _accepted(f):
+    thr = 1e-10 * (1.0 + f.profile.max() ** f.p)
+    return f.residual_max <= max(thr, f.roundoff_floor)
+
+
+def test_family_newton_work(sine_family, sine_spec, monkeypatch):
+    # the halving loop spent 87 evaluations on the coarse members and up to
+    # 20 on one refinement re-solve; seeding members after the first from
+    # the previous profile shifted by the change in rho* spent 32.  The
+    # re-solve's first full step is acceptable, and polishing it took 4-5
+    assert sum(m.full.residual_evals for m in sine_family.members) <= 27
+    for f in _refined_solves(sine_family, sine_spec, monkeypatch):
+        assert f.residual_evals <= 2, (f.eps, f.residual_evals)
+        assert f.newton_stop == "acceptable" and _accepted(f)
+
+
+def test_supercritical_resolve_stops_at_first_acceptable(
+        supercritical_family, sine_spec, monkeypatch):
+    # one step leaves the fine residual above the accept rule, so the
+    # re-solve takes a second step and stops there
+    (f,) = _refined_solves(supercritical_family, sine_spec, monkeypatch)
+    assert (f.newton_iters, f.residual_evals) == (2, 3)
+    assert f.newton_stop == "acceptable" and _accepted(f)
+    monkeypatch.setattr(full_solver, "MAX_ITER", 1)
+    with pytest.raises(NewtonDivergence, match="stayed above"):
+        pohozaev_refinement_check(supercritical_family.members[0].full, sine_spec)
 
 
 def test_resolve_from_converged_profile(sine_family, sine_spec):
@@ -516,18 +542,46 @@ def test_member_work_stable_under_seed_shift(sine_family, sine_spec, delta):
     assert max(f.pohozaev_1, f.pohozaev_2) <= 1e-6
 
 
+def _member_seed(m, spec, C1, C2, **kwargs):
+    """z at the member's rho* plus its reduction's omega on the member's
+    grid: the seed continuation_in_eps gave its full solve."""
+    params = AnsatzParams.make(m.full.n, m.full.p, m.eps, m.rho_star, spec, C1, C2,
+                               **kwargs)
+    red = m.reduced.solution
+    return build_z(params, spec, m.full.grid) + np.interp(
+        m.full.grid.nodes, red.grid.nodes, red.omega, left=0.0, right=0.0)
+
+
 def test_every_member_seeded_from_its_own_reduction(sine_family, sine_spec):
-    # z at rho* plus the reduction's omega on the member's grid; members
-    # after the first used to be seeded from the previous profile shifted
-    # by the change in rho*
+    # members after the first used to be seeded from the previous profile
+    # shifted by the change in rho*
     for m in sine_family.members:
-        params = AnsatzParams.make(2, 3.0, m.eps, m.rho_star, sine_spec, SINE_C1,
-                                   SINE_C2, gamma=0.6, eps_max=SINE_SCHEDULE[0])
-        red = m.reduced.solution
-        seed = build_z(params, sine_spec, m.full.grid) + np.interp(
-            m.full.grid.nodes, red.grid.nodes, red.omega, left=0.0, right=0.0)
+        seed = _member_seed(m, sine_spec, SINE_C1, SINE_C2, gamma=0.6,
+                            eps_max=SINE_SCHEDULE[0])
         f = solve_full(2, 3.0, m.eps, sine_spec, seed, m.full.grid)
         assert f.profile.tobytes() == m.full.profile.tobytes(), m.eps
+
+
+def test_default_solve_polishes_the_first_acceptable_iterate(
+        sine_family, supercritical_family, sine_spec):
+    # without the option every member polishes on to a failed full step
+    # and keeps its bits: the default solve is its first acceptable
+    # iterate followed by the full steps from there
+    cases = [(m, _member_seed(m, sine_spec, SINE_C1, SINE_C2, gamma=0.6,
+                              eps_max=SINE_SCHEDULE[0]), None)
+             for m in sine_family.members]
+    sup = supercritical_family.members[0]
+    cases.append((sup, _member_seed(sup, sine_spec, 0.5, 3.0), 3.0))
+    for m, seed, trunc_K in cases:
+        f = m.full
+        first = solve_full(f.n, f.p, f.eps, sine_spec, seed, f.grid,
+                           trunc_K=trunc_K, polish=False)
+        assert first.newton_stop == "acceptable" and _accepted(first)
+        polished = solve_full(f.n, f.p, f.eps, sine_spec, first.profile, f.grid,
+                              trunc_K=trunc_K)
+        assert f.newton_stop == polished.newton_stop == "roundoff"
+        assert polished.profile.tobytes() == f.profile.tobytes(), m.eps
+        assert first.newton_iters + polished.newton_iters == f.newton_iters
 
 
 def _peak_arrays(fn, size):
