@@ -27,8 +27,9 @@ machine.
   ``find_critical_radius``: one call each, as the continuation and the
   ``solve`` and ``mpot`` stages make them.
 
-The result is one JSON line: the minima in milliseconds, the node counts,
-and the repeat count.
+The result is one JSON line: the minima in milliseconds, the node counts
+(``audit_nodes`` is the grid the refinement audit re-solves on), and the
+repeat count.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ def main(argv=None) -> int:
     # the continuation's seed: z at rho* on the fine grid plus the reduction's omega
     seed = ansatz.build_z(params, spec, full.grid) + np.interp(
         full.grid.nodes, red.solution.grid.nodes, red.solution.omega, left=0.0, right=0.0)
+    # the refinement audit's re-solve grid: of the two audits it returns,
+    # the one that is not the member's own
+    audits = full_solver.pohozaev_refinement_check(
+        full, spec, trunc_K=cfg.trunc_K, tol_coeff=cfg.tolerances.solve_tol_coeff)[:2]
+    audit_h = next(a.h for a in audits if a is not full.audit)
+    audit_nodes = grids.RadialGrid.make(cfg.n, full.grid.s_max, audit_h).size
 
     kernels = {
         "solve_projected_cold": lambda: reduction.solve_projected(
@@ -118,7 +125,8 @@ def main(argv=None) -> int:
     }
     out = best_ms(kernels, args.repeat)
     out.update({"eps": EPS, "reduction_nodes": grid.size,
-                "collocation_nodes": full.grid.size, "repeat": args.repeat})
+                "collocation_nodes": full.grid.size, "audit_nodes": audit_nodes,
+                "repeat": args.repeat})
     print(json.dumps(out))
     return 0
 

@@ -235,14 +235,14 @@ def _stage_solve(cfg, outdir, eps=None):
     res = _run_family(cfg, [e])
     m = res.members[0]
     full = m.full
-    coarse, fine, ratios = pohozaev_refinement_check(
+    coarse, _, ratios = pohozaev_refinement_check(
         full, spec, trunc_K=cfg.trunc_K, tol_coeff=cfg.tolerances.solve_tol_coeff)
     slope, beta, tail_rel = tail_decay_check(full, spec)
     terms = [dataclasses.asdict(row) for row in asymptotic_terms_check(full, spec)]
     summary = _member_summary(m)
     summary.update({
         "defect_shrink": list(ratios),
-        "defects_fine": [fine.defect_1, fine.defect_2],
+        "defects_coarse": [coarse.defect_1, coarse.defect_2],
         "tail_slope": slope, "tail_beta": beta, "tail_rel_err": tail_rel,
         "asymptotic_terms": terms,
         "grid_h": full.grid.h, "grid_size": full.grid.size,

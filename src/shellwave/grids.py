@@ -39,10 +39,11 @@ from .forces import PowerForce
 from .potentials import PotentialSpec
 
 # largest grid RadialGrid.make builds: 64 MiB per float64 array; a full
-# solve and its refinement audit hold fewer than ARRAYS_PER_NODE of them
-# (README, Install)
+# solve holds fewer than ARRAYS_PER_NODE of them besides its seed and its
+# grid's nodes (8.1 measured), and its refinement audit, which re-solves on
+# the 2h grid, about 5 (README, Install)
 MAX_NODES = 2**23
-ARRAYS_PER_NODE = 11
+ARRAYS_PER_NODE = 9
 
 __all__ = [
     "RadialGrid",
@@ -113,10 +114,6 @@ class RadialGrid:
     def mid_weight(self) -> np.ndarray:
         """s^(n-1) at interval midpoints."""
         return (self.nodes[:-1] + self.h / 2.0) ** (self.n - 1)
-
-    def refine(self) -> "RadialGrid":
-        """Same span, half the step."""
-        return RadialGrid.make(self.n, self.s_max, self.h / 2.0, self.s_min)
 
 
 def tridiag_mul(ab: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

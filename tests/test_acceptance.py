@@ -90,7 +90,7 @@ def test_criterion_03_identity_defects(sine_family, sine_spec):
     dt = time.perf_counter() - t0
     ok = worst <= 1e-6 and min(ratios) >= 3.5 and dt < 30.0
     _criterion(3, ok, f"worst defect {worst:.2e}, "
-                      f"shrink x{min(ratios):.2f} under h/2, {dt:.1f} s")
+                      f"shrink x{min(ratios):.2f} from 2h to h, {dt:.1f} s")
 
 
 def test_criterion_04_reduction_at_layer(sine_family, sine_spec):

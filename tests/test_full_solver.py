@@ -1,5 +1,6 @@
 """Full radial solves, integral audits, truncation, and continuation."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -132,10 +133,55 @@ def test_peak_tracks_critical_radius(sine_family, sine_spec):
 def test_pohozaev_refinement_shrink(sine_family, sine_spec):
     m = member_at(sine_family, 0.5)
     coarse, fine, ratios = pohozaev_refinement_check(m.full, sine_spec)
-    assert coarse is m.full.audit  # reused, not recomputed
+    assert fine is m.full.audit  # reused, not recomputed
+    assert coarse.h == 2.0 * fine.h
     assert min(ratios) >= 3.5
     assert fine.defect_1 < coarse.defect_1
     assert fine.defect_2 < coarse.defect_2
+
+
+def _half_step_shrink(f, spec):
+    """(d_1, d_2) shrink from h to h/2: f re-solved on the half-step grid
+    from its interpolated profile."""
+    half = RadialGrid.make(f.n, f.grid.s_max, f.grid.h / 2.0)
+    g = solve_full(f.n, f.p, f.eps, spec, np.interp(half.nodes, f.grid.nodes, f.profile),
+                   half, trunc_K=f.force_cap, polish=False)
+    return f.pohozaev_1 / g.pohozaev_1, f.pohozaev_2 / g.pohozaev_2
+
+
+def test_coarse_pair_certifies_second_order_like_the_half_step_pair(
+        sine_family, supercritical_family, sine_spec, monkeypatch):
+    # the 2h re-solve runs on the member's even-indexed nodes, and both grid
+    # pairs read the h^2 law: (2h, h) 3.9997-3.9999, (h, h/2) 3.9999-4.0003;
+    # the eps = 0.3 member's 2h grid has an odd interval count, so one node
+    # past s_max is added, where the seed is zero
+    members = (member_at(sine_family, 0.4), member_at(sine_family, 0.3),
+               supercritical_family.members[0])
+    for m in members:
+        f = m.full
+        (coarse,) = _refined_solves([m], sine_spec, monkeypatch)
+        assert coarse.grid.h == 2.0 * f.grid.h
+        even = f.grid.nodes[::2]
+        assert coarse.grid.nodes[:even.size].tobytes() == even.tobytes()
+        assert coarse.grid.size - even.size == (even.size - 1) % 2
+        _, _, ratios = pohozaev_refinement_check(f, sine_spec)
+        for shrink in (*ratios, *_half_step_shrink(f, sine_spec)):
+            assert 3.9 <= shrink <= 4.1, (m.eps, f.n, shrink)
+
+
+def test_shrink_rule_refuses_a_perturbed_profile(sine_family, sine_spec):
+    # a smooth bump on the eps = 0.5 profile makes its own defects large;
+    # the 2h re-solve converges back to the layer and its defects do not
+    # follow, so the shrink falls to about (0.002, 0.02) and the solve
+    # stage's defects_shrink flag reads False
+    f = member_at(sine_family, 0.5).full
+    s = f.grid.nodes
+    profile = f.profile + 1e-3 * np.exp(-((s - f.peak_rho - 3.0) / 2.0) ** 2)
+    ops = DiscreteOperators(f.grid, f.eps, sine_spec, f.p)
+    bumped = dataclasses.replace(f, profile=profile, audit=pohozaev_audit(ops, profile))
+    _, fine, ratios = pohozaev_refinement_check(bumped, sine_spec)
+    assert fine is bumped.audit
+    assert min(ratios) < 3.5, ratios
 
 
 def test_asymptotic_terms_at_layer(sine_family, sine_spec):
@@ -473,8 +519,8 @@ def test_settled_stop_matches_halving_loop(sine_family, supercritical_family,
     assert sup_new.profile.tobytes() == sup_old.profile.tobytes()
 
 
-def _refined_solves(family, spec, monkeypatch):
-    """The re-solves pohozaev_refinement_check makes for family's members."""
+def _refined_solves(members, spec, monkeypatch):
+    """The re-solves pohozaev_refinement_check makes for members."""
     refined = []
     solve = full_solver.solve_full
 
@@ -483,10 +529,10 @@ def _refined_solves(family, spec, monkeypatch):
         return refined[-1]
 
     monkeypatch.setattr(full_solver, "solve_full", recording)
-    for m in family.members:
+    for m in members:
         pohozaev_refinement_check(m.full, spec)
     monkeypatch.setattr(full_solver, "solve_full", solve)
-    assert len(refined) == len(family.members)
+    assert len(refined) == len(members)
     return refined
 
 
@@ -497,20 +543,21 @@ def _accepted(f):
 
 def test_family_newton_work(sine_family, sine_spec, monkeypatch):
     # the halving loop spent 87 evaluations on the coarse members and up to
-    # 20 on one refinement re-solve; seeding members after the first from
-    # the previous profile shifted by the change in rho* spent 32.  The
-    # re-solve's first full step is acceptable, and polishing it took 4-5
+    # 20 on one half-step refinement re-solve; seeding members after the
+    # first from the previous profile shifted by the change in rho* spent
+    # 32.  The 2h re-solve's first full step is acceptable, as the half-step
+    # one's was (polishing that took 4-5)
     assert sum(m.full.residual_evals for m in sine_family.members) <= 27
-    for f in _refined_solves(sine_family, sine_spec, monkeypatch):
+    for f in _refined_solves(sine_family.members, sine_spec, monkeypatch):
         assert f.residual_evals <= 2, (f.eps, f.residual_evals)
         assert f.newton_stop == "acceptable" and _accepted(f)
 
 
 def test_supercritical_resolve_stops_at_first_acceptable(
         supercritical_family, sine_spec, monkeypatch):
-    # one step leaves the fine residual above the accept rule, so the
+    # one step leaves the 2h grid's residual above the accept rule, so the
     # re-solve takes a second step and stops there
-    (f,) = _refined_solves(supercritical_family, sine_spec, monkeypatch)
+    (f,) = _refined_solves(supercritical_family.members, sine_spec, monkeypatch)
     assert (f.newton_iters, f.residual_evals) == (2, 3)
     assert f.newton_stop == "acceptable" and _accepted(f)
     monkeypatch.setattr(full_solver, "MAX_ITER", 1)
@@ -600,8 +647,9 @@ def test_full_solve_holds_few_grid_sized_arrays(sine_family, sine_spec):
     # the eps = 0.3 member's grid, built afresh so no quadrature factor is
     # cached on it, seeded with the member's own profile; the memory peak
     # is the Newton loop's (u, R, Rc, cand, the Jacobian's diagonal, w and
-    # the collocation workspace's curv and fwd) or the audit's, whichever
-    # is larger
+    # the collocation workspace's curv and fwd); the audit re-solves on the
+    # 2h grid, about half the nodes, so its peak (the same arrays plus the
+    # seed and the 2h grid's nodes) is about 5 of the member's grid
     full = member_at(sine_family, 0.3).full
     grid = RadialGrid.make(2, full.grid.s_max, full.grid.h)
     assert np.array_equal(grid.nodes, full.grid.nodes)
@@ -610,8 +658,8 @@ def test_full_solve_holds_few_grid_sized_arrays(sine_family, sine_spec):
                          grid.size)
     assert solve <= 9.0, solve
     audit = _peak_arrays(lambda: pohozaev_refinement_check(full, sine_spec),
-                         grid.refine().size)
-    assert audit <= 11.0, audit
+                         grid.size)
+    assert audit <= 5.1, audit
 
 
 def test_first_member_bracket_is_clipped_to_the_window(sine_spec):

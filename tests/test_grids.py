@@ -37,7 +37,7 @@ def test_grid_nodes():
     assert grid.nodes[0] == 0.0
     assert grid.nodes[-1] == pytest.approx(10.0)
     assert grid.size == 21
-    fine = grid.refine()
+    fine = RadialGrid.make(2, grid.s_max, grid.h / 2.0)
     assert fine.h == pytest.approx(0.25)
     assert fine.nodes[-1] == pytest.approx(10.0)
 
@@ -477,14 +477,15 @@ def test_bordered_zero_schur_complement():
 def test_node_budget_refuses_before_allocating(monkeypatch):
     from shellwave import grids
 
-    # 2^23 nodes, 64 MiB per array, take the eps = 0.05 refinement audit's
-    # grid (about 5.4M nodes) and refuse the eps = 0.01 scan's (150M)
+    # 2^23 nodes, 64 MiB per array, take twice the eps = 0.05 member's
+    # full-solve grid (about 2.7M nodes, the largest a solve or its audit
+    # builds) and refuse the eps = 0.01 scan's (150M)
     assert grids.MAX_NODES == 2**23
     assert 5_400_000 < grids.MAX_NODES < 150_002_311
     with pytest.raises(ConfigError) as err:
         RadialGrid.make(2, 3_000_046.19, 0.02)
     msg = str(err.value)
-    assert "150,002,311 nodes" in msg and "8,388,608" in msg and "12.3 GiB" in msg
+    assert "150,002,311 nodes" in msg and "8,388,608" in msg and "10.1 GiB" in msg
     # the count includes the node that makes the interval count even
     monkeypatch.setattr(grids, "MAX_NODES", 101)
     assert RadialGrid.make(2, 100 * 0.5, 0.5).size == 101

@@ -17,8 +17,11 @@ def test_one_repeat_prints_every_kernel():
     [line] = proc.stdout.splitlines()
     out = json.loads(line)
     assert set(out) == {f"{k}_ms" for k in KERNELS} | {
-        "eps", "reduction_nodes", "collocation_nodes", "repeat"}
+        "eps", "reduction_nodes", "collocation_nodes", "audit_nodes", "repeat"}
     assert all(out[f"{k}_ms"] > 0.0 for k in KERNELS)
     assert (out["eps"], out["repeat"]) == (0.3, 1)
-    # the eps = 0.3 member's rho* search grid and full-solve grid
+    # the eps = 0.3 member's rho* search grid and full-solve grid, and the
+    # audit's 2h grid: the member's even-indexed nodes plus the one node
+    # that makes its interval count even
     assert (out["reduction_nodes"], out["collocation_nodes"]) == (4001, 38003)
+    assert out["audit_nodes"] == 19003

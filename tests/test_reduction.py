@@ -108,7 +108,8 @@ def test_spectral_gap_properties(setup):
     assert complement_min >= 0.02
     assert form_zz < 0.0
     assert form_zz == pytest.approx(form_zz_ref, rel=0.05)
-    ops, _, hess, border = _gap_pencil(params, spec, grid.refine())
+    ops, _, hess, border = _gap_pencil(
+        params, spec, RadialGrid.make(grid.n, grid.s_max, grid.h / 2.0, grid.s_min))
     fine = constrained_min_eig(hess, ops.gram_banded, border)
     assert fine >= complement_min - 1e-6
 
