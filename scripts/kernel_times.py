@@ -5,15 +5,16 @@
 
 The package is imported from ``<root>/src`` (this checkout by default), so
 one copy of this script times any checkout that has the same public
-functions: ``ansatz.build_z_and_zdot``, ``grids.bordered_solve``,
-``config.rho_bracket``, ``full_solver.RECENTRE`` and the ``measure`` option
-of ``reduction.solve_projected``.  Checkouts older than those are not
-timed.  Set-up runs the config's continuation once, untimed, to find
-the eps = 0.3 member and the rho* bracket that continuation gives it.  The
-kernels then run in turn, --repeat rounds of one call each, and each
-kernel's minimum is kept: spreading every kernel's calls over the whole
-run and keeping the fastest is what least reflects other load on a shared
-machine.
+names: ``ansatz.build_z_and_zdot``, ``grids.bordered_solve``,
+``full_solver.member_seed``, the ``params`` and ``bracket`` fields of
+``full_solver.FamilyMember`` and the ``measure`` option of
+``reduction.solve_projected``.  Checkouts without them are not timed.
+Set-up runs the config's continuation once, untimed, to find the
+eps = 0.3 member, its ansatz at rho* and the rho* bracket the
+continuation gave it.  The kernels then run in turn, --repeat rounds of
+one call each, and each kernel's minimum is kept: spreading every
+kernel's calls over the whole run and keeping the fastest is what least
+reflects other load on a shared machine.
 
 * ``solve_projected_cold`` and ``solve_projected_warm``: one projected solve
   at rho* on the rho* search's grid, with its operators built beforehand,
@@ -25,7 +26,9 @@ machine.
 * ``z_and_zdot``: the manifold element and its rho-derivative at rho*;
 * ``find_rho_star``, ``solve_full``, ``pohozaev_refinement_check`` and
   ``find_critical_radius``: one call each, as the continuation and the
-  ``solve`` and ``mpot`` stages make them.
+  ``solve`` and ``mpot`` stages make them;
+* ``solve_member``: the whole member, its rho* search, branch tag, seed
+  and full solve, as the continuation makes it.
 
 The result is one JSON line: the minima in milliseconds, the node counts
 (``audit_nodes`` is the grid the refinement audit re-solves on), and the
@@ -68,7 +71,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     from shellwave import ansatz, full_solver, grids, potentials, reduction
-    from shellwave.config import load_config, rho_bracket
+    from shellwave.config import load_config
 
     cfg = load_config(os.path.join(args.root, "configs", "sine_n2.json"))
     spec = cfg.spec()
@@ -79,12 +82,8 @@ def main(argv=None) -> int:
         cfg.n, cfg.p, spec, sched, cfg.C1, cfg.C2, tuple(cfg.t_bracket),
         gamma=cfg.gamma, trunc_K=cfg.trunc_K, h_reduce=cfg.grid.h_reduce,
         h_solve=cfg.grid.h_solve, tol_coeff=cfg.tolerances.solve_tol_coeff)
-    member, prev = family.members[-1], family.members[-2]
-    params = ansatz.AnsatzParams.make(
-        cfg.n, cfg.p, EPS, member.rho_star, spec, cfg.C1, cfg.C2,
-        gamma=cfg.gamma, eps_max=float(sched[0]))
-    bracket = rho_bracket(EPS, cfg.C1, cfg.C2, (prev.t_value - full_solver.RECENTRE,
-                                                prev.t_value + full_solver.RECENTRE))
+    member = family.members[-1]
+    params, bracket = member.params, member.bracket
     grid = ansatz.grid_for(params, cfg.grid.h_reduce, rho_max=bracket[1])
     ops = grids.DiscreteOperators(grid, EPS, spec, cfg.p)
     below = params.with_rho(member.rho_star * (1.0 - 3e-4))
@@ -95,10 +94,8 @@ def main(argv=None) -> int:
     gzd = ops.gram_mul(zdot)
     hess = ops.hess_banded(z + sol.omega)
     rhs = np.concatenate([ops.grad(z + sol.omega) - sol.alpha * gzd, [0.0]])
-    full, red = member.full, member.reduced
-    # the continuation's seed: z at rho* on the fine grid plus the reduction's omega
-    seed = ansatz.build_z(params, spec, full.grid) + np.interp(
-        full.grid.nodes, red.solution.grid.nodes, red.solution.omega, left=0.0, right=0.0)
+    full = member.full
+    seed = full_solver.member_seed(params, spec, member.reduced, full.grid)
     # the refinement audit's re-solve grid: of the two audits it returns,
     # the one that is not the member's own
     audits = full_solver.pohozaev_refinement_check(
@@ -117,6 +114,10 @@ def main(argv=None) -> int:
             params, spec, bracket, h=cfg.grid.h_reduce),
         "solve_full": lambda: full_solver.solve_full(
             cfg.n, cfg.p, EPS, spec, seed, full.grid, trunc_K=cfg.trunc_K,
+            tol_coeff=cfg.tolerances.solve_tol_coeff),
+        "solve_member": lambda: full_solver.solve_member(
+            params.with_rho(bracket[0]), spec, bracket, trunc_K=cfg.trunc_K,
+            h_reduce=cfg.grid.h_reduce, h_solve=cfg.grid.h_solve,
             tol_coeff=cfg.tolerances.solve_tol_coeff),
         "pohozaev_refinement_check": lambda: full_solver.pohozaev_refinement_check(
             full, spec, trunc_K=cfg.trunc_K, tol_coeff=cfg.tolerances.solve_tol_coeff),

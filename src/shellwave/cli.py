@@ -28,6 +28,7 @@ from .config import (RunConfig, check_eps, check_rho_samples, first_bracket, loa
                      omega_window)
 from .exceptions import ConfigError, ShellwaveError, SolverError
 from .full_solver import (
+    SHRINK_BAND,
     asymptotic_terms_check,
     continuation_in_eps,
     pohozaev_refinement_check,
@@ -260,7 +261,7 @@ def _stage_solve(cfg, outdir, eps=None):
     passes = {
         "pohozaev_1": bool(full.pohozaev_1 <= 1e-6),
         "pohozaev_2": bool(full.pohozaev_2 <= 1e-6),
-        "defects_shrink": bool(min(ratios) >= 3.5),
+        "defects_shrink": all(SHRINK_BAND[0] <= r <= SHRINK_BAND[1] for r in ratios),
         "truncation_inactive": not full.truncation_active,
     }
     return outputs, passes

@@ -6,9 +6,11 @@ Solves the collocation system
 
 where f is the pure power or, above the Sobolev-critical exponent, its
 C^2-truncated version (the truncation must stay inactive on the returned
-solution).  Every family member is seeded from its own reduction, z at the
-critical radius plus the projected remainder omega; cold seeds far from the
-layer radius are outside the Newton basin for supercritical powers.
+solution).  solve_member solves one family member: rho* in a bracket, the
+branch tag and the full solve, seeded from the member's own reduction (z at
+rho* plus the projected remainder omega, member_seed); cold seeds far from
+the layer radius are outside the Newton basin for supercritical powers.
+continuation_in_eps chooses each member's bracket and calls it.
 
 The audits re-express the two integral identities of the layer equation
 (equation pairing with u, and the dilation identity) in the unrescaled
@@ -78,6 +80,9 @@ MAX_ITER = 80
 # continuation searches a later member
 RECENTRE = 1.5
 
+# the (2h, h) defect shrink of both identities that certifies second order
+SHRINK_BAND = (3.5, 4.5)
+
 __all__ = [
     "FullSolution",
     "solve_full",
@@ -89,6 +94,8 @@ __all__ = [
     "tail_decay_check",
     "FamilyMember",
     "ContinuationResult",
+    "member_seed",
+    "solve_member",
     "continuation_in_eps",
 ]
 
@@ -528,6 +535,8 @@ class FamilyMember:
     rho_star: float
     t_value: float
     branch_sign: int          # sign of M_eps'' at t_value: the branch's tag
+    params: AnsatzParams      # the ansatz at rho_star
+    bracket: tuple[float, float]  # the rho interval the rho* search ran on
     reduced: RhoStarResult
     full: FullSolution
 
@@ -538,6 +547,44 @@ class ContinuationResult:
     completed: bool
     failed_eps: float | None
     failure: str | None
+
+
+def member_seed(params: AnsatzParams, spec: PotentialSpec, reduced: RhoStarResult,
+                grid: RadialGrid) -> np.ndarray:
+    """A member's full-solve seed on grid: z at params.rho (its rho*) plus the
+    reduction's omega interpolated onto grid, zero past the reduction grid."""
+    red = reduced.solution
+    return build_z(params, spec, grid) + np.interp(
+        grid.nodes, red.grid.nodes, red.omega, left=0.0, right=0.0)
+
+
+def solve_member(params: AnsatzParams, spec: PotentialSpec, bracket: tuple[float, float],
+                 *, trunc_K: float | None, h_reduce: float, h_solve: float,
+                 tol_coeff: float, after: FamilyMember | None = None) -> FamilyMember:
+    """One family member: rho* in bracket, its branch tag, and the full solve.
+
+    params is the ansatz at bracket[0].  The member is tagged with the sign
+    of M_eps'' at its own t = eps rho*, from one eval_M call.  When after
+    (the member before it) carries the other tag, the member has left the
+    branch and BranchSwitch is raised before the full solve.  The full
+    solve runs on the grid of step h_solve from member_seed, so a member
+    depends on the one before only through its bracket and that tag.
+    """
+    eps, n, p = params.eps, params.n, params.p
+    red = find_rho_star(params, spec, bracket, h=h_reduce)
+    t = eps * red.rho_star
+    sign = int(np.sign(eval_M(spec, n, p, eps, t).Mpp))
+    if after is not None and sign != after.branch_sign:
+        raise BranchSwitch(
+            f"t={t:.6g} has sign(M'')={sign:+d}, the member before it "
+            f"t={after.t_value:.6g} and sign(M'')={after.branch_sign:+d}"
+        )
+    star = params.with_rho(red.rho_star)
+    grid = grid_for(star, h_solve)
+    full = solve_full(n, p, eps, spec, member_seed(star, spec, red, grid), grid,
+                      trunc_K=trunc_K, tol_coeff=tol_coeff)
+    return FamilyMember(eps=eps, rho_star=red.rho_star, t_value=t, branch_sign=sign,
+                        params=star, bracket=bracket, reduced=red, full=full)
 
 
 def continuation_in_eps(
@@ -554,66 +601,33 @@ def continuation_in_eps(
     h_solve: float = 2e-3,
     tol_coeff: float = 1e-10,
 ) -> ContinuationResult:
-    """Track the layer family down the eps schedule.
+    """Track the layer family down the eps schedule, one solve_member each.
 
     The first member brackets the critical radius inside t_bracket, later
     members within RECENTRE of the previous t to stay on the same branch
     of M'(t) = 0; either interval is clipped to the member's configuration
     window (config.rho_bracket).  A first bracket with nothing left is a
     ConfigError; a later one ends the family with OutOfConfigurationSet
-    and keeps the members before it.  Every member's
-    full solve is seeded the same way, from its own reduction: z at rho*
-    on the fine grid plus the reduction's omega interpolated onto it (zero
-    past the reduction grid), so a member depends on the one before only
-    through its t.  tol_coeff sets the full solves' Newton tolerance.
-
-    Each member is tagged with the sign of M_eps'' at its own t, from one
-    eval_M call.  A member whose tag differs from the one before has left
-    the branch (the re-centred window can hold a root of each kind): the
-    continuation stops there with BranchSwitch, before its full solve.
+    and keeps the members before it, as does any other SolverError,
+    BranchSwitch included.  tol_coeff sets the full solves' Newton
+    tolerance.
     """
     sched = check_schedule(schedule)
-    eps_max = float(sched[0])
     members: list[FamilyMember] = []
-    prev_t: float | None = None
-    prev_sign: int | None = None
     for eps in sched:
+        prev = members[-1] if members else None
         try:
-            if prev_t is None:
+            if prev is None:
                 bracket = first_bracket(eps, C1, C2, t_bracket)
             else:
-                bracket = rho_bracket(eps, C1, C2, (prev_t - RECENTRE, prev_t + RECENTRE))
-            params = AnsatzParams.make(
-                n=n, p=p, eps=eps, rho=bracket[0], spec=spec, C1=C1, C2=C2,
-                gamma=gamma, eps_max=eps_max,
-            )
-            red = find_rho_star(params, spec, bracket, h=h_reduce)
-            t = eps * red.rho_star
-            sign = int(np.sign(eval_M(spec, n, p, eps, t).Mpp))
-            if prev_sign is not None and sign != prev_sign:
-                raise BranchSwitch(
-                    f"t={t:.6g} has sign(M'')={sign:+d}, the member before it "
-                    f"t={prev_t:.6g} and sign(M'')={prev_sign:+d}"
-                )
-            star_params = params.with_rho(red.rho_star)
-            fine = grid_for(star_params, h_solve)
-            seed = build_z(star_params, spec, fine) + np.interp(
-                fine.nodes, red.solution.grid.nodes, red.solution.omega,
-                left=0.0, right=0.0,
-            )
-            full = solve_full(n, p, eps, spec, seed, fine, trunc_K=trunc_K,
-                              tol_coeff=tol_coeff)
-            member = FamilyMember(
-                eps=eps, rho_star=red.rho_star, t_value=t, branch_sign=sign,
-                reduced=red, full=full,
-            )
+                t = prev.t_value
+                bracket = rho_bracket(eps, C1, C2, (t - RECENTRE, t + RECENTRE))
+            params = AnsatzParams.make(n, p, eps, bracket[0], spec, C1, C2, gamma=gamma,
+                                       eps_max=float(sched[0]))
+            members.append(solve_member(
+                params, spec, bracket, trunc_K=trunc_K, h_reduce=h_reduce,
+                h_solve=h_solve, tol_coeff=tol_coeff, after=prev))
         except SolverError as exc:
-            return ContinuationResult(
-                members=tuple(members), completed=False,
-                failed_eps=float(eps), failure=f"{type(exc).__name__}: {exc}",
-            )
-        members.append(member)
-        prev_t, prev_sign = member.t_value, member.branch_sign
-    return ContinuationResult(
-        members=tuple(members), completed=True, failed_eps=None, failure=None
-    )
+            return ContinuationResult(tuple(members), False, float(eps),
+                                      f"{type(exc).__name__}: {exc}")
+    return ContinuationResult(tuple(members), True, None, None)

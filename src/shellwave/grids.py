@@ -38,12 +38,12 @@ from .exceptions import ConfigError, EigensolverError, EllipticityViolation, Hes
 from .forces import PowerForce
 from .potentials import PotentialSpec
 
-# largest grid RadialGrid.make builds: 64 MiB per float64 array; a full
-# solve holds fewer than ARRAYS_PER_NODE of them besides its seed and its
-# grid's nodes (8.1 measured), and its refinement audit, which re-solves on
-# the 2h grid, about 5 (README, Install)
+# largest grid RadialGrid.make builds: 64 MiB per float64 array; a family
+# member's solve holds fewer than ARRAYS_PER_NODE of them, its seed and its
+# grid's nodes included (10.3 measured, 8.1 of them the full solve's), and
+# its refinement audit, which re-solves on the 2h grid, about 5 (README)
 MAX_NODES = 2**23
-ARRAYS_PER_NODE = 9
+ARRAYS_PER_NODE = 11
 
 __all__ = [
     "RadialGrid",

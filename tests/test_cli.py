@@ -385,6 +385,25 @@ def test_continue_and_solve_report_rho_search(tmp_path):
         (member["rho_evaluations"], True)
 
 
+def test_branch_switch_reads_continue_not_completed(tmp_path):
+    # the shipped config started on the partner root (M'' > 0) at eps = 0.3
+    # switches branch at eps = 0.29: the stage keeps the first member and
+    # its ledger's completed flag reads False
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "sine_n2.json").read_text())
+    cfg.update(t_bracket=[9.9, 10.6], schedule=[0.3, 0.29, 0.28])
+    path = tmp_path / "switch.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["continue", "--config", str(path), "--out", str(out)]) == 0
+    (line,) = (out / "runs.jsonl").read_text().splitlines()
+    assert json.loads(line)["passes"]["completed"] is False
+    family = json.loads((out / "family.json").read_text())
+    assert (family["completed"], family["failed_eps"]) == (False, 0.29)
+    assert family["failure"].startswith("BranchSwitch: t=9.04613")
+    assert [m["eps"] for m in family["members"]] == [0.3]
+
+
 def test_continue_and_solve_report_branch_sign(tmp_path):
     family, _ = run_stage(tmp_path, "continue", "branch")
     assert family["members"][0]["branch_sign"] == -1

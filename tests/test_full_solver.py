@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from shellwave.ansatz import AnsatzParams, build_z, grid_for
+from shellwave.ansatz import build_z
 from shellwave.exceptions import ConfigError, ConvergedToZero, NewtonDivergence
 from shellwave.forces import PowerForce, TruncatedForce
 import shellwave.full_solver as full_solver
 from shellwave.full_solver import (
+    SHRINK_BAND,
     _Collocation,
     _newton_step,
     _newton_strong,
@@ -19,13 +20,15 @@ from shellwave.full_solver import (
     asymptotic_terms_check,
     continuation_in_eps,
     is_supercritical,
+    member_seed,
     pohozaev_audit,
     pohozaev_refinement_check,
     solve_full,
+    solve_member,
     tail_decay_check,
 )
 from shellwave.config import first_bracket
-from shellwave.grids import DiscreteOperators, RadialGrid
+from shellwave.grids import ARRAYS_PER_NODE, DiscreteOperators, RadialGrid
 from shellwave.potentials import PotentialSpec, eval_M
 
 from conftest import SINE_C1, SINE_C2, SINE_SCHEDULE, SINE_T_BRACKET, banded_jacobian
@@ -170,18 +173,22 @@ def test_coarse_pair_certifies_second_order_like_the_half_step_pair(
 
 
 def test_shrink_rule_refuses_a_perturbed_profile(sine_family, sine_spec):
-    # a smooth bump on the eps = 0.5 profile makes its own defects large;
-    # the 2h re-solve converges back to the layer and its defects do not
-    # follow, so the shrink falls to about (0.002, 0.02) and the solve
-    # stage's defects_shrink flag reads False
+    # a smooth bump on the eps = 0.5 profile moves its own defects, and the
+    # 2h re-solve converges back to the layer so its defects do not follow:
+    # a bump of height 1e-3 makes them large and the shrink falls to about
+    # (0.002, 0.02); one of 1e-7 lowers the first and the shrink rises to
+    # about (4.83, 4.09).  Either way the solve stage's defects_shrink flag
+    # reads False
     f = member_at(sine_family, 0.5).full
     s = f.grid.nodes
-    profile = f.profile + 1e-3 * np.exp(-((s - f.peak_rho - 3.0) / 2.0) ** 2)
     ops = DiscreteOperators(f.grid, f.eps, sine_spec, f.p)
-    bumped = dataclasses.replace(f, profile=profile, audit=pohozaev_audit(ops, profile))
-    _, fine, ratios = pohozaev_refinement_check(bumped, sine_spec)
-    assert fine is bumped.audit
-    assert min(ratios) < 3.5, ratios
+    lo, hi = SHRINK_BAND
+    for height, outside in ((1e-3, lambda r: r < lo), (1e-7, lambda r: r > hi)):
+        profile = f.profile + height * np.exp(-((s - f.peak_rho - 3.0) / 2.0) ** 2)
+        bumped = dataclasses.replace(f, profile=profile, audit=pohozaev_audit(ops, profile))
+        _, fine, ratios = pohozaev_refinement_check(bumped, sine_spec)
+        assert fine is bumped.audit
+        assert any(outside(r) for r in ratios), (height, ratios)
 
 
 def test_asymptotic_terms_at_layer(sine_family, sine_spec):
@@ -231,9 +238,7 @@ def test_stall_above_roundoff_floor_diverges(sine_family, sine_spec, monkeypatch
     # one Newton step from the bare ansatz never reaches the tolerance or
     # the roundoff floor, so the accept rule must still refuse it
     m = member_at(sine_family, 0.5)
-    params = AnsatzParams.make(2, 3.0, 0.5, m.rho_star, sine_spec, 0.5, 1.5,
-                               gamma=0.6)
-    seed = build_z(params, sine_spec, m.full.grid)
+    seed = build_z(m.params, sine_spec, m.full.grid)
     monkeypatch.setattr(full_solver, "MAX_ITER", 1)
     with pytest.raises(NewtonDivergence):
         solve_full(2, 3.0, 0.5, sine_spec, seed, m.full.grid)
@@ -250,8 +255,7 @@ def test_supercritical_acceptance(supercritical_family):
 def test_supercritical_cap_doubling_bitwise(supercritical_family, sine_spec):
     m = supercritical_family.members[0]
     f = m.full
-    params = AnsatzParams.make(3, 6.0, 0.5, m.rho_star, sine_spec, 0.5, 3.0)
-    seed = build_z(params, sine_spec, f.grid)
+    seed = build_z(m.params, sine_spec, f.grid)
     a = solve_full(3, 6.0, 0.5, sine_spec, seed, f.grid, trunc_K=3.0)
     b = solve_full(3, 6.0, 0.5, sine_spec, seed, f.grid, trunc_K=6.0)
     assert np.max(np.abs(a.profile - b.profile)) <= 1e-12
@@ -385,12 +389,10 @@ def test_solve_strong_linear_manufactured():
 
 def test_newton_step_matches_solve_banded(sine_family, sine_spec):
     m = member_at(sine_family, 0.5)
-    params = AnsatzParams.make(2, 3.0, 0.5, m.rho_star, sine_spec, 0.5, 1.5,
-                               gamma=0.6)
     grid = m.full.grid
     ops = DiscreteOperators(grid, 0.5, sine_spec, 3.0)
     colloc = _Collocation(grid, ops.w, ops.force)
-    u = build_z(params, sine_spec, grid)
+    u = build_z(m.params, sine_spec, grid)
     R = colloc.residual(u)
     want = solve_banded((1, 1), banded_jacobian(colloc, u), R)
     m = grid.size
@@ -589,22 +591,11 @@ def test_member_work_stable_under_seed_shift(sine_family, sine_spec, delta):
     assert max(f.pohozaev_1, f.pohozaev_2) <= 1e-6
 
 
-def _member_seed(m, spec, C1, C2, **kwargs):
-    """z at the member's rho* plus its reduction's omega on the member's
-    grid: the seed continuation_in_eps gave its full solve."""
-    params = AnsatzParams.make(m.full.n, m.full.p, m.eps, m.rho_star, spec, C1, C2,
-                               **kwargs)
-    red = m.reduced.solution
-    return build_z(params, spec, m.full.grid) + np.interp(
-        m.full.grid.nodes, red.grid.nodes, red.omega, left=0.0, right=0.0)
-
-
 def test_every_member_seeded_from_its_own_reduction(sine_family, sine_spec):
     # members after the first used to be seeded from the previous profile
     # shifted by the change in rho*
     for m in sine_family.members:
-        seed = _member_seed(m, sine_spec, SINE_C1, SINE_C2, gamma=0.6,
-                            eps_max=SINE_SCHEDULE[0])
+        seed = member_seed(m.params, sine_spec, m.reduced, m.full.grid)
         f = solve_full(2, 3.0, m.eps, sine_spec, seed, m.full.grid)
         assert f.profile.tobytes() == m.full.profile.tobytes(), m.eps
 
@@ -614,13 +605,11 @@ def test_default_solve_polishes_the_first_acceptable_iterate(
     # without the option every member polishes on to a failed full step
     # and keeps its bits: the default solve is its first acceptable
     # iterate followed by the full steps from there
-    cases = [(m, _member_seed(m, sine_spec, SINE_C1, SINE_C2, gamma=0.6,
-                              eps_max=SINE_SCHEDULE[0]), None)
-             for m in sine_family.members]
-    sup = supercritical_family.members[0]
-    cases.append((sup, _member_seed(sup, sine_spec, 0.5, 3.0), 3.0))
-    for m, seed, trunc_K in cases:
+    cases = [(m, None) for m in sine_family.members]
+    cases.append((supercritical_family.members[0], 3.0))
+    for m, trunc_K in cases:
         f = m.full
+        seed = member_seed(m.params, sine_spec, m.reduced, f.grid)
         first = solve_full(f.n, f.p, f.eps, sine_spec, seed, f.grid,
                            trunc_K=trunc_K, polish=False)
         assert first.newton_stop == "acceptable" and _accepted(first)
@@ -660,6 +649,20 @@ def test_full_solve_holds_few_grid_sized_arrays(sine_family, sine_spec):
     audit = _peak_arrays(lambda: pohozaev_refinement_check(full, sine_spec),
                          grid.size)
     assert audit <= 5.1, audit
+
+
+def test_member_solve_holds_at_most_the_node_budgets_arrays(sine_family, sine_spec):
+    # the eps = 0.3 member solved again from its own ansatz and bracket has
+    # the continuation's bits; its peak is the full solve's 8.1 arrays plus
+    # the seed, the grid's nodes and the rho* search's smaller grid (10.3
+    # measured), which grids.ARRAYS_PER_NODE must cover
+    m = member_at(sine_family, 0.3)
+    out = []
+    peak = _peak_arrays(lambda: out.append(solve_member(
+        m.params.with_rho(m.bracket[0]), sine_spec, m.bracket, trunc_K=None,
+        h_reduce=0.02, h_solve=2e-3, tol_coeff=1e-10)), m.full.grid.size)
+    assert peak <= ARRAYS_PER_NODE, peak
+    assert out[0].full.profile.tobytes() == m.full.profile.tobytes()
 
 
 def test_first_member_bracket_is_clipped_to_the_window(sine_spec):

@@ -485,7 +485,7 @@ def test_node_budget_refuses_before_allocating(monkeypatch):
     with pytest.raises(ConfigError) as err:
         RadialGrid.make(2, 3_000_046.19, 0.02)
     msg = str(err.value)
-    assert "150,002,311 nodes" in msg and "8,388,608" in msg and "10.1 GiB" in msg
+    assert "150,002,311 nodes" in msg and "8,388,608" in msg and "12.3 GiB" in msg
     # the count includes the node that makes the interval count even
     monkeypatch.setattr(grids, "MAX_NODES", 101)
     assert RadialGrid.make(2, 100 * 0.5, 0.5).size == 101
