@@ -41,13 +41,15 @@ from .ground_state import (
     nondegeneracy_report,
 )
 from .normalization import (
+    NormalizedRecord,
     necessary_conditions_report,
     scaling_law_check,
     to_original,
 )
 from .potentials import eval_M, find_critical_radius
 from .reduction import reduced_energy_scan
-from .serialize import to_plain, write_csv, write_json, write_plot_data, write_svg
+from .serialize import (to_plain, write_columns, write_csv, write_json, write_plot_data,
+                        write_svg)
 
 LEDGER_NAME = "runs.jsonl"
 
@@ -129,16 +131,10 @@ def _stage_ground(cfg, outdir):
     prof = GroundStateProfile(p=cfg.p, lam=1.0)
     c = ground_state_constants(prof, n=cfg.n)
     q1, q2, q3, spread = identity_spread(c)
-    rows = [
-        ("p", c.p), ("lam", c.lam), ("n", c.n),
-        ("mass_full", c.mass_full), ("kinetic_half", c.kinetic_half),
-        ("lp1_full", c.lp1_full), ("energy_const", c.energy_const),
-        ("mass_const", c.mass_const), ("B_const", c.B_const),
-        ("poh_kinetic", q1), ("poh_force_minus_mass", q2),
-        ("poh_mass_minus_force", q3),
-    ]
+    rows = {**dataclasses.asdict(c), "poh_kinetic": q1,
+            "poh_force_minus_mass": q2, "poh_mass_minus_force": q3}
     csv_path = os.path.join(outdir, "ground_constants.csv")
-    write_csv(csv_path, ("name", "value"), rows)
+    write_csv(csv_path, ("name", "value"), rows.items())
     s = np.linspace(0.0, 14.0 / prof.lam, 1401)
     q = prof.value(s)
     dat = os.path.join(outdir, "ground_profile.dat")
@@ -154,15 +150,7 @@ def _stage_spectrum(cfg, outdir):
     prof = GroundStateProfile(p=cfg.p, lam=1.0)
     rep = nondegeneracy_report(prof)
     path = os.path.join(outdir, "spectrum.json")
-    write_json(path, {
-        "p": cfg.p,
-        "lam": prof.lam,
-        "eigenvalues": list(rep.eigenvalues),
-        "kernel_cosine": rep.kernel_cosine,
-        "complement_floor": rep.complement_floor,
-        "quad_form_qq": rep.quad_form_qq,
-        "quad_form_qq_ref": rep.quad_form_qq_ref,
-    })
+    write_json(path, {"p": cfg.p, "lam": prof.lam, **dataclasses.asdict(rep)})
     outputs = {"spectrum": path}
     passes = {
         "lowest_negative": bool(rep.eigenvalues[0] < 0.0),
@@ -181,18 +169,14 @@ def _stage_mpot(cfg, outdir, eps=None):
     r = np.linspace(0.5 * lo, 1.25 * hi, 1601)
     pts = eval_M(spec, cfg.n, cfg.p, e, r)
     csv_path = os.path.join(outdir, "mpot.csv")
-    write_csv(csv_path, ("r", "M", "Mp", "Mpp"),
-              zip(r, pts.M, pts.Mp, pts.Mpp))
+    write_columns(csv_path, pts)
     dat = os.path.join(outdir, "mpot.dat")
     write_plot_data(dat, "r", "M", r, pts.M)
     svg = os.path.join(outdir, "mpot.svg")
     write_svg(svg, r, pts.M, title=f"effective potential, eps={e:g}",
               xlabel="r", ylabel="M")
     jpath = os.path.join(outdir, "mpot.json")
-    write_json(jpath, {
-        "eps": e, "t_eps": crit.t_eps, "curvature": crit.curvature,
-        "roots": list(crit.roots), "bracket": list(crit.bracket),
-    })
+    write_json(jpath, {"eps": e, **dataclasses.asdict(crit)})
     outputs = {"table": csv_path, "plot_data": dat, "plot": svg,
                "critical_radius": jpath}
     passes = {"nondegenerate": bool(abs(crit.curvature) > 0.0)}
@@ -208,10 +192,7 @@ def _stage_scan(cfg, outdir, eps=None, rho_samples=None):
                                cfg.C1, cfg.C2, gamma=cfg.gamma, eps_max=eps_max)
     curve = reduced_energy_scan(params, spec, k, h=cfg.grid.h_reduce)
     csv_path = os.path.join(outdir, "scan.csv")
-    write_csv(csv_path, ("rho", "psi", "alpha", "discrepancy", "residual",
-                         "cause", "ok"),
-              zip(curve.rho, curve.psi, curve.alpha, curve.discrepancy,
-                  curve.residual, curve.cause, curve.ok))
+    write_columns(csv_path, curve, skip=("eps",))
     a_dat = os.path.join(outdir, "scan_alpha.dat")
     write_plot_data(a_dat, "rho", "alpha", curve.rho, curve.alpha)
     p_dat = os.path.join(outdir, "scan_psi.dat")
@@ -304,11 +285,9 @@ def _stage_normalize(cfg, outdir):
     spec = cfg.spec()
     res = _run_family(cfg, cfg.schedule)
     records = [to_original(m.full, spec) for m in res.members]
-    cols = ("eps", "n", "p", "a", "mu", "mass_check", "rho", "rho_orig",
-            "m_prime_abs", "v_prime_abs", "eq1_residual")
     csv_path = os.path.join(outdir, "normalized.csv")
-    write_csv(csv_path, cols,
-              ([getattr(r, c) for c in cols] for r in records))
+    write_csv(csv_path, [f.name for f in dataclasses.fields(NormalizedRecord)],
+              map(dataclasses.astuple, records))
     jpath = os.path.join(outdir, "records.json")
     write_json(jpath, [dataclasses.asdict(r) for r in records])
     trends = necessary_conditions_report(records)

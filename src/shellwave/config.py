@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -249,17 +249,12 @@ def build_potential(d: dict) -> PotentialSpec:
     return _POTENTIALS[c.pop("family")][0](*c.values())
 
 
-_TOP_KEYS = ("n", "p", "potential", "schedule", "C1", "C2", "t_bracket",
-             "beta_floor", "gamma", "trunc_K", "rho_samples",
-             "grid", "tolerances", "outdir")
-
-
 def config_from_dict(data: dict) -> RunConfig:
-    unknown = set(data) - set(_TOP_KEYS)
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown field '{sorted(unknown)[0]}'")
-    missing = [k for k in ("n", "p", "potential", "schedule", "C1", "C2", "t_bracket")
-               if k not in data]
+    missing = [f.name for f in fields(RunConfig) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"missing field '{missing[0]}'")
     kw = dict(data)
@@ -276,7 +271,7 @@ def config_from_dict(data: dict) -> RunConfig:
             sub = kw[name]
             if not isinstance(sub, dict):
                 raise ConfigError(f"{name}: need a table")
-            bad = set(sub) - {f for f in cls.__dataclass_fields__}
+            bad = set(sub) - {f.name for f in fields(cls)}
             if bad:
                 raise ConfigError(f"{name}: unknown field '{sorted(bad)[0]}'")
             kw[name] = cls(**{k: _number(f"{name}.{k}", v) for k, v in sub.items()})

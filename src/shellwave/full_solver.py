@@ -5,7 +5,7 @@ Solves the collocation system
     -u'' - (n-1)/s u' + (1 + eps^2 V(eps s)) u = f(u),   u'(0) = 0, u(L) = 0,
 
 where f is the pure power or, above the Sobolev-critical exponent, its
-C^2-truncated version (the truncation must stay inactive on the returned
+C^1-truncated version (the truncation must stay inactive on the returned
 solution).  solve_member solves one family member: rho* in a bracket, the
 branch tag and the full solve, seeded from the member's own reduction (z at
 rho* plus the projected remainder omega, member_seed); cold seeds far from
@@ -336,6 +336,8 @@ def solve_full(
     """
     if len(seed) != grid.size:
         raise ConfigError("seed length does not match the grid")
+    if n != grid.n:
+        raise ConfigError(f"n={n} does not match the grid's dimension {grid.n}")
     seed_peak = float(np.abs(seed).max())
     if seed_peak == 0.0:
         raise ConvergedToZero("the Newton seed is the zero solution")

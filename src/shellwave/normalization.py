@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import InsufficientFamily
 from .full_solver import FullSolution
-from .ground_state import sphere_area
+from .ground_state import GroundStateProfile, ground_state_constants, sphere_area
 from .potentials import PotentialSpec, eval_M
 
 __all__ = [
@@ -103,8 +103,6 @@ def scaling_law_check(records: list[NormalizedRecord]) -> ScalingLawReport:
         raise InsufficientFamily(
             f"scaling-law trend needs at least 3 family members, got {len(records)}"
         )
-    from .ground_state import GroundStateProfile, ground_state_constants
-
     recs = sorted(records, key=lambda r: -r.eps)
     n, p = recs[0].n, recs[0].p
     consts = ground_state_constants(GroundStateProfile(p=p, lam=1.0), n)

@@ -35,6 +35,7 @@ from .exceptions import (
     ConfigError,
     NewtonDivergence,
     NoSignChange,
+    OutOfConfigurationSet,
     SolverError,
 )
 from .grids import DiscreteOperators, RadialGrid, bordered_solve
@@ -336,8 +337,10 @@ def find_rho_star(
     warm-started from the evaluated solution nearest in rho (the earliest
     on ties).  A warm start that fails or does not converge is retried
     cold, and both count in evaluations.  Two more solves, 3e-4 rho* on
-    either side, check that Psi is stationary there (dpsi_ok).  Psi and
-    the remainder ratio are computed for rho* and those two solves only.
+    either side (less where the bracket ends nearer, OutOfConfigurationSet
+    where rho* is on its edge), check that Psi is stationary there
+    (dpsi_ok).  Psi and the remainder ratio are computed for rho* and
+    those two solves only.
     """
     a, b = float(bracket[0]), float(bracket[1])
     grid = grid_for(params, h, rho_max=b)
@@ -388,9 +391,14 @@ def find_rho_star(
     _illinois(scaled_alpha, a, sa.alpha / sa.zdot_norm, b, sb.alpha / sb.zdot_norm,
               done=lambda: abs(best.alpha) <= 1e-9 * best.zdot_norm)
     star = _measured(best, ops, build_z(params.with_rho(best.rho), spec, grid))
-    delta = 3e-4 * star.rho
-    up = at(min(star.rho + delta, params.omega_window[1]), measure=True)
-    dn = at(max(star.rho - delta, params.omega_window[0]), measure=True)
+    # the probes stay in the bracket, which the grid covers
+    delta = min(3e-4 * star.rho, bracket[1] - star.rho, star.rho - bracket[0])
+    if not delta > 0.0:
+        raise OutOfConfigurationSet(
+            f"rho*={star.rho!r} leaves no room for the dPsi probes in "
+            f"[{bracket[0]}, {bracket[1]}]")
+    up = at(star.rho + delta, measure=True)
+    dn = at(star.rho - delta, measure=True)
     dpsi = (up.psi - dn.psi) / (up.rho - dn.rho)
     return RhoStarResult(
         rho_star=star.rho,

@@ -8,6 +8,7 @@ sorted.  Replay equality of whole runs reduces to equality of the numbers.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -63,6 +64,13 @@ def write_csv(path: str, header, rows) -> None:
     lines += map(",".join, zip(*(_column_cells(col) for col in zip(*rows))))
     with _open_lf(path) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_columns(path: str, columns, skip=()) -> None:
+    """A dataclass of equal-length columns as a CSV: one column per field
+    not in skip, headed by the field's name."""
+    names = [f.name for f in dataclasses.fields(columns) if f.name not in skip]
+    write_csv(path, names, zip(*(getattr(columns, n) for n in names)))
 
 
 def write_json(path: str, obj) -> None:

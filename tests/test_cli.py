@@ -290,6 +290,15 @@ def test_scan_artifacts(tmp_path):
     assert len(dat[1].split()) == 2
 
 
+def test_scan_without_a_potential_reads_no_sign_change(tmp_path):
+    # V = 0 leaves M_eps no critical radius, so alpha keeps its sign
+    cfg = write_cfg(tmp_path, potential={"family": "zero"})
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    passes = json.loads((out / "runs.jsonl").read_text())["passes"]
+    assert passes == {"all_samples_ok": False, "alpha_sign_change": False}
+
+
 def test_scan_records_stall_causes(tmp_path):
     # on the shipped window at eps = 0.5 the two innermost samples stall
     cfg = write_cfg(tmp_path)
@@ -317,6 +326,17 @@ def test_mpot_artifacts(tmp_path):
     assert rec["passes"]["nondegenerate"] is True
     files = {f for f in os.listdir(out)}
     assert {"mpot.csv", "mpot.dat", "mpot.svg", "mpot.json"} <= files
+
+
+def test_solve_with_rho_star_near_the_bracket_end(tmp_path):
+    # rho* lies 0.005% below the bracket's upper end, closer than the
+    # 3e-4 rho* dPsi probe step, whose upper probe left the grid
+    cfg = write_cfg(tmp_path, schedule=[0.16], t_bracket=[27.5, 27.9525])
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    info = json.loads((out / "solve.json").read_text())
+    assert info["rho_star"] == pytest.approx(174.7022041, rel=1e-9)
+    assert info["dpsi_ok"] is True
 
 
 def run_stage(tmp_path, stage, name, **over):

@@ -234,6 +234,13 @@ def test_zero_seed_converges_to_zero(sine_spec, n, p):
         solve_full(n, p, 0.5, sine_spec, np.zeros(grid.size), grid)
 
 
+def test_dimension_other_than_the_grids_is_refused(sine_family, sine_spec):
+    # an n = 3 solve on an n = 2 grid returned the 2-D profile tagged n = 3
+    f = member_at(sine_family, 0.5).full
+    with pytest.raises(ConfigError, match="n=3 does not match the grid's dimension 2"):
+        solve_full(3, 3.0, 0.5, sine_spec, f.profile, f.grid)
+
+
 def test_stall_above_roundoff_floor_diverges(sine_family, sine_spec, monkeypatch):
     # one Newton step from the bare ansatz never reaches the tolerance or
     # the roundoff floor, so the accept rule must still refuse it

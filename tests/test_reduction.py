@@ -7,7 +7,8 @@ import pytest
 
 from shellwave import reduction
 from shellwave.ansatz import AnsatzParams, build_z, build_zdot, grid_for
-from shellwave.exceptions import ConfigError, HessianSingular, NewtonDivergence, NoSignChange
+from shellwave.exceptions import (ConfigError, HessianSingular, NewtonDivergence, NoSignChange,
+                                  OutOfConfigurationSet)
 from shellwave.grids import (
     DiscreteOperators,
     RadialGrid,
@@ -434,6 +435,16 @@ def test_cold_retry_that_stalls_raises(setup, monkeypatch):
     with pytest.raises(NewtonDivergence):
         find_rho_star(params, spec, (7.5 / EPS, 9.5 / EPS))
     assert len(calls) == 3  # cold, then warm and its cold retry at the second radius
+
+
+def test_rho_star_on_the_bracket_edge_raises(setup, monkeypatch):
+    # without refinement rho* is the pre-scan's last radius, 1e-6 rho* past
+    # the root: no room is left above it for the dPsi probe
+    params, spec, _ = setup
+    root = find_rho_star(params, spec, (7.5 / EPS, 9.5 / EPS)).rho_star
+    monkeypatch.setattr(reduction, "_illinois", lambda *args, **kwargs: None)
+    with pytest.raises(OutOfConfigurationSet, match="no room for the dPsi probes"):
+        find_rho_star(params, spec, (root - 1.0, root * (1.0 + 1e-6)))
 
 
 @pytest.mark.parametrize("mode", ["newton", "fixed-point"])
