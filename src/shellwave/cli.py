@@ -107,6 +107,7 @@ def _member_summary(m) -> dict:
         "force_cap": f.force_cap,
         "remainder_ratio": m.reduced.solution.remainder_ratio,
         "rho_evaluations": m.reduced.evaluations,
+        "rho_widened": m.reduced.widened,
         "dpsi_ok": m.reduced.dpsi_ok,
     }
 
@@ -255,7 +256,8 @@ def _stage_continue(cfg, outdir):
     cols = ("eps", "rho_star", "t_value", "layer_radius", "peak_rho",
             "residual_max", "mass_weighted", "pohozaev_1", "pohozaev_2",
             "newton_iters", "residual_evals", "roundoff_floor", "newton_stop",
-            "remainder_ratio", "rho_evaluations", "dpsi_ok", "branch_sign")
+            "remainder_ratio", "rho_evaluations", "rho_widened", "dpsi_ok",
+            "branch_sign")
     write_csv(csv_path, cols, ([r[c] for c in cols] for r in rows))
     jpath = os.path.join(outdir, "family.json")
     write_json(jpath, {

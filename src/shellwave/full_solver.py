@@ -28,26 +28,34 @@ is 2.5-3.8x below it, and on the refinement audit's 2h grid 4x lower
 still.  Stalls above both raise NewtonDivergence, and so does a non-finite
 seed, residual or Jacobian.
 
-Stopping rules.  Each Newton step is damped by an Armijo line search, so
-every accepted iterate has a strictly smaller residual than the one before
-and the current iterate is always the best.  While the residual is above
-the accept rule the search halves t from 1, and halving stops once
-u - t du equals u bit for bit: rounding is monotone, so no smaller t can
-move u again.  Once the iterate is acceptable the search tries t = 1 only:
-below that point halving finds only noise-level decreases.  The first line
-search that fails ends the loop (repeating it from the same u would repeat
-it exactly), as do a residual below 2% of the tolerance and MAX_ITER
-accepted steps; newton_stop records which ("roundoff", "tolerance",
-"max_iter").
+Stopping rules.  Until the iterate is acceptable each Newton step is
+damped by an Armijo line search, so every accepted iterate has a strictly
+smaller residual than the one before.  The search halves t from 1, and
+halving stops once u - t du equals u bit for bit: rounding is monotone,
+so no smaller t can move u again.  A line search that fails ends the loop
+(repeating it from the same u would repeat it exactly), as do a residual
+below 2% of the tolerance and MAX_ITER accepted steps.  The first
+acceptable iterate is polished (below), and the polish ends the loop too;
+newton_stop records which ("roundoff", "tolerance", "max_iter").
 
-Which solves polish.  The full steps an acceptable iterate still takes
-(the polish) move only noise-level bits, but those bits reach the defects:
-stopping at the first acceptable iterate moves the eps = 0.3 member's
-defects by 1.5e-12, a soft mode of that member.  So every solve whose
-profile is an output (continuation members, the solve stage, cold solves)
-polishes.  The 2h re-solve of pohozaev_refinement_check does not: its
-only output is a shrink ratio of about 4, so it returns its first
-acceptable iterate, with newton_stop "acceptable".
+The polish stops on the Newton correction, not on the residual
+(Deuflhard's error-oriented test): at the roundoff floor a residual
+comparison is a coin flip.  When max|du| <= POLISH_ULPS eps_mach max|u|
+the iterate is kept; otherwise the full step is taken once, with no line
+search, and kept if its result is acceptable.  Either way newton_stop is
+"roundoff": the correction is at roundoff.  An Armijo polish made the
+eps = 0.3 member, a soft mode, stop one step short on 8 of 14 seeds at
+rho*(1 + d), |d| <= 1e-7, with its defects 1.5e-12 off; the correction
+rule lands all 14 within 1.3e-15, so rho* may move within its accepted
+band.  One step, not steps until the correction is at roundoff: on the
+eps = 0.1 escaping member the soft mode keeps the corrections above the
+threshold, and that rule took 19 steps instead of 8.
+
+Which solves polish.  Every solve whose profile is an output
+(continuation members, the solve stage, cold solves) polishes.  The 2h
+re-solve of pohozaev_refinement_check does not: its only output is a
+shrink ratio of about 4, so it returns its first acceptable iterate, with
+newton_stop "acceptable".
 """
 
 from __future__ import annotations
@@ -75,6 +83,11 @@ from .reduction import RhoStarResult, find_rho_star
 
 # accepted Newton steps after which a full solve stops
 MAX_ITER = 80
+
+# a polished solve stops where max|du| <= POLISH_ULPS eps_mach max|u|: at
+# the first acceptable iterate of the shipped members converged corrections
+# read 0.4-10.6 ulps of max|u|, unconverged ones 43-5,800
+POLISH_ULPS = 16
 
 # half-width of the t-interval around the previous member's t in which a
 # continuation searches a later member
@@ -119,7 +132,8 @@ class FullSolution:
     newton_iters: int         # accepted Newton steps
     residual_evals: int       # residual evaluations, line searches included
     roundoff_floor: float     # 2 eps_mach max|u| / h^2
-    newton_stop: str          # "tolerance", "roundoff", "acceptable" or "max_iter"
+    newton_stop: str          # "tolerance", "roundoff" (polished: the correction
+                              # is at roundoff), "acceptable" or "max_iter"
     force_cap: float | None
 
     @property
@@ -272,11 +286,10 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
         if not np.isfinite(rmax):
             raise NewtonDivergence("residual of the Newton seed is not finite")
         while iters < max_iter:
-            _, thr, floor = _accept_bounds(ops, u, tol_coeff)
+            peak, thr, floor = _accept_bounds(ops, u, tol_coeff)
             if rmax <= 0.02 * thr:
                 stop = "tolerance"
                 break
-            # once u is acceptable, a shorter step only finds noise
             settled = rmax <= max(thr, floor)
             if settled and not polish:
                 stop = "acceptable"
@@ -284,6 +297,20 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
             # the line search rewrites Rc and cand, so they can take the
             # Jacobian's off-diagonals
             du = _newton_step(colloc, u, R, Rc[:-1], diag, cand[:-1])
+            if settled:
+                # the polish: one full step unless the correction is at
+                # roundoff, kept if acceptable, whatever its residual
+                stop = "roundoff"
+                if _sup(du) <= POLISH_ULPS * np.finfo(float).eps * peak:
+                    break
+                np.subtract(u, du, out=cand)
+                rc = _sup(colloc.residual(cand, out=Rc))
+                evals += 1
+                _, thr, floor = _accept_bounds(ops, cand, tol_coeff)
+                if np.isfinite(rc) and rc <= max(thr, floor):
+                    u, rmax = cand, rc
+                    iters += 1
+                break
             t, ok = 1.0, False
             while t > 1e-8:
                 np.multiply(du, t, out=cand)
@@ -294,8 +321,6 @@ def _newton_strong(ops: DiscreteOperators, force, u0: np.ndarray,
                 evals += 1
                 if rc <= (1.0 - 1e-4 * t) * rmax:
                     ok = True
-                    break
-                if settled:
                     break
                 t /= 2.0
             if not ok:
@@ -331,8 +356,8 @@ def solve_full(
     """Newton solve of the collocation system from seed on grid.
 
     With polish False the solve returns its first acceptable iterate
-    instead of taking full steps from it until one fails (module
-    docstring, "Stopping rules"); only pohozaev_refinement_check sets it.
+    instead of taking at most one full step from it (module docstring,
+    "Stopping rules"); only pohozaev_refinement_check sets it.
     """
     if len(seed) != grid.size:
         raise ConfigError("seed length does not match the grid")

@@ -206,6 +206,22 @@ def _illinois(f, a: float, fa: float, b: float, fb: float, done=None) -> float:
     return a if abs(ga) <= abs(gb) else b
 
 
+def _critical_roots(spec: PotentialSpec, n: int, p: float, eps: float,
+                    lo: float, hi: float) -> list[float]:
+    """Roots of M'_eps in [lo, hi], ascending: Illinois steps down to
+    neighbouring floats on every sign change of a 10,000-point scan of M',
+    and the scan points where M' is exactly zero.  find_critical_radius and
+    reduction.find_rho_star share it."""
+    grid = np.linspace(lo, hi, 10_000)
+    mp = eval_M(spec, n, p, eps, grid).Mp
+    sign = np.sign(mp)
+    roots = [_illinois(lambda r: float(eval_M(spec, n, p, eps, np.array([r])).Mp[0]),
+                       float(grid[i]), float(mp[i]), float(grid[i + 1]), float(mp[i + 1]))
+             for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
+    roots += [float(grid[i]) for i in np.nonzero(sign == 0)[0]]
+    return sorted(roots)
+
+
 @dataclass(frozen=True)
 class CriticalRadiusResult:
     t_eps: float
@@ -224,33 +240,22 @@ def find_critical_radius(
 ) -> CriticalRadiusResult:
     """Locate the smallest nondegenerate critical radius of M_eps in bracket.
 
-    Scans M' on a uniform grid of 10,000 points and runs Illinois steps on
-    every sign change of the scan until its ends are neighbouring floats:
-    the root is the float next to the sign change of the computed M' with
-    the smaller |M'|, the smaller t on ties, so brackets that share a root
-    return it alike.  Its curvature M'' is read there once.  Roots whose
-    |M''| falls below beta_floor are reported but not eligible.
-    Raises NoCriticalPoint when the scan finds no sign change,
-    DegenerateCriticalPoint when roots exist but all are flatter than the
-    floor.
+    The roots are _critical_roots': a scan of M' on a uniform grid of
+    10,000 points and Illinois steps on every sign change of the scan until
+    its ends are neighbouring floats.  A root is the float next to the sign
+    change of the computed M' with the smaller |M'|, the smaller t on ties,
+    so brackets that share a root return it alike.  Its curvature M'' is
+    read there once.  Roots whose |M''| falls below beta_floor are reported
+    but not eligible.  Raises NoCriticalPoint when the scan finds no sign
+    change, DegenerateCriticalPoint when roots exist but all are flatter
+    than the floor.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise ConfigError(f"invalid bracket {bracket}")
-    grid = np.linspace(lo, hi, 10_000)
-    mp = eval_M(spec, n, p, eps, grid).Mp
-
-    def at(r: float) -> EffectivePotentialPoint:
-        return eval_M(spec, n, p, eps, np.array([r]))
-
-    sign = np.sign(mp)
-    roots = [_illinois(lambda r: float(at(r).Mp[0]), float(grid[i]), float(mp[i]),
-                       float(grid[i + 1]), float(mp[i + 1]))
-             for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
-    roots += [float(grid[i]) for i in np.nonzero(sign == 0)[0]]
-
     uniq: list[tuple[float, float]] = []
-    for t, curv in sorted((t, float(at(t).Mpp[0])) for t in roots):
+    for t in _critical_roots(spec, n, p, eps, lo, hi):
+        curv = float(eval_M(spec, n, p, eps, np.array([t])).Mpp[0])
         if not uniq or abs(t - uniq[-1][0]) > 1e-7 * (hi - lo):
             uniq.append((t, curv))
 

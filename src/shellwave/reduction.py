@@ -20,7 +20,10 @@ above roundoff level.
 A solve can record the reduced energy Psi = J(z + omega) and
 remainder_ratio = ||omega|| / (eps^3 ||z||), the quantity the remainder set
 ||omega|| <= gamma eps^3 ||z|| bounds.  The rho* search reads them for
-three of its 9-12 solves and computes them only for those.
+three of its solves (6-8 per shipped sine member) and computes them only
+for those.  It searches a window around the smallest critical radius of
+M_eps in its bracket first, since alpha vanishes next to one, and scans
+the whole bracket only when alpha keeps its sign across the window.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .exceptions import (
 )
 from .grids import DiscreteOperators, RadialGrid, bordered_solve
 from .ground_state import GroundStateProfile, ground_state_constants
-from .potentials import PotentialSpec, _illinois, eval_M
+from .potentials import PotentialSpec, _critical_roots, _illinois, eval_M
 
 # residual norm at which a projected solve has converged
 TOL = 1e-10
@@ -49,6 +52,11 @@ MAX_ITER = 60
 # radii find_rho_star samples across its bracket, ends included, before
 # refining the first sign change of alpha
 PRE_SCAN = 9
+# half-width in t = eps rho of find_rho_star's first window, around the
+# smallest critical radius of M_eps in the bracket: 1.3x the largest offset
+# |eps rho* - t_eps| of the shipped family (0.038 at eps = 0.3); escaping
+# members' offsets are at most 0.0245
+WINDOW = 0.05
 
 __all__ = [
     "ReducedSolution",
@@ -314,6 +322,8 @@ class RhoStarResult:
     dpsi_ok: bool
     solution: ReducedSolution
     evaluations: int
+    widened: bool  # the pre-scan ran: alpha kept its sign across the window,
+                   # or M' has no root in the bracket
 
 
 def find_rho_star(
@@ -324,11 +334,18 @@ def find_rho_star(
 ) -> RhoStarResult:
     """Root of alpha(rho) in the bracket, down to |alpha| <= 1e-9 ||zdot||.
 
-    A scan of PRE_SCAN radii walks the bracket first and the root is
-    refined on the first subinterval with an alpha sign change, so brackets
-    enclosing an even number of roots (wide windows over an oscillatory
-    potential) still resolve; the scan order makes the choice deterministic
-    and keeps continuation runs on the branch nearest the lower edge.
+    The search starts in a window: t_c +- WINDOW in t = eps rho, over eps
+    and clipped to the bracket, where t_c is the smallest critical radius
+    of M_eps in eps * bracket (potentials._critical_roots, the scan and
+    Illinois steps of find_critical_radius).  When alpha changes sign
+    between the window's ends the root is refined on the window.
+    Otherwise, or when M' has no root in the bracket, the search widens
+    (widened): a scan of PRE_SCAN radii walks the bracket and the root is
+    refined on the first subinterval with an alpha sign change, so
+    brackets enclosing an even number of roots (wide windows over an
+    oscillatory potential) still resolve; the scan order makes the choice
+    deterministic and keeps continuation runs on the branch nearest the
+    lower edge.
 
     The refinement is the Illinois variant of regula falsi on
     alpha / ||zdot|| (potentials._illinois, which find_critical_radius
@@ -343,6 +360,7 @@ def find_rho_star(
     those two solves only.
     """
     a, b = float(bracket[0]), float(bracket[1])
+    eps = params.eps
     grid = grid_for(params, h, rho_max=b)
     ops = DiscreteOperators(grid, params.eps, spec, params.p)
     solved: list[ReducedSolution] = []
@@ -370,19 +388,26 @@ def find_rho_star(
             best = sol
         return sol
 
-    sa = at(a)
-    sb = None
-    for rho in np.linspace(a, b, PRE_SCAN)[1:]:
-        cand = at(float(rho))
-        if np.sign(cand.alpha) != np.sign(sa.alpha):
-            b, sb = float(rho), cand
-            break
-        a, sa = float(rho), cand
-    if sb is None:
-        raise NoSignChange(
-            f"alpha keeps the sign of alpha({bracket[0]})={sa.alpha:.3e} "
-            f"across [{bracket[0]}, {bracket[1]}] ({evals} samples)"
-        )
+    widened = True
+    roots = _critical_roots(spec, params.n, params.p, eps, eps * a, eps * b)
+    if roots:
+        wa, wb = max(a, (roots[0] - WINDOW) / eps), min(b, (roots[0] + WINDOW) / eps)
+        sa, sb = at(wa), at(wb)
+        if np.sign(sa.alpha) != np.sign(sb.alpha):
+            a, b, widened = wa, wb, False
+    if widened:
+        sa, sb = at(a), None
+        for rho in np.linspace(a, b, PRE_SCAN)[1:]:
+            cand = at(float(rho))
+            if np.sign(cand.alpha) != np.sign(sa.alpha):
+                b, sb = float(rho), cand
+                break
+            a, sa = float(rho), cand
+        if sb is None:
+            raise NoSignChange(
+                f"alpha keeps the sign of alpha({bracket[0]})={sa.alpha:.3e} "
+                f"across [{bracket[0]}, {bracket[1]}] ({evals} samples)"
+            )
 
     def scaled_alpha(rho: float) -> float:
         sx = at(rho)
@@ -408,6 +433,7 @@ def find_rho_star(
         dpsi_ok=bool(abs(dpsi) <= 1e-6 * abs(star.psi)),
         solution=star,
         evaluations=evals,
+        widened=widened,
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from shellwave import normalization
+from shellwave import normalization, reduction
 from shellwave.cli import _STAGES, STAGE_OVERRIDES, build_parser, main
 
 BASE = {
@@ -335,7 +335,7 @@ def test_solve_with_rho_star_near_the_bracket_end(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     info = json.loads((out / "solve.json").read_text())
-    assert info["rho_star"] == pytest.approx(174.7022041, rel=1e-9)
+    assert info["rho_star"] == pytest.approx(174.7022223, rel=1e-9)
     assert info["dpsi_ok"] is True
 
 
@@ -403,6 +403,21 @@ def test_continue_and_solve_report_rho_search(tmp_path):
     solve, _ = run_stage(tmp_path, "solve", "rho_solve")
     assert (solve["rho_evaluations"], solve["dpsi_ok"]) == \
         (member["rho_evaluations"], True)
+
+
+@pytest.mark.parametrize("window", [True, False])
+def test_continue_and_solve_report_rho_widened(tmp_path, monkeypatch, window):
+    if not window:
+        # no critical radius of M in the bracket, so no window: the pre-scan
+        monkeypatch.setattr(reduction, "_critical_roots", lambda *args: [])
+    family, _ = run_stage(tmp_path, "continue", "wide")
+    member = family["members"][0]
+    assert member["rho_widened"] is not window
+    lines = (tmp_path / "wide" / "family.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["rho_widened"] == str(not window).lower()
+    solve, _ = run_stage(tmp_path, "solve", "wide_solve")
+    assert solve["rho_widened"] is not window
 
 
 def test_branch_switch_reads_continue_not_completed(tmp_path):

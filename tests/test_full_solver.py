@@ -598,6 +598,42 @@ def test_member_work_stable_under_seed_shift(sine_family, sine_spec, delta):
     assert max(f.pohozaev_1, f.pohozaev_2) <= 1e-6
 
 
+@pytest.mark.parametrize("delta", [-1e-15, 1e-15, -1e-14, 1e-14, -1e-13, 1e-13, -1e-12,
+                                   1e-12, 1e-11, 1e-10, 1e-9, 1e-8, -1e-7, 1e-7])
+def test_polish_ignores_the_seeds_last_bits(sine_family, sine_spec, delta):
+    # the eps = 0.3 member seeded at rho*(1 + delta): an Armijo test on
+    # max|R| at the roundoff floor stopped 8 of these 14 solves one step
+    # short, with the defects 1.49e-12 off
+    m = sine_family.members[-1]
+    seed = member_seed(m.params.with_rho(m.rho_star * (1.0 + delta)), sine_spec,
+                       m.reduced, m.full.grid)
+    f = solve_full(2, 3.0, m.eps, sine_spec, seed, m.full.grid)
+    assert f.newton_stop == "roundoff"
+    assert abs(f.pohozaev_1 - m.full.pohozaev_1) <= 1e-14
+    assert abs(f.pohozaev_2 - m.full.pohozaev_2) <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def escaping_member(sine_spec):
+    """The eps = 0.16 member of the branch whose t grows like 1/eps^2."""
+    res = continuation_in_eps(2, 3.0, sine_spec, (0.16,), SINE_C1, SINE_C2, (27.5, 28.5),
+                              gamma=0.6)
+    assert res.completed, res.failure
+    return res.members[0]
+
+
+def test_polish_takes_at_most_one_step(sine_family, supercritical_family, escaping_member,
+                                       sine_spec):
+    # polishing until a full step failed Armijo took up to two steps more
+    # than the first acceptable iterate (eps = 0.45)
+    for m in (*sine_family.members, *supercritical_family.members, escaping_member):
+        f = m.full
+        first = solve_full(f.n, f.p, f.eps, sine_spec,
+                           member_seed(m.params, sine_spec, m.reduced, f.grid), f.grid,
+                           trunc_K=f.force_cap, polish=False)
+        assert f.newton_iters <= first.newton_iters + 1, m.eps
+
+
 def test_every_member_seeded_from_its_own_reduction(sine_family, sine_spec):
     # members after the first used to be seeded from the previous profile
     # shifted by the change in rho*

@@ -347,9 +347,26 @@ def test_warm_and_cold_solves_agree(setup, monkeypatch):
 
 
 def test_rho_star_work_count(sine_family):
-    # warm-started Illinois steps after the pre-scan; bisection took 25-27
+    # the two ends of the window around M_eps's critical radius, Illinois
+    # steps on it and the two dPsi probes; the pre-scan over the whole
+    # bracket took [9, 12, 12, 12, 12], bisection 25-27
     evals = [m.reduced.evaluations for m in sine_family.members]
-    assert evals == [9, 12, 12, 12, 12]
+    assert evals == [6, 8, 8, 8, 8]
+
+
+def test_rho_star_window_and_its_fallback(sine_family, supercritical_family, sine_spec,
+                                          monkeypatch):
+    # every sine member's root lies in its window; the supercritical
+    # member's window holds no sign change of alpha, so its search widens
+    # to the pre-scan.  Both reach the root the pre-scan alone finds
+    assert [m.reduced.widened for m in sine_family.members] == [False] * 5
+    (sup,) = supercritical_family.members
+    assert sup.reduced.widened
+    monkeypatch.setattr(reduction, "_critical_roots", lambda *args: [])
+    for m in (*sine_family.members, sup):
+        scan = find_rho_star(m.params.with_rho(m.bracket[0]), sine_spec, m.bracket)
+        assert scan.widened
+        assert m.rho_star == pytest.approx(scan.rho_star, rel=2.5e-7), m.eps
 
 
 def test_root_steps_superlinear_on_convex_alpha(setup, monkeypatch):
@@ -486,7 +503,7 @@ def test_nonfinite_candidate_fails_its_armijo_trial(setup):
 
 
 def test_energy_only_where_read(setup, monkeypatch):
-    # rho* and the two dpsi solves read Psi; the other 6-9 solves do not
+    # rho* and the two dpsi solves read Psi; the other 5 solves do not
     params, spec, _ = setup
     calls = []
     real = DiscreteOperators.energy
@@ -497,7 +514,7 @@ def test_energy_only_where_read(setup, monkeypatch):
 
     monkeypatch.setattr(DiscreteOperators, "energy", energy)
     res = find_rho_star(params, spec, (7.5 / EPS, 9.5 / EPS))
-    assert res.evaluations >= 9
+    assert res.evaluations == 8
     assert len(calls) <= 3
     # what it did compute is what a measured solve computes
     grid, ops = res.solution.grid, DiscreteOperators(res.solution.grid, EPS, spec, 3.0)
