@@ -27,6 +27,9 @@ reflects other load on a shared machine.
 * ``find_rho_star``, ``solve_full``, ``pohozaev_refinement_check`` and
   ``find_critical_radius``: one call each, as the continuation and the
   ``solve`` and ``mpot`` stages make them;
+* ``solve_full_cold``: one full solve from z at t_eps/eps, the critical
+  radius, on that ansatz's grid, as the audit-sine-n2 benchmark workload
+  seeds its eps = 0.3 solve;
 * ``solve_member``: the whole member, its rho* search, branch tag, seed
   and full solve, as the continuation makes it.
 
@@ -102,6 +105,13 @@ def main(argv=None) -> int:
         full, spec, trunc_K=cfg.trunc_K, tol_coeff=cfg.tolerances.solve_tol_coeff)[:2]
     audit_h = next(a.h for a in audits if a is not full.audit)
     audit_nodes = grids.RadialGrid.make(cfg.n, full.grid.s_max, audit_h).size
+    crit = potentials.find_critical_radius(spec, cfg.n, cfg.p, EPS, tuple(cfg.t_bracket),
+                                           beta_floor=cfg.beta_floor)
+    cold_params = ansatz.AnsatzParams.make(cfg.n, cfg.p, EPS, crit.t_eps / EPS, spec,
+                                           cfg.C1, cfg.C2, gamma=cfg.gamma,
+                                           eps_max=float(cfg.schedule[0]))
+    cold_grid = ansatz.grid_for(cold_params, cfg.grid.h_solve)
+    cold_seed = ansatz.build_z(cold_params, spec, cold_grid)
 
     kernels = {
         "solve_projected_cold": lambda: reduction.solve_projected(
@@ -114,6 +124,9 @@ def main(argv=None) -> int:
             params, spec, bracket, h=cfg.grid.h_reduce),
         "solve_full": lambda: full_solver.solve_full(
             cfg.n, cfg.p, EPS, spec, seed, full.grid, trunc_K=cfg.trunc_K,
+            tol_coeff=cfg.tolerances.solve_tol_coeff),
+        "solve_full_cold": lambda: full_solver.solve_full(
+            cfg.n, cfg.p, EPS, spec, cold_seed, cold_grid, trunc_K=cfg.trunc_K,
             tol_coeff=cfg.tolerances.solve_tol_coeff),
         "solve_member": lambda: full_solver.solve_member(
             params.with_rho(bracket[0]), spec, bracket, trunc_K=cfg.trunc_K,

@@ -100,6 +100,7 @@ def _member_summary(m) -> dict:
         "pohozaev_1": f.pohozaev_1,
         "pohozaev_2": f.pohozaev_2,
         "newton_iters": f.newton_iters,
+        "coarse_iters": f.coarse_iters,
         "residual_evals": f.residual_evals,
         "roundoff_floor": f.roundoff_floor,
         "newton_stop": f.newton_stop,
@@ -255,9 +256,9 @@ def _stage_continue(cfg, outdir):
     csv_path = os.path.join(outdir, "family.csv")
     cols = ("eps", "rho_star", "t_value", "layer_radius", "peak_rho",
             "residual_max", "mass_weighted", "pohozaev_1", "pohozaev_2",
-            "newton_iters", "residual_evals", "roundoff_floor", "newton_stop",
-            "remainder_ratio", "rho_evaluations", "rho_widened", "dpsi_ok",
-            "branch_sign")
+            "newton_iters", "coarse_iters", "residual_evals", "roundoff_floor",
+            "newton_stop", "remainder_ratio", "rho_evaluations", "rho_widened",
+            "dpsi_ok", "branch_sign")
     write_csv(csv_path, cols, ([r[c] for c in cols] for r in rows))
     jpath = os.path.join(outdir, "family.json")
     write_json(jpath, {

@@ -139,11 +139,10 @@ class EffectivePotentialPoint:
     Mpp: np.ndarray
 
 
-def eval_M(
-    spec: PotentialSpec, n: int, p: float, eps: float, r
-) -> EffectivePotentialPoint:
-    """Effective weight M_eps and its first two radial derivatives, each
-    analytic through the chain rule on the family's V, V' and V''."""
+def _slope(spec: PotentialSpec, n: int, p: float, eps: float, r) -> tuple:
+    """M_eps' at r, and the terms eval_M reuses for M and M'':
+    (M', r, q, pref, W, V', r^(n-1), r^(n-2)).  The critical-radius scan
+    and its Illinois steps read M' alone, without V'' and M''."""
     r = np.asarray(r, dtype=float)
     q = (p + 3.0) / (2.0 * (p - 1.0))
     pref = eps ** (2 * (n - 2))
@@ -152,12 +151,21 @@ def eval_M(
     if np.any(W <= 0.0):
         raise EllipticityViolation("1 + eps^2 V <= 0 inside evaluation range")
     Vp = spec.deriv(r)
-    Vpp = spec.second_deriv(r)
 
     rn1 = r ** (n - 1)
     rn2 = r ** (n - 2)
-    M = pref * rn1 * W**q
     Mp = pref * ((n - 1) * rn2 * W**q + rn1 * q * W ** (q - 1.0) * eps**2 * Vp)
+    return Mp, r, q, pref, W, Vp, rn1, rn2
+
+
+def eval_M(
+    spec: PotentialSpec, n: int, p: float, eps: float, r
+) -> EffectivePotentialPoint:
+    """Effective weight M_eps and its first two radial derivatives, each
+    analytic through the chain rule on the family's V, V' and V''."""
+    Mp, r, q, pref, W, Vp, rn1, rn2 = _slope(spec, n, p, eps, r)
+    Vpp = spec.second_deriv(r)
+    M = pref * rn1 * W**q
     term0 = (n - 1) * (n - 2) * r ** (n - 3) * W**q if n > 2 else np.zeros_like(r)
     Mpp = pref * (
         term0
@@ -213,9 +221,9 @@ def _critical_roots(spec: PotentialSpec, n: int, p: float, eps: float,
     and the scan points where M' is exactly zero.  find_critical_radius and
     reduction.find_rho_star share it."""
     grid = np.linspace(lo, hi, 10_000)
-    mp = eval_M(spec, n, p, eps, grid).Mp
+    mp = _slope(spec, n, p, eps, grid)[0]
     sign = np.sign(mp)
-    roots = [_illinois(lambda r: float(eval_M(spec, n, p, eps, np.array([r])).Mp[0]),
+    roots = [_illinois(lambda r: float(_slope(spec, n, p, eps, np.array([r]))[0][0]),
                        float(grid[i]), float(mp[i]), float(grid[i + 1]), float(mp[i + 1]))
              for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
     roots += [float(grid[i]) for i in np.nonzero(sign == 0)[0]]

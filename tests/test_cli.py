@@ -391,6 +391,18 @@ def test_continue_and_solve_report_newton_work(tmp_path):
         (member["residual_evals"], member["roundoff_floor"], "roundoff")
 
 
+def test_continue_and_solve_report_coarse_iters(tmp_path):
+    # a member's own seed is near, so no member takes the coarse start
+    family, _ = run_stage(tmp_path, "continue", "coarse")
+    assert family["members"][0]["coarse_iters"] == 0
+    lines = (tmp_path / "coarse" / "family.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[header.index("newton_iters") + 1] == "coarse_iters"
+    assert dict(zip(header, lines[1].split(",")))["coarse_iters"] == "0"
+    solve, _ = run_stage(tmp_path, "solve", "coarse_solve")
+    assert solve["coarse_iters"] == 0
+
+
 def test_continue_and_solve_report_rho_search(tmp_path):
     family, _ = run_stage(tmp_path, "continue", "rho")
     member = family["members"][0]

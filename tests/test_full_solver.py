@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from shellwave.ansatz import build_z
+from shellwave.ansatz import AnsatzParams, build_z, grid_for
 from shellwave.exceptions import ConfigError, ConvergedToZero, NewtonDivergence
 from shellwave.forces import PowerForce, TruncatedForce
 import shellwave.full_solver as full_solver
@@ -29,7 +29,7 @@ from shellwave.full_solver import (
 )
 from shellwave.config import first_bracket
 from shellwave.grids import ARRAYS_PER_NODE, DiscreteOperators, RadialGrid
-from shellwave.potentials import PotentialSpec, eval_M
+from shellwave.potentials import PotentialSpec, eval_M, find_critical_radius
 
 from conftest import SINE_C1, SINE_C2, SINE_SCHEDULE, SINE_T_BRACKET, banded_jacobian
 
@@ -440,7 +440,7 @@ def test_non_finite_jacobian_diverges():
     ops = DiscreteOperators(grid, 0.4, PotentialSpec.zero(), 3.0)
     seed = np.exp(-((grid.nodes - 5.0) ** 2))
     with pytest.raises(NewtonDivergence, match="Jacobian is not finite"):
-        _newton_strong(ops, _Slope(3.0, 0.0, np.nan), seed, 1e-10, 80, True)
+        _newton_strong(grid, ops.w, 3.0, _Slope(3.0, 0.0, np.nan), seed, 1e-10, 80, True)
 
 
 def test_singular_jacobian_diverges():
@@ -452,22 +452,22 @@ def test_singular_jacobian_diverges():
     ops = DiscreteOperators(grid, 0.4, PotentialSpec.zero(), 3.0)
     seed = np.array([1.0, 0.5, 0.0])
     with pytest.raises(NewtonDivergence, match="singular"):
-        _newton_strong(ops, _Slope(3.0, 19.0, 25.0), seed, 1e-10, 80, True)
+        _newton_strong(grid, ops.w, 3.0, _Slope(3.0, 19.0, 25.0), seed, 1e-10, 80, True)
 
 
-def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
+def _halving_newton_strong(grid, w, p, force, u0, tol_coeff, max_iter):
     """The full-solve Newton loop before the settled-iterate rule: every
     line search halves t until Armijo holds or the step stops moving u."""
     u = np.array(u0, dtype=float)
     u[-1] = 0.0
-    colloc = _Collocation(ops.grid, ops.w, force)
+    colloc = _Collocation(grid, w, force)
     R, Rc, cand, diag = (np.empty_like(u) for _ in range(4))
     iters = 0
     with np.errstate(over="ignore", invalid="ignore"):
         rmax = _sup(colloc.residual(u, out=R))
         evals = 1
         while iters < max_iter:
-            thr = tol_coeff * (1.0 + _sup(u) ** ops.p)
+            thr = tol_coeff * (1.0 + _sup(u) ** p)
             if rmax <= 0.02 * thr:
                 break
             du = _newton_step(colloc, u, R, Rc[:-1], diag, cand[:-1])
@@ -489,7 +489,7 @@ def _halving_newton_strong(ops, force, u0, tol_coeff, max_iter):
             R, Rc = Rc, R
             rmax = rc
             iters += 1
-    floor = 2.0 * np.finfo(float).eps * _sup(u) / ops.h**2
+    floor = 2.0 * np.finfo(float).eps * _sup(u) / grid.h**2
     return u, rmax, iters, evals, floor, "halving"
 
 
@@ -498,8 +498,8 @@ def halving_families(sine_spec):
     """The shipped families solved by the halving loop."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(full_solver, "_newton_strong",
-                      lambda ops, force, u0, tol_coeff, max_iter, polish:
-                      _halving_newton_strong(ops, force, u0, tol_coeff, max_iter))
+                      lambda grid, w, p, force, u0, tol_coeff, max_iter, polish:
+                      _halving_newton_strong(grid, w, p, force, u0, tol_coeff, max_iter))
         sine = continuation_in_eps(
             2, 3.0, sine_spec, SINE_SCHEDULE, SINE_C1, SINE_C2, SINE_T_BRACKET,
             gamma=0.6)
@@ -588,13 +588,14 @@ def test_member_work_stable_under_seed_shift(sine_family, sine_spec, delta):
     # a seed from a neighbour's profile shifted to a predicted radius, like
     # this eps = 0.35 profile shifted by the change in rho* to the eps = 0.3
     # member; moving that shift by the last bits of rho* took the halving
-    # loop from 10 to 51 residual evaluations
+    # loop from 10 to 51 residual evaluations.  Such a seed is far, so its
+    # approach runs on the coarse grid: 6-8 evaluations without it
     prev, m = sine_family.members[-2], sine_family.members[-1]
     shift = m.rho_star - prev.rho_star + delta * m.rho_star
     seed = np.interp(m.full.grid.nodes - shift, prev.full.grid.nodes,
                      prev.full.profile, left=0.0, right=0.0)
     f = solve_full(2, 3.0, m.eps, sine_spec, seed, m.full.grid)
-    assert 6 <= f.residual_evals <= 8
+    assert f.residual_evals == 4
     assert max(f.pohozaev_1, f.pohozaev_2) <= 1e-6
 
 
@@ -661,6 +662,120 @@ def test_default_solve_polishes_the_first_acceptable_iterate(
         assert f.newton_stop == polished.newton_stop == "roundoff"
         assert polished.profile.tobytes() == f.profile.tobytes(), m.eps
         assert first.newton_iters + polished.newton_iters == f.newton_iters
+
+
+# ---- coarse start --------------------------------------------------------
+
+
+def _cold_seed(spec, eps, h=2e-3, rho=None):
+    """z at rho (default t_eps/eps, as the audit workload seeds) on its own
+    grid of step h."""
+    if rho is None:
+        rho = find_critical_radius(spec, 2, 3.0, eps, SINE_T_BRACKET).t_eps / eps
+    params = AnsatzParams.make(2, 3.0, eps, rho, spec, SINE_C1, SINE_C2, gamma=0.6,
+                               eps_max=SINE_SCHEDULE[0])
+    grid = grid_for(params, h)
+    return build_z(params, spec, grid), grid
+
+
+def _without_coarse_start(*args, **kwargs):
+    """solve_full with no seed counted far."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(full_solver, "FAR", np.inf)
+        return solve_full(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def cold_solves(sine_spec):
+    """Each sine member's cold solve, with the coarse start and without."""
+    out = []
+    for eps in SINE_SCHEDULE:
+        seed, grid = _cold_seed(sine_spec, eps)
+        out.append((solve_full(2, 3.0, eps, sine_spec, seed, grid),
+                    _without_coarse_start(2, 3.0, eps, sine_spec, seed, grid)))
+    return out
+
+
+def test_coarse_start_lands_on_the_same_solution(cold_solves):
+    # measured: profiles within 3.1e-16 max u, defects within 3.5e-16
+    for a, b in cold_solves:
+        assert np.max(np.abs(a.profile - b.profile)) <= 1e-13 * np.max(b.profile), a.eps
+        assert abs(a.pohozaev_1 - b.pohozaev_1) <= 1e-14
+        assert abs(a.pohozaev_2 - b.pohozaev_2) <= 1e-14
+        assert a.newton_stop == b.newton_stop == "roundoff"
+
+
+def test_coarse_start_work_count(cold_solves):
+    # from the bare seed the fine loop took 5-8 steps and 6-18 evaluations
+    for a, b in cold_solves:
+        assert a.coarse_iters >= 1 and b.coarse_iters == 0
+        assert a.newton_iters <= 3 and a.residual_evals <= 4, \
+            (a.eps, a.newton_iters, a.residual_evals)
+        assert b.newton_iters >= 5
+
+
+def test_near_seeds_skip_the_coarse_start(sine_family, supercritical_family, sine_spec):
+    # every member's own seed and every converged profile is near: the
+    # solve is the one without the coarse start, bit for bit
+    for m in (*sine_family.members, *supercritical_family.members):
+        f = m.full
+        assert f.coarse_iters == 0
+        seed = member_seed(m.params, sine_spec, m.reduced, f.grid)
+        b = _without_coarse_start(f.n, f.p, f.eps, sine_spec, seed, f.grid,
+                                  trunc_K=f.force_cap)
+        assert f.profile.tobytes() == b.profile.tobytes(), m.eps
+        again = solve_full(f.n, f.p, f.eps, sine_spec, f.profile, f.grid,
+                           trunc_K=f.force_cap)
+        assert again.coarse_iters == 0
+        assert again.profile.tobytes() == f.profile.tobytes(), m.eps
+
+
+def test_failed_coarse_loop_starts_from_the_seed(cold_solves, sine_spec, monkeypatch):
+    seed, grid = _cold_seed(sine_spec, 0.3)
+    real = full_solver._newton_strong
+
+    def coarse_fails(newton_grid, *args, **kwargs):
+        if newton_grid is not grid:
+            raise NewtonDivergence("the coarse loop failed")
+        return real(newton_grid, *args, **kwargs)
+
+    monkeypatch.setattr(full_solver, "_newton_strong", coarse_fails)
+    f = solve_full(2, 3.0, 0.3, sine_spec, seed, grid)
+    b = cold_solves[-1][1]
+    assert f.coarse_iters == 0
+    assert f.profile.tobytes() == b.profile.tobytes()
+    assert (f.newton_iters, f.residual_evals, f.audit) == \
+        (b.newton_iters, b.residual_evals, b.audit)
+
+
+@pytest.mark.parametrize("eps, rho, h", [(0.5, 17.0, 0.02), (0.4, 21.0, 0.01),
+                                         (0.3, 29.7, 0.005), (0.3, None, 2e-3)])
+def test_coarse_grid_is_every_sixteenth_node(sine_spec, monkeypatch, eps, rho, h):
+    # a power-of-two step scales without rounding, so the coarse nodes are
+    # the fine ones and reading w there is evaluating V there; on these
+    # coarser grids the coarse step reaches 0.32 and the peak still lands
+    # where the solve without the coarse start puts it
+    seed, grid = _cold_seed(sine_spec, eps, h, rho)
+    seen = []
+    real = full_solver._newton_strong
+
+    def recording(newton_grid, w, *args, **kwargs):
+        seen.append((newton_grid, w))
+        return real(newton_grid, w, *args, **kwargs)
+
+    monkeypatch.setattr(full_solver, "_newton_strong", recording)
+    f = solve_full(2, 3.0, eps, sine_spec, seed, grid)
+    (coarse, w), (fine, _) = seen
+    assert fine is grid and f.coarse_iters >= 1
+    k = (grid.size - 1) // 16
+    k -= k % 2
+    assert coarse.h == 16 * grid.h and coarse.size == k + 1
+    assert coarse.nodes.tobytes() == grid.nodes[:16 * k + 1:16].tobytes()
+    assert w.tobytes() == DiscreteOperators(coarse, eps, sine_spec, 3.0).w.tobytes()
+    monkeypatch.setattr(full_solver, "_newton_strong", real)
+    b = _without_coarse_start(2, 3.0, eps, sine_spec, seed, grid)
+    assert abs(f.peak_rho - b.peak_rho) <= 1e-11 * b.peak_rho
+    assert f.newton_iters < b.newton_iters
 
 
 def _peak_arrays(fn, size):

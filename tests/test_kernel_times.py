@@ -7,7 +7,7 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_times.py"
 KERNELS = ("solve_projected_cold", "solve_projected_warm", "bordered_factor_solve",
-           "z_and_zdot", "find_rho_star", "solve_full", "solve_member",
+           "z_and_zdot", "find_rho_star", "solve_full", "solve_full_cold", "solve_member",
            "pohozaev_refinement_check", "find_critical_radius")
 
 

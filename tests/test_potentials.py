@@ -181,15 +181,17 @@ def test_critical_radius_work_count(monkeypatch):
     # eps = 0.5001182162470026 the second Illinois point lands one float
     # above the root and every later secant point rounds onto it: stepping
     # to its neighbour settles the root in one call, where midpoint steps
-    # took 31 more
+    # took 31 more.  The scan and the Illinois steps read M' alone and the
+    # curvature reads call eval_M, and both go through _slope, so counting
+    # _slope counts every evaluation of M
     calls = []
-    real = potentials.eval_M
+    real = potentials._slope
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(potentials, "eval_M", counted)
+    monkeypatch.setattr(potentials, "_slope", counted)
     spec = PotentialSpec.sine()
     for eps in (*SINE_N2_T_EPS, 0.5001182162470026):
         calls.clear()
