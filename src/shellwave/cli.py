@@ -87,12 +87,12 @@ def _pick_eps(cfg: RunConfig, eps: float | None, bracket: bool = False) -> float
 
 
 def _member_summary(m) -> dict:
+    """A member's record: family.csv's columns in order, then two more."""
     f = m.full
     return {
         "eps": m.eps,
         "rho_star": m.rho_star,
         "t_value": m.t_value,
-        "branch_sign": m.branch_sign,
         "layer_radius": m.eps * f.peak_rho,
         "peak_rho": f.peak_rho,
         "residual_max": f.residual_max,
@@ -104,12 +104,13 @@ def _member_summary(m) -> dict:
         "residual_evals": f.residual_evals,
         "roundoff_floor": f.roundoff_floor,
         "newton_stop": f.newton_stop,
-        "truncation_active": f.truncation_active,
-        "force_cap": f.force_cap,
         "remainder_ratio": m.reduced.solution.remainder_ratio,
         "rho_evaluations": m.reduced.evaluations,
         "rho_widened": m.reduced.widened,
         "dpsi_ok": m.reduced.dpsi_ok,
+        "branch_sign": m.branch_sign,
+        "truncation_active": f.truncation_active,
+        "force_cap": f.force_cap,
     }
 
 
@@ -254,11 +255,7 @@ def _stage_continue(cfg, outdir):
     res = _run_family(cfg, cfg.schedule)
     rows = [_member_summary(m) for m in res.members]
     csv_path = os.path.join(outdir, "family.csv")
-    cols = ("eps", "rho_star", "t_value", "layer_radius", "peak_rho",
-            "residual_max", "mass_weighted", "pohozaev_1", "pohozaev_2",
-            "newton_iters", "coarse_iters", "residual_evals", "roundoff_floor",
-            "newton_stop", "remainder_ratio", "rho_evaluations", "rho_widened",
-            "dpsi_ok", "branch_sign")
+    cols = list(rows[0])[:-2]  # family.json alone has truncation_active, force_cap
     write_csv(csv_path, cols, ([r[c] for c in cols] for r in rows))
     jpath = os.path.join(outdir, "family.json")
     write_json(jpath, {

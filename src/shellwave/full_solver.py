@@ -62,17 +62,18 @@ whether its first Newton correction du on the coarse grid of every
 COARSEN-th node exceeds FAR max|seed| there.  Those nodes are the grid's
 own bit for bit (16h j and h 16j round alike), so the coarse level reads
 w there instead of evaluating V again.  A far seed makes its Newton
-approach on the coarse grid (nested iteration, Hackbusch 1985) up to the
-first acceptable iterate, which is interpolated linearly back onto the
-grid, zero past the coarse end, and the loop on the grid starts there;
-on the audit workload's bare build_z seeds that loop then takes 3 steps
-instead of 5-8, and lands within 3.1e-16 max u of the solve without the
-coarse start.  A near seed (every member's own seed, every converged
-profile) goes to the loop on the grid unchanged, so it keeps its path
-and bits and a converged profile stays a fixed point; so does a seed
-whose correction cannot be formed, so that the loop on the grid raises
-its named error, and one the coarse loop fails from.  An unpolished solve
-starts from its seed.
+approach on the coarse grid (nested iteration, Hackbusch 1985), in the
+scheme the probe built, up to the first acceptable iterate, which is
+interpolated linearly back onto the grid, zero past the coarse end; the
+loop on the grid starts there, overwriting that fresh array, and on the
+audit workload's bare build_z seeds takes 3 steps instead of 5-8 and
+lands within 3.1e-16 max u of the solve without the coarse start.  A
+near seed (every member's own seed, every converged profile) goes to the
+loop on the grid unchanged, so it keeps its path and bits and a
+converged profile stays a fixed point; so does a seed whose correction
+cannot be formed, so that the loop on the grid raises its named error,
+and one the coarse loop fails from.  An unpolished solve starts from its
+seed.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ class _Collocation:
     The first row is the symmetric limit -n u''(0) (mirror node, so the
     grid must start at the origin) and the last the Dirichlet condition
     u(s_max) = 0.  curv = (n-1)/s is the residual's transport factor; the
-    scratch array fwd is overwritten by every call.  _newton_strong builds
-    one per solve, so the workspace dies with the Newton loop.
+    scratch array fwd is overwritten by every call.  A solve builds one per
+    grid it solves on, and the workspace dies with the Newton loop.
     """
 
     def __init__(self, grid: RadialGrid, w: np.ndarray, force):
@@ -288,31 +289,28 @@ def _newton_step(colloc: _Collocation, u: np.ndarray, R: np.ndarray,
     return step
 
 
-def _accept_bounds(grid: RadialGrid, p: float, u: np.ndarray,
+def _accept_bounds(colloc: _Collocation, u: np.ndarray,
                    tol_coeff: float) -> tuple[float, float, float]:
-    """(max|u|, tolerance, roundoff floor) of the accept rule at u on grid.
+    """(max|u|, tolerance, roundoff floor) of colloc's accept rule at u.
 
     kappa = 2 in the floor: rounding each stored node by eps_mach/2 |u| moves
     the second difference by up to (1 + 2 + 1) eps_mach/2 max|u| / h^2
     (measured stalls on grids of step 1e-3 sit at 1.2 eps_mach max|u| / h^2).
     """
     peak = _sup(u)
-    return (peak, tol_coeff * (1.0 + peak**p),
-            2.0 * np.finfo(float).eps * peak / grid.h**2)
+    return (peak, tol_coeff * (1.0 + peak**colloc.force.p),
+            2.0 * np.finfo(float).eps * peak / colloc.grid.h**2)
 
 
-def _newton_strong(grid: RadialGrid, w: np.ndarray, p: float, force, u0: np.ndarray,
-                   tol_coeff: float, max_iter: int, polish: bool):
-    """Damped Newton on the collocation system of (grid, w, force) from u0
-    (module docstring, "Stopping rules"); p sets the accept rule's
-    tolerance.  Returns (u, max|R(u)|, accepted steps, residual
-    evaluations, roundoff floor, newton_stop)."""
-    u = np.array(u0, dtype=float)
+def _newton_strong(colloc: _Collocation, u: np.ndarray, tol_coeff: float, polish: bool):
+    """Damped Newton on colloc's system from u, a float64 array of its grid's
+    size that the loop overwrites (module docstring, "Stopping rules").
+    Returns (u, max|R(u)|, accepted steps, residual evaluations, roundoff
+    floor, newton_stop)."""
     u[-1] = 0.0
     seed_peak = _sup(u)
     if not np.isfinite(seed_peak):
         raise NewtonDivergence("Newton seed is not finite")
-    colloc = _Collocation(grid, w, force)
     R, Rc, cand, diag = (np.empty_like(u) for _ in range(4))
     iters, stop = 0, "max_iter"
     # overflow in a rejected candidate is expected; a non-finite state raises
@@ -321,8 +319,8 @@ def _newton_strong(grid: RadialGrid, w: np.ndarray, p: float, force, u0: np.ndar
         evals = 1
         if not np.isfinite(rmax):
             raise NewtonDivergence("residual of the Newton seed is not finite")
-        while iters < max_iter:
-            peak, thr, floor = _accept_bounds(grid, p, u, tol_coeff)
+        while iters < MAX_ITER:
+            peak, thr, floor = _accept_bounds(colloc, u, tol_coeff)
             if rmax <= 0.02 * thr:
                 stop = "tolerance"
                 break
@@ -342,7 +340,7 @@ def _newton_strong(grid: RadialGrid, w: np.ndarray, p: float, force, u0: np.ndar
                 np.subtract(u, du, out=cand)
                 rc = _sup(colloc.residual(cand, out=Rc))
                 evals += 1
-                _, thr, floor = _accept_bounds(grid, p, cand, tol_coeff)
+                _, thr, floor = _accept_bounds(colloc, cand, tol_coeff)
                 if np.isfinite(rc) and rc <= max(thr, floor):
                     u, rmax = cand, rc
                     iters += 1
@@ -366,7 +364,7 @@ def _newton_strong(grid: RadialGrid, w: np.ndarray, p: float, force, u0: np.ndar
             R, Rc = Rc, R
             rmax = rc
             iters += 1
-    peak, thr, floor = _accept_bounds(grid, p, u, tol_coeff)
+    peak, thr, floor = _accept_bounds(colloc, u, tol_coeff)
     if peak < 1e-3 * seed_peak:
         raise ConvergedToZero("iterates collapsed toward the zero solution")
     if rmax > max(thr, floor):
@@ -377,38 +375,37 @@ def _newton_strong(grid: RadialGrid, w: np.ndarray, p: float, force, u0: np.ndar
     return u, rmax, iters, evals, floor, stop
 
 
-def _coarse_start(grid: RadialGrid, w: np.ndarray, p: float, force, seed: np.ndarray,
-                  tol_coeff: float) -> tuple[np.ndarray, int]:
-    """The start of the Newton loop on grid, and the coarse loop's accepted
-    steps: (seed, 0) unless seed is far (module docstring, "Coarse start").
-    The coarse grid takes an even interval count of COARSEN h intervals."""
+def _coarse_start(fine: _Collocation, seed: np.ndarray,
+                  tol_coeff: float) -> tuple[np.ndarray, int] | None:
+    """The fine loop's start, a fresh array, and the coarse loop's accepted
+    steps; None unless seed is far (module docstring, "Coarse start").  The
+    coarse grid takes an even interval count of COARSEN h intervals."""
+    grid = fine.grid
     k = (grid.size - 1) // COARSEN
     k -= k % 2
     if k < 2:
-        return seed, 0
+        return None
     end = COARSEN * k + 1
     coarse = RadialGrid.make(grid.n, float(grid.nodes[end - 1]), COARSEN * grid.h,
                              grid.s_min)
-    w_c = w[:end:COARSEN]
-    u = seed[:end:COARSEN].copy()
+    u = np.array(seed[:end:COARSEN], dtype=float)
     u[-1] = 0.0
-    colloc = _Collocation(coarse, w_c, force)
+    colloc = _Collocation(coarse, fine.w[:end:COARSEN], fine.force)
     m = coarse.size
     with np.errstate(over="ignore", invalid="ignore"):
         R = colloc.residual(u)
         if not np.isfinite(_sup(R)):
-            return seed, 0
+            return None
         try:
             du = _newton_step(colloc, u, R, np.empty(m - 1), np.empty(m), np.empty(m - 1))
         except NewtonDivergence:
-            return seed, 0
+            return None
         if not _sup(du) > FAR * _sup(u):
-            return seed, 0
+            return None
     try:
-        u, _, iters, *_ = _newton_strong(coarse, w_c, p, force, u, tol_coeff, MAX_ITER,
-                                         polish=False)
+        u, _, iters, *_ = _newton_strong(colloc, u, tol_coeff, polish=False)
     except SolverError:
-        return seed, 0
+        return None
     return np.interp(grid.nodes, coarse.nodes, u, right=0.0), iters
 
 
@@ -448,11 +445,15 @@ def solve_full(
     else:
         K = None
         force = ops.force
-    start, coarse_iters = seed, 0
+    # the scheme and the start's array die with the loop, before the audit
+    colloc = _Collocation(grid, ops.w, force)
+    start = None
     if polish and np.isfinite(seed_peak):
-        start, coarse_iters = _coarse_start(grid, ops.w, p, force, seed, tol_coeff)
-    u, rmax, iters, evals, floor, stop = _newton_strong(grid, ops.w, p, force, start,
-                                                        tol_coeff, MAX_ITER, polish)
+        start = _coarse_start(colloc, seed, tol_coeff)
+    u, coarse_iters = start or (np.array(seed, dtype=float), 0)
+    del start
+    u, rmax, iters, evals, floor, stop = _newton_strong(colloc, u, tol_coeff, polish)
+    del colloc
     if float(u[:-1].min()) <= 0.0:
         raise SolverError("solution lost positivity")
     if K is not None and float(u.max()) >= K:

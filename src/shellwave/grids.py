@@ -368,7 +368,3 @@ class DiscreteOperators:
         ab[0] = self.gram_banded[0]
         np.subtract(self.gram_banded[1], fp, out=ab[1])
         return ab
-
-    def hess_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """J''(u) v."""
-        return self.gram_mul(v) - self.mass_w * self.force.fp(u) * v

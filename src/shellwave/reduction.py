@@ -41,7 +41,7 @@ from .exceptions import (
     OutOfConfigurationSet,
     SolverError,
 )
-from .grids import DiscreteOperators, RadialGrid, bordered_solve
+from .grids import DiscreteOperators, RadialGrid, bordered_solve, tridiag_mul
 from .ground_state import GroundStateProfile, ground_state_constants
 from .potentials import PotentialSpec, _critical_roots, _illinois, eval_M
 
@@ -243,7 +243,7 @@ def _fixed_point_iterates(ops, ws, z, zdot, gzd, nzd2, residual_measure, omega, 
     for it in range(MAX_ITER):
         # J'(z+omega) = J''(z) omega + (J'(z) + higher order); feed the
         # frozen-Hessian bordered system the full nonlinear right-hand side
-        rhs1 = -(ops.grad(z + omega) - ops.hess_mul(z, omega))
+        rhs1 = -(ops.grad(z + omega) - tridiag_mul(hess, omega))
         sol = bordered_solve(hess, neg_gzd, gzd, np.concatenate([rhs1, [0.0]]))
         new_omega = _project_out(sol[:-1], zdot, gzd, nzd2)
         alpha = float(sol[-1])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from shellwave import normalization, reduction
+from shellwave import cli, normalization, reduction
 from shellwave.cli import _STAGES, STAGE_OVERRIDES, build_parser, main
 
 BASE = {
@@ -401,6 +401,24 @@ def test_continue_and_solve_report_coarse_iters(tmp_path):
     assert dict(zip(header, lines[1].split(",")))["coarse_iters"] == "0"
     solve, _ = run_stage(tmp_path, "solve", "coarse_solve")
     assert solve["coarse_iters"] == 0
+
+
+def test_family_csv_columns_are_the_member_record(tmp_path, monkeypatch):
+    # family.csv's header is a member record's keys in the record's order,
+    # less the two that family.json alone carries; family.json sorts them
+    records = []
+    real = cli._member_summary
+
+    def recording(m):
+        records.append(real(m))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "_member_summary", recording)
+    family, _ = run_stage(tmp_path, "continue", "columns")
+    header = (tmp_path / "columns" / "family.csv").read_text().splitlines()[0].split(",")
+    json_only = ["truncation_active", "force_cap"]
+    assert list(records[0]) == header + json_only
+    assert list(family["members"][0]) == sorted(header + json_only)
 
 
 def test_continue_and_solve_report_rho_search(tmp_path):

@@ -12,6 +12,7 @@ from shellwave.exceptions import ConfigError, ConvergedToZero, NewtonDivergence
 from shellwave.forces import PowerForce, TruncatedForce
 import shellwave.full_solver as full_solver
 from shellwave.full_solver import (
+    MAX_ITER,
     SHRINK_BAND,
     _Collocation,
     _newton_step,
@@ -440,7 +441,8 @@ def test_non_finite_jacobian_diverges():
     ops = DiscreteOperators(grid, 0.4, PotentialSpec.zero(), 3.0)
     seed = np.exp(-((grid.nodes - 5.0) ** 2))
     with pytest.raises(NewtonDivergence, match="Jacobian is not finite"):
-        _newton_strong(grid, ops.w, 3.0, _Slope(3.0, 0.0, np.nan), seed, 1e-10, 80, True)
+        _newton_strong(_Collocation(grid, ops.w, _Slope(3.0, 0.0, np.nan)), seed, 1e-10,
+                       True)
 
 
 def test_singular_jacobian_diverges():
@@ -452,22 +454,21 @@ def test_singular_jacobian_diverges():
     ops = DiscreteOperators(grid, 0.4, PotentialSpec.zero(), 3.0)
     seed = np.array([1.0, 0.5, 0.0])
     with pytest.raises(NewtonDivergence, match="singular"):
-        _newton_strong(grid, ops.w, 3.0, _Slope(3.0, 19.0, 25.0), seed, 1e-10, 80, True)
+        _newton_strong(_Collocation(grid, ops.w, _Slope(3.0, 19.0, 25.0)), seed, 1e-10,
+                       True)
 
 
-def _halving_newton_strong(grid, w, p, force, u0, tol_coeff, max_iter):
+def _halving_newton_strong(colloc, u, tol_coeff):
     """The full-solve Newton loop before the settled-iterate rule: every
     line search halves t until Armijo holds or the step stops moving u."""
-    u = np.array(u0, dtype=float)
     u[-1] = 0.0
-    colloc = _Collocation(grid, w, force)
     R, Rc, cand, diag = (np.empty_like(u) for _ in range(4))
     iters = 0
     with np.errstate(over="ignore", invalid="ignore"):
         rmax = _sup(colloc.residual(u, out=R))
         evals = 1
-        while iters < max_iter:
-            thr = tol_coeff * (1.0 + _sup(u) ** p)
+        while iters < MAX_ITER:
+            thr = tol_coeff * (1.0 + _sup(u) ** colloc.force.p)
             if rmax <= 0.02 * thr:
                 break
             du = _newton_step(colloc, u, R, Rc[:-1], diag, cand[:-1])
@@ -489,7 +490,7 @@ def _halving_newton_strong(grid, w, p, force, u0, tol_coeff, max_iter):
             R, Rc = Rc, R
             rmax = rc
             iters += 1
-    floor = 2.0 * np.finfo(float).eps * _sup(u) / grid.h**2
+    floor = 2.0 * np.finfo(float).eps * _sup(u) / colloc.grid.h**2
     return u, rmax, iters, evals, floor, "halving"
 
 
@@ -498,8 +499,8 @@ def halving_families(sine_spec):
     """The shipped families solved by the halving loop."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(full_solver, "_newton_strong",
-                      lambda grid, w, p, force, u0, tol_coeff, max_iter, polish:
-                      _halving_newton_strong(grid, w, p, force, u0, tol_coeff, max_iter))
+                      lambda colloc, u, tol_coeff, polish:
+                      _halving_newton_strong(colloc, u, tol_coeff))
         sine = continuation_in_eps(
             2, 3.0, sine_spec, SINE_SCHEDULE, SINE_C1, SINE_C2, SINE_T_BRACKET,
             gamma=0.6)
@@ -734,10 +735,10 @@ def test_failed_coarse_loop_starts_from_the_seed(cold_solves, sine_spec, monkeyp
     seed, grid = _cold_seed(sine_spec, 0.3)
     real = full_solver._newton_strong
 
-    def coarse_fails(newton_grid, *args, **kwargs):
-        if newton_grid is not grid:
+    def coarse_fails(colloc, *args, **kwargs):
+        if colloc.grid is not grid:
             raise NewtonDivergence("the coarse loop failed")
-        return real(newton_grid, *args, **kwargs)
+        return real(colloc, *args, **kwargs)
 
     monkeypatch.setattr(full_solver, "_newton_strong", coarse_fails)
     f = solve_full(2, 3.0, 0.3, sine_spec, seed, grid)
@@ -759,9 +760,9 @@ def test_coarse_grid_is_every_sixteenth_node(sine_spec, monkeypatch, eps, rho, h
     seen = []
     real = full_solver._newton_strong
 
-    def recording(newton_grid, w, *args, **kwargs):
-        seen.append((newton_grid, w))
-        return real(newton_grid, w, *args, **kwargs)
+    def recording(colloc, *args, **kwargs):
+        seen.append((colloc.grid, colloc.w))
+        return real(colloc, *args, **kwargs)
 
     monkeypatch.setattr(full_solver, "_newton_strong", recording)
     f = solve_full(2, 3.0, eps, sine_spec, seed, grid)
@@ -776,6 +777,24 @@ def test_coarse_grid_is_every_sixteenth_node(sine_spec, monkeypatch, eps, rho, h
     b = _without_coarse_start(2, 3.0, eps, sine_spec, seed, grid)
     assert abs(f.peak_rho - b.peak_rho) <= 1e-11 * b.peak_rho
     assert f.newton_iters < b.newton_iters
+
+
+def test_far_solve_builds_one_scheme_per_grid(sine_spec, monkeypatch):
+    # the far probe's scheme is the coarse loop's, and the fine loop's is
+    # built once
+    seed, grid = _cold_seed(sine_spec, 0.5, 0.02, 17.0)
+    built = []
+
+    class Recorded(_Collocation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.grid)
+
+    monkeypatch.setattr(full_solver, "_Collocation", Recorded)
+    f = solve_full(2, 3.0, 0.5, sine_spec, seed, grid)
+    assert f.coarse_iters >= 1
+    fine, coarse = built
+    assert fine is grid and coarse.h == 16 * grid.h
 
 
 def _peak_arrays(fn, size):
@@ -807,6 +826,18 @@ def test_full_solve_holds_few_grid_sized_arrays(sine_family, sine_spec):
     audit = _peak_arrays(lambda: pohozaev_refinement_check(full, sine_spec),
                          grid.size)
     assert audit <= 5.1, audit
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.3])
+def test_cold_solve_keeps_no_copy_of_its_start(sine_spec, eps):
+    # the Newton loop overwrites the coarse start's interpolated array, so
+    # a cold solve peaks at the near seed's 8.14 arrays (9.14 with a copy)
+    seed, grid = _cold_seed(sine_spec, eps)
+    out = []
+    peak = _peak_arrays(lambda: out.append(solve_full(2, 3.0, eps, sine_spec, seed, grid)),
+                        grid.size)
+    assert out[0].coarse_iters >= 1
+    assert peak <= 8.2, peak
 
 
 def test_member_solve_holds_at_most_the_node_budgets_arrays(sine_family, sine_spec):

@@ -1,5 +1,7 @@
 """Radial grid, quadrature, weighted forms, and the strong-form residual."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -102,9 +104,10 @@ def arrays_held(obj) -> set:
 def test_solve_full_builds_no_energy_picture(monkeypatch):
     # a full solve and its audit read only omega and w, omega not before
     # the audit's first quad, the collocation workspace stays with the
-    # Newton loop, and the grid keeps no quadrature factor.  This cold
-    # seed takes the coarse start, whose Newton loop reads the same w
-    made, during_newton = [], []
+    # Newton loop (both schemes are gone when the audit runs), and the grid
+    # keeps no quadrature factor.  This cold seed takes the coarse start,
+    # whose Newton loop reads the same w
+    made, during_newton, schemes, at_audit = [], [], [], []
 
     class Recorded(DiscreteOperators):
         def __init__(self, *args):
@@ -112,20 +115,29 @@ def test_solve_full_builds_no_energy_picture(monkeypatch):
             made.append(self)
 
     real_newton = full_solver._newton_strong
+    real_audit = full_solver.pohozaev_audit
 
-    def newton(*args, **kwargs):
-        out = real_newton(*args, **kwargs)
+    def newton(colloc, *args, **kwargs):
+        assert colloc.w is made[0].w or colloc.w.base is made[0].w
+        schemes.append(weakref.ref(colloc))
+        out = real_newton(colloc, *args, **kwargs)
         during_newton.append(arrays_held(made[0]))
         return out
 
+    def audit(*args):
+        at_audit.extend(ref() for ref in schemes)
+        return real_audit(*args)
+
     monkeypatch.setattr(full_solver, "DiscreteOperators", Recorded)
     monkeypatch.setattr(full_solver, "_newton_strong", newton)
+    monkeypatch.setattr(full_solver, "pohozaev_audit", audit)
     spec = PotentialSpec.sine()
     params = AnsatzParams.make(2, 3.0, 0.5, 17.0, spec, 0.5, 1.5, gamma=0.6)
     grid = grid_for(params, 0.02)
     full = full_solver.solve_full(2, 3.0, 0.5, spec, build_z(params, spec, grid), grid)
     (ops,) = made
     assert during_newton and all(held == {"w"} for held in during_newton)
+    assert at_audit == [None, None]
     assert arrays_held(ops) == {"w", "omega"}
     full_solver.pohozaev_audit(ops, full.profile)
     assert {"gram_banded", "mass_w", "kin_w"}.isdisjoint(vars(ops))
@@ -186,22 +198,14 @@ def test_gradient_matches_energy_fd():
 
 
 def test_hessian_matches_gradient_fd():
+    # the banded Hessian the bordered solves and spectral gaps factor is
+    # the derivative of the gradient
     grid, ops = make_ops(rho_max=25.0, h=0.05)
     u = bump(grid, 12.0, width=1.2)
     v = bump(grid, 13.0, width=2.0)
     t = 1e-6
     fd = (ops.grad(u + t * v) - ops.grad(u - t * v)) / (2 * t)
-    assert np.max(np.abs(ops.hess_mul(u, v) - fd)) < 1e-7
-
-
-def test_hess_quadform_consistent():
-    # the banded Hessian the bordered solves and spectral gaps factor is
-    # the one hess_mul applies
-    grid, ops = make_ops(rho_max=25.0, h=0.05)
-    u = bump(grid, 12.0)
-    v = bump(grid, 11.0, width=1.5)
-    want = float(v @ ops.hess_mul(u, v))
-    assert float(v @ tridiag_mul(ops.hess_banded(u), v)) == pytest.approx(want, rel=1e-12)
+    assert np.max(np.abs(tridiag_mul(ops.hess_banded(u), v) - fd)) < 1e-7
 
 
 def plain_power(p, u):
