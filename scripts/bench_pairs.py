@@ -15,7 +15,10 @@ ran first.  A metric's better direction comes from the change checkout's
 ``BENCHMARK.json``.  The per-stage seconds that ``perfbench/run.py``
 prints for pipeline-sine-n2 (``stage.scan_s`` and so on) are recorded
 with each run and summarized the same way, lower being better, so a
-pipeline claim shows which stage moved.
+pipeline claim shows which stage moved.  Both checkouts' absolute paths
+are recorded as well, and the script prints one warning when their lengths
+differ: the same code has read up to 2% apart in ``peak_rss_mb`` when run
+from two different checkouts.
 
 A metric's change is ``clear`` when the change wins at least 9 of 10
 pairs and its median beats the parent's by more than the parent's
@@ -119,6 +122,11 @@ def main(argv=None) -> int:
                     help='the claimed metric and workload, or "none: ..."')
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
+    paths = {side: os.path.abspath(path) for side, path in checkouts.items()}
+    if len(paths["parent"]) != len(paths["change"]):
+        print(f"warning: the checkout paths differ in length ({len(paths['parent'])} "
+              f"and {len(paths['change'])} characters), and peak_rss_mb can move "
+              "with the checkout a run starts from", file=sys.stderr)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
@@ -156,6 +164,7 @@ def main(argv=None) -> int:
     doc = {
         "harness": HARNESS,
         "machine": machine(),
+        "checkouts": paths,
         "protocol": (
             f"{args.pairs} pairs of parent and change runs per workload and seed "
             f"(seeds {seeds}), untraced, each side from its own checkout, run one "

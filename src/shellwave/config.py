@@ -1,10 +1,9 @@
 """Run configuration: loading, validation, canonical hashing.
 
-A config file is a flat, human-editable description of one experiment:
-dimension, exponent, potential, the eps schedule, the window constants,
-grid policy and tolerances.  JSON is the primary format; a TOML-style
-``key = value`` file (with dotted keys for the nested tables) is accepted
-as well so configs can be written without quoting ceremony.
+A config file is one JSON object describing one experiment: dimension,
+exponent, potential, the eps schedule, the window constants, grid policy
+and tolerances.  The potential, grid and tolerances fields are nested
+objects.
 
 Every numeric knob of the pipeline lives here; there is no hidden state
 and no randomness anywhere, which is what makes byte-identical replay a
@@ -289,49 +288,17 @@ def config_from_dict(data: dict) -> RunConfig:
     return cfg
 
 
-def _parse_kv(text: str) -> dict:
-    """TOML-style 'key = value' lines; values are JSON fragments, keys may
-    be dotted to address the nested tables."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        try:
-            value = json.loads(val)
-        except json.JSONDecodeError:
-            value = val.strip('"')  # bare string
-        node = out
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"line {lineno}: '{part}' is not a table")
-        node[parts[-1]] = value
-    return out
-
-
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    else:
-        data = _parse_kv(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config must be JSON: line {exc.lineno}, "
+                          f"column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
-        raise ConfigError("config must be a table of key/value pairs")
+        raise ConfigError("config must be a JSON object")
     return config_from_dict(data)

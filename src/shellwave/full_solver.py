@@ -36,7 +36,9 @@ so no smaller t can move u again.  A line search that fails ends the loop
 (repeating it from the same u would repeat it exactly), as do a residual
 below 2% of the tolerance and MAX_ITER accepted steps.  The first
 acceptable iterate is polished (below), and the polish ends the loop too;
-newton_stop records which ("roundoff", "tolerance", "max_iter").
+a solve that does not polish stops at that iterate instead.  newton_stop
+records which: "tolerance" (the 2% rule), "roundoff" (a failed line
+search or the polish), "acceptable" (the unpolished stop) or "max_iter".
 
 The polish stops on the Newton correction, not on the residual
 (Deuflhard's error-oriented test): at the roundoff floor a residual

@@ -270,7 +270,6 @@ class DiscreteOperators:
         self.p = float(p)
         self.force = PowerForce(p)
         s = grid.nodes
-        self.h = grid.h
         self.w = 1.0 + eps**2 * spec.value(eps * s)
         if np.any(self.w <= 0.0):
             raise EllipticityViolation(

@@ -212,6 +212,20 @@ def identity_spread(c: GroundStateConstants) -> tuple[float, float, float, float
     return q1, q2, q3, (max(q1, q2, q3) - min(q1, q2, q3)) / max(abs(q1), 1e-300)
 
 
+def _linearized_operator(
+    profile: GroundStateProfile, half_width: float, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The interior nodes of (-W, W) at the given step, and L = -d^2/ds^2 +
+    lam^2 - p Q^(p-1) on them by second differences with zero BCs, in
+    upper-banded storage: L[1] the diagonal, L[0, 1:] the off-diagonal."""
+    m = int(round(2.0 * half_width / step))
+    nodes = -half_width + step * np.arange(1, m)
+    L = np.zeros((2, m - 1))
+    L[0, 1:] = -1.0 / step**2
+    L[1] = 2.0 / step**2 + profile.lam**2 - profile.p * profile.value(nodes) ** (profile.p - 1.0)
+    return nodes, L
+
+
 def linearized_spectrum(
     profile: GroundStateProfile, k: int = 2
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,12 +236,9 @@ def linearized_spectrum(
     nodes) with eigenvectors l2-normalized, sign fixed so the
     largest-magnitude component is positive.
     """
-    half_width, step = SPECTRUM_HALF_WIDTH / profile.lam, SPECTRUM_STEP
-    m = int(round(2.0 * half_width / step))
-    nodes = -half_width + step * np.arange(1, m)
-    pot = profile.lam**2 - profile.p * profile.value(nodes) ** (profile.p - 1.0)
-    diag = 2.0 / step**2 + pot
-    off = np.full(m - 2, -1.0 / step**2)
+    nodes, L = _linearized_operator(profile, SPECTRUM_HALF_WIDTH / profile.lam,
+                                    SPECTRUM_STEP)
+    diag, off = L[1], L[0, 1:]
     # eigh_tridiagonal(select="i")'s own path: dstebz bisects for the
     # eigenvalues of 1-based index 1..k (range 2, so vl and vu are unused;
     # tol 0 is LAPACK's default) in block order, dstein finds their vectors
@@ -265,14 +276,9 @@ def _floor_pencil(
     """L and the flat H^1 Gram matrix B on the interior nodes of (-W, W), in
     upper-banded storage, and the border B [Q, Q'] whose null space is the
     H^1-orthogonal complement of span{Q, Q'}."""
-    m = int(round(2.0 * half_width / step))
-    nodes = -half_width + step * np.arange(1, m)
-    main = 2.0 / step**2
-    L = np.zeros((2, m - 1))
-    L[0, 1:] = -1.0 / step**2
-    L[1] = main + profile.lam**2 - profile.p * profile.value(nodes) ** (profile.p - 1.0)
+    nodes, L = _linearized_operator(profile, half_width, step)
     B = L.copy()
-    B[1] = main + 1.0
+    B[1] = 2.0 / step**2 + 1.0
     border = np.column_stack([tridiag_mul(B, profile.value(nodes)),
                               tridiag_mul(B, profile.derivative(nodes))])
     return L, B, border

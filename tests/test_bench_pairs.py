@@ -141,3 +141,26 @@ def test_main_exits_1_when_a_change_run_is_worse(tmp_path, monkeypatch,
     w = doc["workloads"]["w seed 0"]
     assert w["health"]["worse_pairs"] == worse
     assert w["summary"]["job_s"]["change_wins"] == "2/2"
+
+
+@pytest.mark.parametrize("parent, warned", [("b", False), ("parent", True)])
+def test_main_records_the_checkouts_and_warns_on_unequal_paths(
+        tmp_path, monkeypatch, capsys, parent, warned):
+    # peak_rss_mb has read up to 2% apart for the same code run from two
+    # checkouts, so the file says where each side ran
+    change = tmp_path / "a"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "job_s", "better": "lower"}]}')
+    monkeypatch.chdir(tmp_path)
+    results = {parent: [(True, 2), (True, 2)], str(change): [(True, 2), (True, 2)]}
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run(results))
+    monkeypatch.setattr(bench_pairs, "ROOT", str(change))
+    argv = ["--parent", parent, "--change", str(change), "--workload", "w",
+            "--seed", "0", "--pairs", "2", "--tag", "t", "--claim", "none"]
+    assert bench_pairs.main(argv) == 0
+    doc = json.loads((change / "BENCH_t.json").read_text())
+    assert doc["checkouts"] == {"parent": str(tmp_path / parent), "change": str(change)}
+    err = capsys.readouterr().err.splitlines()
+    assert [line.startswith("warning: the checkout paths differ") for line in err] == (
+        [True] if warned else [])

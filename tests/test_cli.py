@@ -115,13 +115,20 @@ def test_p_below_the_ansatz_floor_exits_2(tmp_path, capsys):
 
 
 def test_mistyped_nested_number_exits_2(tmp_path, capsys):
-    # a key=value value that is not JSON reads as a bare string
-    path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in BASE.items())
-                    + "grid.h_solve = 4O\n")
-    rc = main(["ground", "--config", str(path), "--out", str(tmp_path / "o")])
+    cfg = write_cfg(tmp_path, grid={"h_solve": "4O"})
+    rc = main(["ground", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "grid.h_solve: must be a number" in capsys.readouterr().err
+
+
+def test_key_value_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in BASE.items()))
+    rc = main(["ground", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("config invalid: config must be JSON: line 1, column 1: Expecting value"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_grid_tail_is_not_a_config_field(tmp_path, capsys):
@@ -176,6 +183,20 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     rc = main(["mpot", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "mpot failed" in capsys.readouterr().err
+
+
+def test_flat_critical_radius_exits_3(tmp_path, capsys):
+    # the shipped config's critical radius at eps = 0.3 has |M''| = 0.81
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "sine_n2.json").read_text())
+    cfg["beta_floor"] = 0.9
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["mpot", "--config", str(path), "--out", str(tmp_path / "o"), "--eps", "0.3"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "mpot failed: DegenerateCriticalPoint: all critical radii in [" in err
+    assert "have |M''| < 0.9" in err
 
 
 def test_eps_override_validated(tmp_path, capsys):

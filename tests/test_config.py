@@ -49,26 +49,6 @@ def test_roundtrip_defaults():
     assert isinstance(cfg.p, float) and isinstance(cfg.n, int)
 
 
-def test_json_and_kv_same_hash(tmp_path):
-    jpath = tmp_path / "a.json"
-    jpath.write_text(json.dumps(BASE))
-    kpath = tmp_path / "a.cfg"
-    kpath.write_text(
-        "# same run, key=value form\n"
-        "n = 2\n"
-        "p = 3\n"
-        "potential.family = \"sine\"\n"
-        "schedule = [0.5, 0.45, 0.4]\n"
-        "C1 = 0.5\n"
-        "C2 = 1.5\n"
-        "t_bracket = [7.5, 9.5]\n"
-    )
-    a = load_config(str(jpath))
-    b = load_config(str(kpath))
-    assert a == b
-    assert a.config_hash() == b.config_hash()
-
-
 def test_hash_ignores_outdir_only():
     a = make()
     b = dataclasses.replace(a, outdir="elsewhere")
@@ -175,23 +155,6 @@ def test_json_parse_error_has_position(tmp_path):
     path.write_text('{\n  "n": 2,\n  "p": oops\n}\n')
     with pytest.raises(ConfigError, match=r"line 3"):
         load_config(str(path))
-
-
-def test_kv_parse_error_has_line(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("n = 2\npotential.family 'sine'\n")
-    with pytest.raises(ConfigError, match=r"line 2"):
-        load_config(str(path))
-
-
-def test_kv_bare_string_fallback(tmp_path):
-    # unquoted scalar values read as strings, so family names need no quotes
-    path = tmp_path / "bare.cfg"
-    lines = ["potential.family = sine"] + [
-        f"{k} = {json.dumps(v)}" for k, v in BASE.items() if k != "potential"
-    ]
-    path.write_text("\n".join(lines) + "\n")
-    assert load_config(str(path)) == make()
 
 
 def test_numeric_coercion_and_bool_guard():

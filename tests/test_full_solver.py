@@ -8,7 +8,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 from shellwave.ansatz import AnsatzParams, build_z, grid_for
-from shellwave.exceptions import ConfigError, ConvergedToZero, NewtonDivergence
+from shellwave.exceptions import (ConfigError, ConvergedToZero, NewtonDivergence,
+                                  TruncationSaturated)
 from shellwave.forces import PowerForce, TruncatedForce
 import shellwave.full_solver as full_solver
 from shellwave.full_solver import (
@@ -267,6 +268,18 @@ def test_supercritical_cap_doubling_bitwise(supercritical_family, sine_spec):
     a = solve_full(3, 6.0, 0.5, sine_spec, seed, f.grid, trunc_K=3.0)
     b = solve_full(3, 6.0, 0.5, sine_spec, seed, f.grid, trunc_K=6.0)
     assert np.max(np.abs(a.profile - b.profile)) <= 1e-12
+
+
+def test_cap_below_the_solution_peak_saturates(sine_spec):
+    # the n = 3, p = 6 solution at eps = 0.5 peaks at 1.33: with K = 1 the
+    # truncated problem is not the original one, and the solve says so
+    eps = 0.5
+    t_eps = find_critical_radius(sine_spec, 3, 6.0, eps, (2.0, 12.0)).t_eps
+    params = AnsatzParams.make(3, 6.0, eps, t_eps / eps, sine_spec, 0.5, 3.0)
+    grid = grid_for(params, 2e-3)
+    seed = build_z(params, sine_spec, grid)
+    with pytest.raises(TruncationSaturated, match=r"peak 1\.33\d+ reached the force cap 1\.0"):
+        solve_full(3, 6.0, eps, sine_spec, seed, grid, trunc_K=1.0)
 
 
 def test_schedule_validation(sine_spec):

@@ -238,7 +238,7 @@ def plain_truncated_slope(p, K, u):
 def plain_residual(ops, u, f):
     """The collocation residual as one numpy expression per row, with no
     workspace: the reference the workspace kernel must match bit for bit."""
-    s, h, n = ops.grid.nodes, ops.h, ops.grid.n
+    s, h, n = ops.grid.nodes, ops.grid.h, ops.grid.n
     R = np.empty_like(u)
     fwd = u[1:] - u[:-1]
     lap = (fwd[1:] - fwd[:-1]) / h**2 + (
@@ -254,7 +254,7 @@ def plain_jacobian(ops, u, fp):
     """The (3, m) stencil template the operators once kept, minus f'(u) on
     the diagonal: the reference the collocation Jacobian must match bit for
     bit."""
-    s, h, n, m = ops.grid.nodes, ops.h, ops.grid.n, ops.grid.size
+    s, h, n, m = ops.grid.nodes, ops.grid.h, ops.grid.n, ops.grid.size
     ab = np.zeros((3, m))
     transport = (n - 1) / (2.0 * h * s[1:-1])
     ab[0, 2:] = -1.0 / h**2 - transport
