@@ -101,7 +101,7 @@ class AnsatzParams:
         return out
 
     def beta(self, spec: PotentialSpec) -> float:
-        return math.sqrt(1.0 + self.eps**2 * float(spec.value(self.eps * self.rho)))
+        return math.sqrt(spec.W(self.eps, self.eps * self.rho))
 
     def profile(self, spec: PotentialSpec) -> GroundStateProfile:
         return GroundStateProfile(p=self.p, lam=self.beta(spec))
@@ -169,6 +169,6 @@ def build_z_and_zdot(params: AnsatzParams, spec: PotentialSpec,
     s = grid.nodes - params.rho
     cut = cutoff(params, grid.nodes)
     q = prof.value(s)
-    dlam2 = params.eps**3 * float(spec.deriv(params.eps * params.rho))
+    dlam2 = params.eps**3 * float(spec.Vp(params.eps * params.rho))
     drift = dlam2 * prof.dvalue_dlambda_sq(s) if dlam2 != 0.0 else 0.0
     return cut * q, cut * (drift - prof.derivative(s, q))

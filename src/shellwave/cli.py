@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in helps.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", default=None,
-                        help="path to a JSON or key=value config file")
+                        help="path to a JSON config file")
         sp.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
         # absent unless given, so main passes only the overrides given

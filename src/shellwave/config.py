@@ -23,14 +23,16 @@ from .grids import MAX_NODES
 from .potentials import PotentialSpec
 
 
-def _number(name: str, value) -> float:
-    """value as a float, or ConfigError naming the field (bools included)."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{name}: must be a number")
+def _number(name: str, value, rule: str = "finite") -> float:
+    """value as a float, or ConfigError naming the field: "must be a number"
+    (bools included), or "must be <rule>" for JSON's Infinity, NaN or 1e999."""
+    try:
+        x = float(None if isinstance(value, bool) else value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: must be a number") from None
+    if not np.isfinite(x):
+        raise ConfigError(f"{name}: must be {rule}")
+    return x
 
 
 def _numbers(name: str, seq) -> tuple[float, ...]:
@@ -62,6 +64,11 @@ def check_rho_samples(name: str, k: int) -> int:
     if not 8 <= k <= MAX_NODES:
         raise ConfigError(f"{name}: need between 8 and {MAX_NODES:,} rho samples, got {k:,}")
     return k
+
+
+def is_supercritical(n: int, p: float) -> bool:
+    """Whether a full solve truncates the force at trunc_K."""
+    return n > 2 and p > (n + 2) / (n - 2)
 
 
 # p <= ~1 makes the remainder decay-rate window (lambda0/min{p,2}, lambda0)
@@ -191,6 +198,8 @@ class RunConfig:
             raise ConfigError("gamma: must be positive")
         if not 0.0 < self.beta_floor < 1.0:
             raise ConfigError("beta_floor: must lie in (0, 1)")
+        if self.trunc_K is not None and not is_supercritical(self.n, self.p):
+            raise ConfigError("trunc_K: needs a supercritical problem, n >= 3 and p > (n+2)/(n-2)")
         if self.trunc_K is not None and not self.trunc_K > 0.0:
             raise ConfigError("trunc_K: must be positive when given")
         check_rho_samples("rho_samples", self.rho_samples)
@@ -260,7 +269,8 @@ def config_from_dict(data: dict) -> RunConfig:
     kw["potential"] = _canonical_potential(kw["potential"])
     for name in ("p", "C1", "C2", "beta_floor", "gamma", "trunc_K"):
         if name in kw and not (name == "trunc_K" and kw[name] is None):
-            kw[name] = _number(name, kw[name])
+            kw[name] = _number(name, kw[name], "positive and finite"
+                               if name in ("C1", "C2") else "finite")
     for name in ("n", "rho_samples"):
         if name in kw:
             if not isinstance(kw[name], int) or isinstance(kw[name], bool):

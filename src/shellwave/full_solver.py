@@ -86,7 +86,7 @@ import numpy as np
 
 from ._lapack import dgtsv
 from .ansatz import AnsatzParams, build_z, grid_for
-from .config import check_schedule, first_bracket, rho_bracket
+from .config import check_schedule, first_bracket, is_supercritical, rho_bracket
 from .exceptions import (
     BranchSwitch,
     ConfigError,
@@ -145,10 +145,6 @@ __all__ = [
     "solve_member",
     "continuation_in_eps",
 ]
-
-
-def is_supercritical(n: int, p: float) -> bool:
-    return n > 2 and p > (n + 2) / (n - 2)
 
 
 @dataclass(frozen=True)
@@ -517,7 +513,7 @@ def pohozaev_audit(ops: DiscreteOperators, u: np.ndarray) -> PohozaevAudit:
     W1 = scale * ops.quad(ops.w * u * u)
     P1 = scale * ops.quad(np.abs(u) ** (p + 1))
     vm = scale * (eps**3 / 2.0) * ops.quad(
-        grid.nodes * spec.deriv(eps * grid.nodes) * (u * u))
+        grid.nodes * spec.Vp(eps * grid.nodes) * (u * u))
     d1 = abs(K1 + W1 - P1) / max(K1, W1, P1)
     t2 = n * (0.5 - 1.0 / (p + 1.0)) * P1
     d2 = abs(K1 - vm - t2) / max(K1, abs(vm), abs(t2))
@@ -587,7 +583,7 @@ def asymptotic_terms_check(
     n, p, eps = full.n, full.p, full.eps
     audit = full.audit
     rho = full.peak_rho
-    beta = float(np.sqrt(1.0 + eps**2 * spec.value(eps * rho)))
+    beta = float(np.sqrt(spec.W(eps, eps * rho)))
     consts = ground_state_constants(GroundStateProfile(p=p, lam=1.0), n=n)
     A = consts.kinetic_half
     shell = eps**n * rho ** (n - 1)
@@ -607,7 +603,7 @@ def asymptotic_terms_check(
     pred = 4.0 * (p + 1.0) / (p - 1.0) * A * beta**e1 * shell
     rows.append(AsymptoticTermRow("power", meas, pred, abs(meas - pred) / abs(pred)))
 
-    vp = float(spec.deriv(eps * rho))
+    vp = float(spec.Vp(eps * rho))
     meas = 2.0 * audit.v_moment
     if abs(vp) < 1e-12:
         rows.append(AsymptoticTermRow("v-moment", meas, 0.0, np.nan, skipped=True))
@@ -626,7 +622,7 @@ def tail_decay_check(
     """
     grid, u = full.grid, full.profile
     rho = full.peak_rho
-    beta = float(np.sqrt(1.0 + full.eps**2 * spec.value(full.eps * rho)))
+    beta = float(np.sqrt(spec.W(full.eps, full.eps * rho)))
     lo, hi = rho + 5.0 / beta, rho + 20.0 / beta
     mask = (grid.nodes >= lo) & (grid.nodes <= hi) & (u > 0.0)
     if mask.sum() < 10:

@@ -269,12 +269,7 @@ class DiscreteOperators:
         self.spec = spec
         self.p = float(p)
         self.force = PowerForce(p)
-        s = grid.nodes
-        self.w = 1.0 + eps**2 * spec.value(eps * s)
-        if np.any(self.w <= 0.0):
-            raise EllipticityViolation(
-                f"1 + eps^2 V <= 0 on the grid (eps={eps}, family={spec.family})"
-            )
+        self.w = spec.W(eps, eps * grid.nodes)
 
     @cached_property
     def omega(self) -> np.ndarray:

@@ -79,7 +79,7 @@ def to_original(full: FullSolution, spec: PotentialSpec) -> NormalizedRecord:
         rho=float(rho),
         rho_orig=float(t),
         m_prime_abs=abs(float(point.Mp)),
-        v_prime_abs=abs(float(spec.deriv(t))),
+        v_prime_abs=abs(float(spec.Vp(t))),
         eq1_residual=float(eq1_rel),
     )
 

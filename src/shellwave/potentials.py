@@ -1,14 +1,15 @@
 """Bounded radial potentials and the effective concentration weight.
 
 A solution layer sitting on the sphere of radius r feels the weight
+W = 1 + eps^2 V(r) (PotentialSpec.W) and the effective weight
 
-    M_eps(r) = eps^(2(n-2)) * r^(n-1) * (1 + eps^2 V(r))^((p+3)/(2(p-1))),
+    M_eps(r) = eps^(2(n-2)) * r^(n-1) * W^((p+3)/(2(p-1))),
 
 and layers can only equilibrate where M_eps'(r) = 0 with nonzero curvature.
 This module owns the potential families (all bounded with bounded first
-derivative), the evaluation of M and its derivatives, and the critical
-radius search: Illinois steps on M' down to neighbouring floats, whose
-end with the smaller |M'| is the root.
+derivative), W and its ellipticity check, the evaluation of M and its
+derivatives, and the critical radius search: Illinois steps on M' down to
+neighbouring floats, whose end with the smaller |M'| is the root.
 """
 
 from __future__ import annotations
@@ -47,15 +48,14 @@ class PotentialSpec:
     """A bounded potential V on [0, inf) with declared bounds.
 
     Each constructor below defines its family's V, V' and V'' once, as
-    functions of a float array, and sets bound_V >= sup |V| and
-    bound_Vp >= sup |V'| from the family parameters.  The ellipticity
-    requirement 1 + eps^2 V >= lambda0^2 > 0 is enforced through
-    lambda0(eps_max).
+    functions of a float or float array, and sets bound_V >= sup |V| from
+    the family parameters.  W(eps, t) = 1 + eps^2 V(t) raises
+    EllipticityViolation where it is not positive; the uniform floor
+    1 + eps^2 V >= lambda0^2 > 0 is enforced through lambda0(eps_max).
     """
 
     family: str
     bound_V: float
-    bound_Vp: float
     V: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     Vp: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     Vpp: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -64,12 +64,12 @@ class PotentialSpec:
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
-        return cls("zero", 0.0, 0.0, np.zeros_like, np.zeros_like, np.zeros_like)
+        return cls("zero", 0.0, np.zeros_like, np.zeros_like, np.zeros_like)
 
     @classmethod
     def sine(cls, amplitude: float = 1.0, frequency: float = 1.0, phase: float = 0.0):
         return cls(
-            "sine", abs(amplitude), abs(amplitude * frequency),
+            "sine", abs(amplitude),
             lambda r: amplitude * np.sin(frequency * r + phase),
             lambda r: amplitude * frequency * np.cos(frequency * r + phase),
             lambda r: -amplitude * frequency**2 * np.sin(frequency * r + phase),
@@ -78,7 +78,7 @@ class PotentialSpec:
     @classmethod
     def cosine(cls, amplitude: float = 1.0, frequency: float = 1.0, phase: float = 0.0):
         return cls(
-            "cosine", abs(amplitude), abs(amplitude * frequency),
+            "cosine", abs(amplitude),
             lambda r: amplitude * np.cos(frequency * r + phase),
             lambda r: -amplitude * frequency * np.sin(frequency * r + phase),
             lambda r: -amplitude * frequency**2 * np.cos(frequency * r + phase),
@@ -103,19 +103,16 @@ class PotentialSpec:
             return _horner(y, c2) * y**4 + 2.0 * _horner(y, c1) * y**3
 
         return cls("bounded_poly", sum(abs(x) for x in c),
-                   sum(j * abs(x) for j, x in enumerate(c)),
                    lambda r: _horner(1.0 / (1.0 + r), c), Vp, Vpp)
 
     # -- evaluation ---------------------------------------------------
 
-    def value(self, r) -> np.ndarray:
-        return self.V(np.asarray(r, dtype=float))
-
-    def deriv(self, r) -> np.ndarray:
-        return self.Vp(np.asarray(r, dtype=float))
-
-    def second_deriv(self, r) -> np.ndarray:
-        return self.Vpp(np.asarray(r, dtype=float))
+    def W(self, eps: float, t):
+        """1 + eps^2 V(t), or EllipticityViolation unless every value is > 0 (NaN fails)."""
+        w = 1.0 + eps**2 * self.V(t)
+        if not np.all(w > 0.0):
+            raise EllipticityViolation(f"1 + eps^2 V <= 0 or NaN (eps={eps}, {self.family})")
+        return w
 
     def lambda0(self, eps_max: float) -> float:
         """Uniform ellipticity floor: 1 + eps^2 V >= lambda0^2 for eps <= eps_max.
@@ -147,10 +144,8 @@ def _slope(spec: PotentialSpec, n: int, p: float, eps: float, r) -> tuple:
     q = (p + 3.0) / (2.0 * (p - 1.0))
     pref = eps ** (2 * (n - 2))
 
-    W = 1.0 + eps**2 * spec.value(r)
-    if np.any(W <= 0.0):
-        raise EllipticityViolation("1 + eps^2 V <= 0 inside evaluation range")
-    Vp = spec.deriv(r)
+    W = spec.W(eps, r)
+    Vp = spec.Vp(r)
 
     rn1 = r ** (n - 1)
     rn2 = r ** (n - 2)
@@ -164,7 +159,7 @@ def eval_M(
     """Effective weight M_eps and its first two radial derivatives, each
     analytic through the chain rule on the family's V, V' and V''."""
     Mp, r, q, pref, W, Vp, rn1, rn2 = _slope(spec, n, p, eps, r)
-    Vpp = spec.second_deriv(r)
+    Vpp = spec.Vpp(r)
     M = pref * rn1 * W**q
     term0 = (n - 1) * (n - 2) * r ** (n - 3) * W**q if n > 2 else np.zeros_like(r)
     Mpp = pref * (

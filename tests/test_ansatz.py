@@ -141,7 +141,7 @@ def plain_build_z(params, spec, grid):
 def plain_build_zdot(params, spec, grid):
     lam = params.beta(spec)
     s = grid.nodes - params.rho
-    dlam2 = params.eps**3 * float(spec.deriv(params.eps * params.rho))
+    dlam2 = params.eps**3 * float(spec.Vp(params.eps * params.rho))
     drift = dlam2 * plain_dvalue_dlambda_sq(params.p, lam, s) if dlam2 != 0.0 else 0.0
     return plain_cutoff(params, grid.nodes) * (drift - plain_derivative(params.p, lam, s))
 
@@ -166,4 +166,4 @@ def test_z_and_zdot_bitwise(family, n, p, edge):
     cut = plain_cutoff(params, grid.nodes)
     ramp = (cut > 0.0) & (cut < 1.0)
     assert bool(np.abs(z[ramp]).max() > 1e-3) is edge
-    assert (family == "zero") is (float(spec.deriv(eps * rho)) == 0.0)
+    assert (family == "zero") is (float(spec.Vp(eps * rho)) == 0.0)

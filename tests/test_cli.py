@@ -121,6 +121,22 @@ def test_mistyped_nested_number_exits_2(tmp_path, capsys):
     assert "grid.h_solve: must be a number" in capsys.readouterr().err
 
 
+def test_infinite_number_in_config_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, gamma=float("inf"))
+    assert '"gamma": Infinity' in Path(cfg).read_text()
+    rc = main(["ground", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config invalid: gamma: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_help_names_json_only(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["ground", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--config CONFIG path to a JSON config file" in text
+
+
 def test_key_value_config_exits_2(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in BASE.items()))

@@ -124,6 +124,14 @@ def test_missing_field_rejected():
         ({"outdir": ["out"]}, "outdir: must be a string"),
         # the ansatz's floor, so no stage accepts a p that scan would refuse
         ({"p": 1.03}, "p"),
+        # JSON's Infinity and NaN read as floats; every number must be finite
+        ({"p": float("inf")}, "^p: must be finite$"),
+        ({"potential": {"family": "sine", "phase": float("nan")}},
+         r"^potential\.phase: must be finite$"),
+        ({"grid": {"h_solve": float("inf")}}, r"^grid\.h_solve: must be finite$"),
+        ({"trunc_K": float("inf")}, "^trunc_K: must be finite$"),
+        # n = 2 is never supercritical, so a cap would be hashed but unread
+        ({"trunc_K": 3.0}, "^trunc_K: needs a supercritical problem"),
     ],
 )
 def test_validation_errors_name_the_field(over, field):
@@ -139,11 +147,11 @@ def test_t_bracket_needs_two_entries():
 def test_potential_families():
     assert build_potential({"family": "zero"}).family == "zero"
     s = build_potential({"family": "sine"})
-    assert s.value(np.pi / 2) == pytest.approx(1.0)
+    assert s.V(np.pi / 2) == pytest.approx(1.0)
     c = build_potential({"family": "cosine", "amplitude": 0.5})
-    assert c.value(0.0) == pytest.approx(0.5)
+    assert c.V(0.0) == pytest.approx(0.5)
     p = build_potential({"family": "poly", "coeffs": [0.0, 1.0]})
-    assert p.value(0.0) == pytest.approx(1.0)  # y = 1/(1+r) at r=0
+    assert p.V(0.0) == pytest.approx(1.0)  # y = 1/(1+r) at r=0
     with pytest.raises(ConfigError, match="family"):
         build_potential({"family": "perlin"})
     with pytest.raises(ConfigError, match="family"):

@@ -337,7 +337,7 @@ def test_audits_reuse_the_solve_operators(sine_family, sine_spec, monkeypatch):
     measured = {r.name: r.measured for r in rows}
     assert measured["mass"] == m.eps**2 * ops.quad(u * u)
     assert measured["v-moment"] == m.eps**5 * ops.quad(
-        s * sine_spec.deriv(m.eps * s) * (u * u))
+        s * sine_spec.Vp(m.eps * s) * (u * u))
 
 
 def test_asymptotic_terms_take_no_new_integrals(sine_family, sine_spec, monkeypatch):
@@ -382,7 +382,7 @@ def test_strong_residual_order_two():
         # analytic L[u] = -u'' - (n-1)/s u' + w u - u^3
         up = -2.0 * (s - 15.0) / 4.0 * u
         upp = (-0.5 + ((s - 15.0) / 2.0) ** 2) * u
-        w = 1.0 + eps**2 * spec.value(eps * s)
+        w = 1.0 + eps**2 * spec.V(eps * s)
         with np.errstate(divide="ignore", invalid="ignore"):
             curv = np.where(s > 0, (n - 1) / np.where(s > 0, s, 1.0) * up, 0.0)
         lu = -upp - curv + w * u - u**3

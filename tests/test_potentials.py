@@ -12,6 +12,7 @@ from shellwave.exceptions import (
     NoCriticalPoint,
     SolverError,
 )
+from shellwave.grids import DiscreteOperators, RadialGrid
 from shellwave.potentials import (
     PotentialSpec,
     eval_M,
@@ -21,16 +22,16 @@ from shellwave.potentials import (
 
 def test_family_values():
     r = np.linspace(0.1, 20.0, 57)
-    assert np.all(PotentialSpec.zero().value(r) == 0.0)
+    assert np.all(PotentialSpec.zero().V(r) == 0.0)
     s = PotentialSpec.sine(amplitude=0.3, frequency=2.0, phase=0.5)
-    assert np.allclose(s.value(r), 0.3 * np.sin(2.0 * r + 0.5), rtol=1e-15)
+    assert np.allclose(s.V(r), 0.3 * np.sin(2.0 * r + 0.5), rtol=1e-15)
     c = PotentialSpec.cosine(amplitude=0.7)
-    assert np.allclose(c.value(r), 0.7 * np.cos(r), rtol=1e-15)
+    assert np.allclose(c.V(r), 0.7 * np.cos(r), rtol=1e-15)
     # bounded_poly is a polynomial in y = 1/(1+r)
     poly = PotentialSpec.bounded_poly([0.1, -0.02, 0.001])
     y = 1.0 / (1.0 + r)
     want = 0.1 - 0.02 * y + 0.001 * y**2
-    assert np.allclose(poly.value(r), want, rtol=1e-13)
+    assert np.allclose(poly.V(r), want, rtol=1e-13)
 
 
 def test_bounds_are_bounds():
@@ -39,8 +40,7 @@ def test_bounds_are_bounds():
         PotentialSpec.sine(amplitude=0.4, frequency=3.0),
         PotentialSpec.cosine(amplitude=1.2),
     ):
-        assert np.max(np.abs(spec.value(r))) <= spec.bound_V + 1e-12
-        assert np.max(np.abs(spec.deriv(r))) <= spec.bound_Vp + 1e-12
+        assert np.max(np.abs(spec.V(r))) <= spec.bound_V + 1e-12
 
 
 @pytest.mark.parametrize("family", list(config._POTENTIALS))
@@ -51,10 +51,10 @@ def test_every_family_is_differentiated_and_searched(family):
         {"family": family, **{k: [0.1, 0.2, 0.3] for k, v in params.items() if v is None}})
     r = np.linspace(0.5, 20.0, 40)
     h = 1e-5
-    fd1 = (spec.value(r + h) - spec.value(r - h)) / (2 * h)
-    fd2 = (spec.deriv(r + h) - spec.deriv(r - h)) / (2 * h)
-    assert np.allclose(spec.deriv(r), fd1, rtol=1e-7, atol=1e-9)
-    assert np.allclose(spec.second_deriv(r), fd2, rtol=1e-7, atol=1e-9)
+    fd1 = (spec.V(r + h) - spec.V(r - h)) / (2 * h)
+    fd2 = (spec.Vp(r + h) - spec.Vp(r - h)) / (2 * h)
+    assert np.allclose(spec.Vp(r), fd1, rtol=1e-7, atol=1e-9)
+    assert np.allclose(spec.Vpp(r), fd2, rtol=1e-7, atol=1e-9)
     n, p, eps = 2, 3.0, 0.4
     fdm = (eval_M(spec, n, p, eps, r + h).Mp - eval_M(spec, n, p, eps, r - h).Mp) / (2 * h)
     assert np.allclose(eval_M(spec, n, p, eps, r).Mpp, fdm, rtol=1e-7, atol=1e-9)
@@ -101,6 +101,18 @@ def test_ellipticity_violation_raised():
         eval_M(spec, 2, 3.0, 1.2, np.linspace(1.0, 20.0, 200))
 
 
+def test_weight_is_one_plus_eps_squared_V_and_never_nan():
+    t = np.linspace(0.0, 20.0, 41)
+    spec = PotentialSpec.sine(0.5, 2.0, 0.3)
+    assert np.array_equal(spec.W(0.4, t), 1.0 + 0.4**2 * spec.V(t))
+    # a NaN phase makes every W NaN: W > 0 fails there, where W <= 0 holds nowhere
+    nan = PotentialSpec.sine(phase=float("nan"))
+    with pytest.raises(EllipticityViolation):
+        DiscreteOperators(RadialGrid.make(2, 30.0, 0.05), 0.4, nan, 3.0)
+    with pytest.raises(EllipticityViolation):
+        find_critical_radius(nan, 2, 3.0, 0.4, (7.5, 9.5))
+
+
 def test_critical_radius_sine_independent_equation():
     # n=2, p=3: M'(t) = 0 reduces to 1 + e^2 sin t + (3/2) e^2 t cos t = 0
     spec = PotentialSpec.sine()
@@ -141,10 +153,10 @@ def stationarity_identity(spec, n, p, eps, t):
         2 (n-1) W^((p+3)/(2(p-1))) + ((p+3)/(p-1)) W^(2/(p-1) - 1/2) eps^2 t V'(t),
 
     with W = 1 + eps^2 V(t): it vanishes exactly at critical radii."""
-    W = 1.0 + eps**2 * spec.value(t)
+    W = 1.0 + eps**2 * spec.V(t)
     e1 = (p + 3.0) / (2.0 * (p - 1.0))
     e2 = 2.0 / (p - 1.0) - 0.5
-    return 2.0 * (n - 1) * W**e1 + (p + 3.0) / (p - 1.0) * W**e2 * eps**2 * t * spec.deriv(t)
+    return 2.0 * (n - 1) * W**e1 + (p + 3.0) / (p - 1.0) * W**e2 * eps**2 * t * spec.Vp(t)
 
 
 def test_stationarity_identity_vanishes_at_root():
@@ -240,7 +252,7 @@ def test_critical_radius_keeps_the_root_a_wild_polish_leaves():
     # Newton polish on M' would multiply the distance to the root by about
     # 86, and nine of them would carry t out of [7.5, 9.5]; the root comes
     # from M' alone, and M'' is only read there
-    wrong = PotentialSpec("sine", 1.0, 1.0, np.sin, np.cos, lambda r: 0.1 * np.sin(r))
+    wrong = PotentialSpec("sine", 1.0, np.sin, np.cos, lambda r: 0.1 * np.sin(r))
     res = find_critical_radius(wrong, 2, 3.0, 0.5, (7.5, 9.5), beta_floor=0.01)
     want = float.fromhex(SINE_N2_T_EPS[0.5])
     assert res.t_eps == pytest.approx(want, rel=1e-13, abs=0.0)
