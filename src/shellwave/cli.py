@@ -27,6 +27,7 @@ from .ansatz import AnsatzParams
 from .config import (RunConfig, check_eps, check_rho_samples, first_bracket, load_config,
                      omega_window)
 from .exceptions import ConfigError, ShellwaveError, SolverError
+from .family_store import StoreUnusable, load_family, save_family
 from .full_solver import (
     SHRINK_BAND,
     asymptotic_terms_check,
@@ -114,12 +115,12 @@ def _member_summary(m) -> dict:
     }
 
 
-def _run_family(cfg: RunConfig, schedule) -> object:
+def _run_family(cfg: RunConfig, schedule, known=()) -> object:
     res = continuation_in_eps(
         cfg.n, cfg.p, cfg.spec(), schedule, cfg.C1, cfg.C2,
         tuple(cfg.t_bracket), gamma=cfg.gamma, trunc_K=cfg.trunc_K,
         h_reduce=cfg.grid.h_reduce, h_solve=cfg.grid.h_solve,
-        tol_coeff=cfg.tolerances.solve_tol_coeff)
+        tol_coeff=cfg.tolerances.solve_tol_coeff, known=known)
     if not res.members:
         raise SolverError(f"continuation produced no members: {res.failure}")
     if not res.completed:
@@ -269,8 +270,9 @@ def _stage_continue(cfg, outdir):
     svg = os.path.join(outdir, "family_radius.svg")
     write_svg(svg, e_vals, t_vals, title="layer radius along the family",
               xlabel="eps", ylabel="eps*rho")
+    store = save_family(outdir, cfg.config_hash(), res)
     outputs = {"family": csv_path, "family_json": jpath,
-               "radius": dat, "plot": svg}
+               "radius": dat, "plot": svg, "store": store}
     passes = {
         "completed": res.completed,
         "pohozaev_all": bool(all(max(m.full.pohozaev_1, m.full.pohozaev_2)
@@ -281,9 +283,21 @@ def _stage_continue(cfg, outdir):
     return outputs, passes
 
 
+def _stored_members(cfg, outdir) -> tuple:
+    """The members continue stored in outdir for this config, () if none;
+    an unusable store is named on stderr and solved again."""
+    try:
+        res = load_family(outdir, cfg.config_hash())
+    except StoreUnusable as exc:
+        print(f"shellwave: family store not used, solving again: {exc}",
+              file=sys.stderr)
+        return ()
+    return res.members if res is not None else ()
+
+
 def _stage_normalize(cfg, outdir):
     spec = cfg.spec()
-    res = _run_family(cfg, cfg.schedule)
+    res = _run_family(cfg, cfg.schedule, known=_stored_members(cfg, outdir))
     records = [to_original(m.full, spec) for m in res.members]
     csv_path = os.path.join(outdir, "normalized.csv")
     write_csv(csv_path, [f.name for f in dataclasses.fields(NormalizedRecord)],
@@ -426,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
         "scan": "reduced energy / multiplier scan over the rho window",
         "solve": "single full solve with audits at one eps",
         "continue": "track the layer family down the eps schedule",
-        "normalize": "continuation plus original-variable records and trends",
+        "normalize": "unit-mass records and trends of the family; takes the "
+                     "members continue stored for the same config and "
+                     "bracket, solves the rest",
         "report": "summarize the run ledger",
     }
     for name, text in helps.items():

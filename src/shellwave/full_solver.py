@@ -80,7 +80,7 @@ seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -705,6 +705,7 @@ def continuation_in_eps(
     h_reduce: float = 0.02,
     h_solve: float = 2e-3,
     tol_coeff: float = 1e-10,
+    known=(),
 ) -> ContinuationResult:
     """Track the layer family down the eps schedule, one solve_member each.
 
@@ -716,6 +717,12 @@ def continuation_in_eps(
     and keeps the members before it, as does any other SolverError,
     BranchSwitch included.  tol_coeff sets the full solves' Newton
     tolerance.
+
+    known holds members solved before, in schedule order (a stored family,
+    family_store).  The k-th is taken in place of a solve when every member
+    before it was taken and its eps, bracket and params equal the ones
+    derived here, params at its own rho*; from the first that differs on,
+    every member is solved.
     """
     sched = check_schedule(schedule)
     members: list[FamilyMember] = []
@@ -729,9 +736,16 @@ def continuation_in_eps(
                 bracket = rho_bracket(eps, C1, C2, (t - RECENTRE, t + RECENTRE))
             params = AnsatzParams.make(n, p, eps, bracket[0], spec, C1, C2, gamma=gamma,
                                        eps_max=float(sched[0]))
-            members.append(solve_member(
-                params, spec, bracket, trunc_K=trunc_K, h_reduce=h_reduce,
-                h_solve=h_solve, tol_coeff=tol_coeff, after=prev))
+            k = len(members)
+            stored = known[k] if k < len(known) else None
+            if stored is not None and (stored.eps, stored.bracket, stored.params) == (
+                    eps, bracket, replace(params, rho=stored.rho_star)):
+                members.append(stored)
+            else:
+                known = ()
+                members.append(solve_member(
+                    params, spec, bracket, trunc_K=trunc_K, h_reduce=h_reduce,
+                    h_solve=h_solve, tol_coeff=tol_coeff, after=prev))
         except SolverError as exc:
             return ContinuationResult(tuple(members), False, float(eps),
                                       f"{type(exc).__name__}: {exc}")

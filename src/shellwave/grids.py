@@ -45,6 +45,10 @@ from .potentials import PotentialSpec
 MAX_NODES = 2**23
 ARRAYS_PER_NODE = 11
 
+# relative slack, in units of eps_mach, below which (s_max - s_min)/h is
+# taken as a whole number of intervals
+SLACK_ULPS = 4
+
 __all__ = [
     "RadialGrid",
     "DiscreteOperators",
@@ -71,7 +75,10 @@ class RadialGrid:
             raise ConfigError(f"dimension must be an integer >= 2, got {n}")
         if not (h > 0 and s_max > s_min >= 0):
             raise ConfigError(f"bad grid request: [{s_min}, {s_max}], h={h}")
-        intervals = float(np.ceil((s_max - s_min) / h - 1e-12))
+        # the quotient's rounding error grows with it, so its slack is
+        # relative: a grid re-made from its own s_max keeps its nodes
+        quotient = (s_max - s_min) / h
+        intervals = float(np.ceil(quotient * (1.0 - SLACK_ULPS * np.finfo(float).eps)))
         # Simpson wants an even number of intervals
         count = intervals + intervals % 2 + 1 if intervals < np.inf else np.inf
         if not count <= MAX_NODES:

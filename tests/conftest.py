@@ -2,10 +2,14 @@
 computed once per session and reused by the solver, normalization, and
 acceptance tests."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, null_space
 
+from shellwave import full_solver
 from shellwave.full_solver import continuation_in_eps
 from shellwave.normalization import to_original
 from shellwave.potentials import PotentialSpec
@@ -22,6 +26,29 @@ def banded_jacobian(colloc, u):
     J = np.zeros((3, len(u)))
     colloc.jacobian(u, J[2, :-1], J[1], J[0, 1:])
     return J
+
+
+def edit_store_index(outdir, edit):
+    """Apply edit to the parsed index of outdir's family store and write it
+    back."""
+    path = Path(outdir) / "family_store" / "members.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.fixture
+def member_solves(monkeypatch):
+    """The eps of every full_solver.solve_member call the test makes."""
+    calls = []
+    solve = full_solver.solve_member
+
+    def counted(params, *args, **kwargs):
+        calls.append(params.eps)
+        return solve(params, *args, **kwargs)
+
+    monkeypatch.setattr(full_solver, "solve_member", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

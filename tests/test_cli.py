@@ -4,12 +4,15 @@ import argparse
 import filecmp
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
 
 from shellwave import cli, normalization, reduction
 from shellwave.cli import _STAGES, STAGE_OVERRIDES, build_parser, main
+
+from conftest import edit_store_index
 
 BASE = {
     "n": 2,
@@ -283,10 +286,93 @@ def test_replay_is_byte_identical(tmp_path):
         for stage in ("solve", "continue", "normalize"):
             assert main([stage, "--config", cfg, "--out", out]) == 0
     b1, b2 = artifact_bytes(d1), artifact_bytes(d2)
-    assert {"solve.json", "family.json", "records.json"} <= b1.keys()
+    store = {f"family_store/{name}_{i}.npy" for name in ("profile", "omega") for i in range(3)}
+    assert {"solve.json", "family.json", "records.json", "family_store/members.json",
+            *store} <= b1.keys()
     assert b1.keys() == b2.keys()
     for name in b1:
         assert b1[name] == b2[name], f"{name} differs between replays"
+
+
+NORMALIZE_FILES = ("normalized.csv", "records.json", "trends.json", "scaling.json",
+                   "mass_parameter.dat")
+
+
+def normalize_run(cfg, out) -> tuple[dict, dict]:
+    """normalize into out: its data files' bytes and its ledger pass flags."""
+    assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 0
+    rec = json.loads((out / "runs.jsonl").read_text().splitlines()[-1])
+    assert rec["subcommand"] == "normalize"
+    return {f: (out / f).read_bytes() for f in NORMALIZE_FILES}, rec["passes"]
+
+
+def test_normalize_takes_the_family_continue_stored(tmp_path, member_solves):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "sine_n2.json"
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    assert main(["continue", "--config", str(shipped), "--out", str(both)]) == 0
+    solved = len(member_solves)
+    after_continue = normalize_run(shipped, both)
+    assert len(member_solves) - solved == 0
+    assert normalize_run(shipped, alone) == after_continue
+    assert len(member_solves) - solved == 5
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """A run directory holding BASE's stored family, and what normalize
+    alone writes for BASE."""
+    root = tmp_path_factory.mktemp("stored")
+    cfg = write_cfg(root)
+    assert main(["continue", "--config", cfg, "--out", str(root / "run")]) == 0
+    return cfg, root / "run", normalize_run(cfg, root / "alone")
+
+
+def test_normalize_solves_again_from_an_edited_bracket(
+        tmp_path, stored_run, member_solves, capsys):
+    cfg, run, alone = stored_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    edit_store_index(out, lambda d: d["members"][1]["bracket"].__setitem__(0, 16.0))
+    assert normalize_run(cfg, out) == alone
+    assert member_solves == [0.45, 0.4]
+    assert "family store" not in capsys.readouterr().err
+
+
+def test_normalize_ignores_another_configs_store(tmp_path, stored_run, member_solves, capsys):
+    _, run, _ = stored_run
+    cfg = write_cfg(tmp_path, schedule=[0.5, 0.45])
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    assert main(["normalize", "--config", cfg, "--out", str(out)]) == 0
+    assert member_solves == [0.5, 0.45]
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["shellwave: family store not used, solving again: "
+                   "written for another config"]
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+@pytest.mark.parametrize("damage, why", [
+    (lambda s: truncate(s / "profile_1.npy"), "ValueError"),
+    (lambda s: truncate(s / "members.json"), "JSONDecodeError"),
+    (lambda s: (s / "omega_2.npy").write_bytes(b"not an array"), "ValueError"),
+    (lambda s: (s / "omega_0.npy").unlink(), "FileNotFoundError"),
+    (lambda s: (s / "members.json").write_text("[]"), "is not an object"),
+    (lambda s: (s / "members.json").write_bytes(b"\xff{}"), "UnicodeDecodeError"),
+])
+def test_a_damaged_store_is_named_once_and_solved_again(
+        tmp_path, stored_run, member_solves, capsys, damage, why):
+    cfg, run, alone = stored_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    damage(out / "family_store")
+    assert normalize_run(cfg, out) == alone
+    assert member_solves == [0.5, 0.45, 0.4]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("shellwave: family store not used, solving again: ")
+    assert why in line
 
 
 @pytest.mark.parametrize("skew", [1.0, 1.01])

@@ -44,6 +44,20 @@ def test_grid_nodes():
     assert fine.nodes[-1] == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("h, s_min, first", [(0.002, 0.0, 32_001), (0.002, 3.0, 32_001),
+                                             (0.02, 0.0, 25_001)])
+def test_grid_remade_from_its_own_ends_keeps_its_nodes(h, s_min, first):
+    # s_max/h carries a rounding error that grows with the node count: at
+    # h = 0.002 the supercritical member's 32,533 nodes read
+    # s_max/h = 32532.000000000004, which an absolute slack of 1e-12 took
+    # for one more interval (so two more nodes); each sweep meets such counts
+    for count in range(first, first + 2_000, 2):
+        grid = RadialGrid.make(3, s_min + h * (count - 1), h, s_min)
+        assert grid.size == count
+        again = RadialGrid.make(grid.n, grid.s_max, grid.h, grid.s_min)
+        assert again.size == count and again.nodes[-1] == grid.nodes[-1]
+
+
 def test_quadrature_exact_for_smooth_decay():
     # int_0^inf s^(n-1) e^(-s) ds = (n-1)!
     for n, want in ((2, 1.0), (3, 2.0)):
