@@ -26,10 +26,12 @@ says nothing about the code.
 
 A metric's change is ``clear`` when the change wins at least 9 of 10
 pairs and its median beats the parent's by more than the parent's
-interquartile spread.  Each workload and seed also counts, per side, the
-runs whose checks failed and the share of operations that failed; the
-script exits 1 when a change run fails its checks or fails more
-operations than the parent run of its pair.
+interquartile spread, and, for a metric in ``LAYOUT_NOISE``, by more
+than the share of the parent's median that heap layout alone moves it
+(1.8% for ``peak_rss_mb``).  Each workload and seed also counts, per
+side, the runs whose checks failed and the share of operations that
+failed; the script exits 1 when a change run fails its checks or fails
+more operations than the parent run of its pair.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ SECONDS = 3
 HARNESS = (f"python3 perfbench/run.py --workload <w> --seed <s> "
            f"--seconds {SECONDS} --trace 0")
 SIDES = ("parent", "change")
+# metric -> the relative median move heap layout alone has produced between
+# two trees that differ only in allocation order; no smaller move is clear
+LAYOUT_NOISE = {"peak_rss_mb": 0.018}
 
 
 def parse_output(out: str) -> tuple[dict, dict]:
@@ -70,9 +75,11 @@ def run_once(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
     return parse_output(out)
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str,
+              noise: float = 0.0) -> dict:
     """Medians, inclusive quartiles, pair wins and the median change of one
-    metric; parent[i] and change[i] come from pair i."""
+    metric; parent[i] and change[i] come from pair i.  A median move of no
+    more than noise times the parent's median is never clear."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two or more complete pairs")
     sign = 1.0 if better == "lower" else -1.0
@@ -86,7 +93,8 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     out["change_wins"] = f"{wins}/{len(parent)}"
     out["median_change"] = f"{100.0 * (med_c / med_p - 1.0):+.1f}%"
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-    out["clear"] = bool(wins >= 0.9 * len(parent) and sign * (med_p - med_c) > q3 - q1)
+    out["clear"] = bool(wins >= 0.9 * len(parent) and sign * (med_p - med_c) > q3 - q1
+                        and abs(med_c - med_p) > noise * abs(med_p))
     return out
 
 
@@ -158,7 +166,8 @@ def main(argv=None) -> int:
                            if k.startswith("stage.") and all(k in r for r in rows)]
             how_of = {**better, **dict.fromkeys(stage_names, "lower")}
             summary = {name: summarize([r[name] for r in runs["parent"]],
-                                       [r[name] for r in runs["change"]], how)
+                                       [r[name] for r in runs["change"]], how,
+                                       LAYOUT_NOISE.get(name, 0.0))
                        for name, how in how_of.items()}
             workloads[f"{workload} seed {seed}"] = {
                 "summary": summary,
@@ -177,7 +186,9 @@ def main(argv=None) -> int:
             "pairs). Quartiles are statistics.quantiles(method='inclusive'); a "
             "pair with equal values counts as a win for neither side. A change "
             "is clear when it wins at least 9/10 of the pairs and its median "
-            "beats the parent's by more than the parent's interquartile range."),
+            "beats the parent's by more than the parent's interquartile range "
+            "and, for peak_rss_mb, by more than 1.8% of the parent's median "
+            "(what heap layout alone moves it)."),
         "claim": args.claim,
         "workloads": workloads,
     }

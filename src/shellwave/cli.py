@@ -27,7 +27,7 @@ from .ansatz import AnsatzParams
 from .config import (RunConfig, check_eps, check_rho_samples, first_bracket, load_config,
                      omega_window)
 from .exceptions import ConfigError, ShellwaveError, SolverError
-from .family_store import StoreUnusable, load_family, save_family
+from .family_store import StoreUnusable, family_key, load_family, save_family
 from .full_solver import (
     SHRINK_BAND,
     asymptotic_terms_check,
@@ -270,7 +270,7 @@ def _stage_continue(cfg, outdir):
     svg = os.path.join(outdir, "family_radius.svg")
     write_svg(svg, e_vals, t_vals, title="layer radius along the family",
               xlabel="eps", ylabel="eps*rho")
-    store = save_family(outdir, cfg.config_hash(), res)
+    store = save_family(outdir, family_key(cfg), res)
     outputs = {"family": csv_path, "family_json": jpath,
                "radius": dat, "plot": svg, "store": store}
     passes = {
@@ -284,10 +284,10 @@ def _stage_continue(cfg, outdir):
 
 
 def _stored_members(cfg, outdir) -> tuple:
-    """The members continue stored in outdir for this config, () if none;
-    an unusable store is named on stderr and solved again."""
+    """The members continue stored in outdir for a config with cfg's family
+    key, () if none; an unusable store is named on stderr and solved again."""
     try:
-        res = load_family(outdir, cfg.config_hash())
+        res = load_family(outdir, family_key(cfg))
     except StoreUnusable as exc:
         print(f"shellwave: family store not used, solving again: {exc}",
               file=sys.stderr)
@@ -411,17 +411,22 @@ def run(cfg: RunConfig, subcommand: str, **overrides) -> RunRecord:
             raise ConfigError(f"outdir: cannot create directory {outdir!r}: "
                               f"{exc.strerror or exc}") from None
     t0 = time.perf_counter()
-    outputs, passes = _STAGES[subcommand](cfg, outdir, **overrides)
-    wall = time.perf_counter() - t0
-    record = RunRecord(
-        subcommand=subcommand,
-        config_hash=cfg.config_hash(),
-        outputs={k: os.path.relpath(v, outdir) for k, v in outputs.items()},
-        wall_times={"total": wall},
-        passes=passes,
-    )
-    if subcommand != "report":
-        _append_ledger(outdir, record)
+    try:
+        outputs, passes = _STAGES[subcommand](cfg, outdir, **overrides)
+        wall = time.perf_counter() - t0
+        record = RunRecord(
+            subcommand=subcommand,
+            config_hash=cfg.config_hash(),
+            outputs={k: os.path.relpath(v, outdir) for k, v in outputs.items()},
+            wall_times={"total": wall},
+            passes=passes,
+        )
+        if subcommand != "report":
+            _append_ledger(outdir, record)
+    except OSError as exc:
+        # an artifact or ledger path the stage cannot use is a bad outdir
+        raise ConfigError(f"outdir: cannot use {exc.filename or outdir!r}: "
+                          f"{exc.strerror or exc}") from None
     return record
 
 
@@ -441,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
         "solve": "single full solve with audits at one eps",
         "continue": "track the layer family down the eps schedule",
         "normalize": "unit-mass records and trends of the family; takes the "
-                     "members continue stored for the same config and "
-                     "bracket, solves the rest",
+                     "members continue stored for the same family fields "
+                     "(all but rho_samples, beta_floor and outdir) and "
+                     "brackets, solves the rest",
         "report": "summarize the run ledger",
     }
     for name, text in helps.items():

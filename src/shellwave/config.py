@@ -3,7 +3,8 @@
 A config file is one JSON object describing one experiment: dimension,
 exponent, potential, the eps schedule, the window constants, grid policy
 and tolerances.  The potential, grid and tolerances fields are nested
-objects.
+objects.  config_from_dict reads every field through its annotation in
+RunConfig (or GridPolicy, Tolerances), so each field is declared once.
 
 Every numeric knob of the pipeline lives here; there is no hidden state
 and no randomness anywhere, which is what makes byte-identical replay a
@@ -12,9 +13,11 @@ meaningful contract.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -156,8 +159,8 @@ class RunConfig:
     p: float
     potential: dict
     schedule: tuple
-    C1: float
-    C2: float
+    C1: float = field(metadata={"rule": "positive and finite"})
+    C2: float = field(metadata={"rule": "positive and finite"})
     t_bracket: tuple
     beta_floor: float = 0.05
     gamma: float = 2.0
@@ -170,11 +173,11 @@ class RunConfig:
     def spec(self) -> PotentialSpec:
         return build_potential(self.potential)
 
-    def config_hash(self) -> str:
-        """sha256 over the scientific payload; the output directory is
-        excluded so relocated runs share a hash."""
-        payload = asdict(self)
-        payload.pop("outdir")
+    def config_hash(self, names=None) -> str:
+        """sha256 over the scientific payload, or over the fields in names;
+        the output directory is excluded so relocated runs share a hash."""
+        payload = {k: v for k, v in asdict(self).items()
+                   if k != "outdir" and (names is None or k in names)}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -189,6 +192,8 @@ class RunConfig:
                 raise ConfigError(f"{name}: must be positive and finite")
         if not self.C1 < 4.0 * self.C2:
             raise ConfigError("C1/C2: configuration window [C1/(2e^3), 2 C2/e^3] is empty")
+        if len(self.t_bracket) != 2:
+            raise ConfigError("t_bracket: need exactly [lo, hi]")
         lo, hi = self.t_bracket
         if not (0.0 < lo < hi):
             raise ConfigError("t_bracket: need 0 < lo < hi")
@@ -217,19 +222,17 @@ class RunConfig:
 
 
 # each family's constructor and parameters, in the constructor's argument
-# order, with their defaults; None marks a required list of numbers
+# order, with their defaults
 _POTENTIALS = {
     "zero": (PotentialSpec.zero, {}),
     "sine": (PotentialSpec.sine, {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
-    "cosine": (PotentialSpec.cosine, {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
-    "poly": (PotentialSpec.bounded_poly, {"coeffs": None}),
 }
 
 
 def _canonical_potential(d) -> dict:
     """The potential table with every parameter of its family, as a float
-    (a list of floats for coeffs) and defaulted where omitted, so
-    tables that define one potential hash alike."""
+    and defaulted where omitted, so tables that define one potential hash
+    alike."""
     if not isinstance(d, dict) or "family" not in d:
         raise ConfigError("potential: need a table with a 'family' key")
     fam = d["family"]
@@ -241,15 +244,8 @@ def _canonical_potential(d) -> dict:
     if unknown:
         raise ConfigError(
             f"potential: unknown key '{sorted(unknown)[0]}' for family '{fam}'")
-    out = {"family": fam}
-    for key, default in params.items():
-        if default is not None:
-            out[key] = _number(f"potential.{key}", d.get(key, default))
-        elif key in d:
-            out[key] = list(_numbers(f"potential.{key}", d[key]))
-        else:
-            raise ConfigError(f"potential: family '{fam}' needs '{key}'")
-    return out
+    return {"family": fam, **{key: _number(f"potential.{key}", d.get(key, default))
+                              for key, default in params.items()}}
 
 
 def build_potential(d: dict) -> PotentialSpec:
@@ -257,43 +253,51 @@ def build_potential(d: dict) -> PotentialSpec:
     return _POTENTIALS[c.pop("family")][0](*c.values())
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
+# each config dataclass's field annotations, evaluated once per process
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _field(name: str, f, hint, value):
+    """value as the config field f of type hint holds it, or ConfigError
+    naming the field.  A number must be finite (f.metadata's "rule" says
+    what a non-finite one breaks), the potential (the one dict field) is
+    _canonical_potential's, and a nested table is read by _table."""
+    if hint in (int, str):
+        if type(value) is not hint:  # a bool is no integer
+            raise ConfigError(f"{name}: must be {'an integer' if hint is int else 'a string'}")
+        return value
+    if hint is dict:
+        return _canonical_potential(value)
+    if hint is tuple:
+        return _numbers(name, value)
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name}: need a table")
+        return _table(hint, value, name)
+    if value is None and type(None) in typing.get_args(hint):
+        return None
+    return _number(name, value, f.metadata.get("rule", "finite"))
+
+
+def _table(cls, data: dict, where: str = ""):
+    """An instance of the config dataclass cls from its table data, every
+    field coerced by its annotation; where names a nested table."""
+    known = {f.name: f for f in fields(cls)}
+    prefix = f"{where}: " if where else ""
+    unknown = set(data) - set(known)
     if unknown:
-        raise ConfigError(f"unknown field '{sorted(unknown)[0]}'")
-    missing = [f.name for f in fields(RunConfig) if f.name not in data
+        raise ConfigError(f"{prefix}unknown field '{sorted(unknown)[0]}'")
+    missing = [name for name, f in known.items() if name not in data
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ConfigError(f"missing field '{missing[0]}'")
-    kw = dict(data)
-    kw["potential"] = _canonical_potential(kw["potential"])
-    for name in ("p", "C1", "C2", "beta_floor", "gamma", "trunc_K"):
-        if name in kw and not (name == "trunc_K" and kw[name] is None):
-            kw[name] = _number(name, kw[name], "positive and finite"
-                               if name in ("C1", "C2") else "finite")
-    for name in ("n", "rho_samples"):
-        if name in kw:
-            if not isinstance(kw[name], int) or isinstance(kw[name], bool):
-                raise ConfigError(f"{name}: must be an integer")
-    for name, cls in (("grid", GridPolicy), ("tolerances", Tolerances)):
-        if name in kw:
-            sub = kw[name]
-            if not isinstance(sub, dict):
-                raise ConfigError(f"{name}: need a table")
-            bad = set(sub) - {f.name for f in fields(cls)}
-            if bad:
-                raise ConfigError(f"{name}: unknown field '{sorted(bad)[0]}'")
-            kw[name] = cls(**{k: _number(f"{name}.{k}", v) for k, v in sub.items()})
-    if "outdir" in kw and not isinstance(kw["outdir"], str):
-        raise ConfigError("outdir: must be a string")
-    for name in ("schedule", "t_bracket"):
-        kw[name] = _numbers(name, kw[name])
-    if len(kw["t_bracket"]) != 2:
-        raise ConfigError("t_bracket: need exactly [lo, hi]")
-    try:
-        cfg = RunConfig(**kw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{prefix}missing field '{missing[0]}'")
+    hints = _hints(cls)
+    return cls(**{name: _field(f"{where}.{name}" if where else name, known[name],
+                               hints[name], value) for name, value in data.items()})
+
+
+def config_from_dict(data: dict) -> RunConfig:
+    cfg = _table(RunConfig, data)
     cfg.validate()
     return cfg
 

@@ -2,7 +2,7 @@
 directory so that a later stage can take them instead of solving again.
 
 A store is the directory STORE_DIR of a run directory.  Its index,
-members.json, holds the format number, the config hash, the family's
+members.json, holds the format number, the family key, the family's
 outcome (completed, failed_eps, failure) and every scalar field of every
 FamilyMember: its AnsatzParams, its RhoStarResult with the ReducedSolution
 inside, and its FullSolution with the PohozaevAudit inside.  A grid is kept
@@ -17,10 +17,14 @@ every field comes back bit for bit, and writing one family twice writes the
 same bytes.  A save removes the old store first and writes the index last,
 so a save cut short leaves no index and reads as no store.
 
-This module only checks that a store is whole, well typed and written for
-the config that asks.  Whether a stored member may stand in for a solve is
-continuation_in_eps's question: its eps, bracket and params must equal the
-ones the continuation derives.
+The family key (family_key) hashes the config fields the continuation
+reads, FAMILY_FIELDS, and no others, so a config that differs only in
+rho_samples, beta_floor or outdir takes the store another one wrote.
+
+This module only checks that a store is whole, well typed and written
+under the family key that asks.  Whether a stored member may stand in for
+a solve is continuation_in_eps's question: its eps, bracket and params
+must equal the ones the continuation derives.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import typing
 
 import numpy as np
 
+from .config import RunConfig
 from .full_solver import ContinuationResult, FamilyMember
 from .grids import MAX_NODES, RadialGrid
 from .serialize import write_json
@@ -43,12 +48,16 @@ STORE_DIR = "family_store"
 INDEX = "members.json"
 
 # bumped whenever the layout of members.json or the arrays changes
-FORMAT = 1
+FORMAT = 2
+
+# the RunConfig fields cli._run_family hands to continuation_in_eps
+FAMILY_FIELDS = ("n", "p", "potential", "schedule", "C1", "C2", "t_bracket", "gamma",
+                 "trunc_K", "grid", "tolerances")
 
 # member field -> the array files that hold it, beside the index
 _ARRAYS = {"profile": "profile_{}.npy", "omega": "omega_{}.npy"}
 
-__all__ = ["StoreUnusable", "save_family", "load_family"]
+__all__ = ["StoreUnusable", "family_key", "save_family", "load_family"]
 
 
 class StoreUnusable(Exception):
@@ -56,6 +65,11 @@ class StoreUnusable(Exception):
 
 
 _hints = functools.cache(typing.get_type_hints)
+
+
+def family_key(cfg: RunConfig) -> str:
+    """sha256 over cfg's FAMILY_FIELDS, the key a store is written under."""
+    return cfg.config_hash(FAMILY_FIELDS)
 
 
 def _encode(obj) -> dict:
@@ -72,9 +86,9 @@ def _encode(obj) -> dict:
     return out
 
 
-def save_family(outdir: str, config_hash: str, res: ContinuationResult) -> str:
-    """Replace outdir's store with res for the config of config_hash; returns
-    the index's path."""
+def save_family(outdir: str, key: str, res: ContinuationResult) -> str:
+    """Replace outdir's store with res under the family key; returns the
+    index's path."""
     root = os.path.join(outdir, STORE_DIR)
     shutil.rmtree(root, ignore_errors=True)
     os.makedirs(root)
@@ -83,7 +97,7 @@ def save_family(outdir: str, config_hash: str, res: ContinuationResult) -> str:
             np.save(os.path.join(root, _ARRAYS[name].format(i)), arr, allow_pickle=False)
     path = os.path.join(root, INDEX)
     write_json(path, {
-        "format": FORMAT, "config_hash": config_hash, "completed": res.completed,
+        "format": FORMAT, "family_key": key, "completed": res.completed,
         "failed_eps": res.failed_eps, "failure": res.failure,
         "members": [_encode(m) for m in res.members],
     })
@@ -152,11 +166,11 @@ def _array(root: str, i: int, name: str, size: int) -> np.ndarray:
     return np.array(arr)
 
 
-def load_family(outdir: str, config_hash: str) -> ContinuationResult | None:
+def load_family(outdir: str, key: str) -> ContinuationResult | None:
     """outdir's stored family, or None when outdir holds no store.
 
     Raises StoreUnusable, naming the cause, when the store cannot be read
-    whole or was written for another config hash or format.
+    whole or was written under another family key or format.
     """
     root = os.path.join(outdir, STORE_DIR)
     path = os.path.join(root, INDEX)
@@ -169,7 +183,7 @@ def load_family(outdir: str, config_hash: str) -> ContinuationResult | None:
             raise StoreUnusable(f"{INDEX} is not an object")
         if doc.get("format") != FORMAT:
             raise StoreUnusable(f"format {doc.get('format')!r}, not {FORMAT}")
-        if doc.get("config_hash") != config_hash:
+        if doc.get("family_key") != key:
             raise StoreUnusable("written for another config")
         members = doc.get("members")
         if not isinstance(members, list):

@@ -6,10 +6,13 @@ W = 1 + eps^2 V(r) (PotentialSpec.W) and the effective weight
     M_eps(r) = eps^(2(n-2)) * r^(n-1) * W^((p+3)/(2(p-1))),
 
 and layers can only equilibrate where M_eps'(r) = 0 with nonzero curvature.
-This module owns the potential families (all bounded with bounded first
-derivative), W and its ellipticity check, the evaluation of M and its
-derivatives, and the critical radius search: Illinois steps on M' down to
-neighbouring floats, whose end with the smaller |M'| is the root.
+This module owns the two potential families, W and its ellipticity check,
+the evaluation of M and its derivatives, and the critical radius search:
+Illinois steps on M' down to neighbouring floats, whose end with the
+smaller |M'| is the root.  The families are sine, an oscillating V whose
+slope can balance a layer at any radius, so its critical radii reach
+t ~ c/eps^2 as eps falls (a cosine is a sine at phase + pi/2), and zero,
+the control without a potential.
 """
 
 from __future__ import annotations
@@ -35,23 +38,16 @@ __all__ = [
 ]
 
 
-def _horner(y, weights) -> np.ndarray:
-    """sum_k weights[k] y^k by Horner's rule from an array of zeros."""
-    out = np.zeros_like(y)
-    for w in reversed(weights):
-        out = out * y + w
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class PotentialSpec:
     """A bounded potential V on [0, inf) with declared bounds.
 
-    Each constructor below defines its family's V, V' and V'' once, as
-    functions of a float or float array, and sets bound_V >= sup |V| from
-    the family parameters.  W(eps, t) = 1 + eps^2 V(t) raises
-    EllipticityViolation where it is not positive; the uniform floor
-    1 + eps^2 V >= lambda0^2 > 0 is enforced through lambda0(eps_max).
+    Each of the two constructors below, zero and sine, defines its
+    family's V, V' and V'' once, as functions of a float or float array,
+    and sets bound_V >= sup |V| from the family parameters.
+    W(eps, t) = 1 + eps^2 V(t) raises EllipticityViolation where it is
+    not positive; the uniform floor 1 + eps^2 V >= lambda0^2 > 0 is
+    enforced through lambda0(eps_max).
     """
 
     family: str
@@ -74,36 +70,6 @@ class PotentialSpec:
             lambda r: amplitude * frequency * np.cos(frequency * r + phase),
             lambda r: -amplitude * frequency**2 * np.sin(frequency * r + phase),
         )
-
-    @classmethod
-    def cosine(cls, amplitude: float = 1.0, frequency: float = 1.0, phase: float = 0.0):
-        return cls(
-            "cosine", abs(amplitude),
-            lambda r: amplitude * np.cos(frequency * r + phase),
-            lambda r: -amplitude * frequency * np.sin(frequency * r + phase),
-            lambda r: -amplitude * frequency**2 * np.cos(frequency * r + phase),
-        )
-
-    @classmethod
-    def bounded_poly(cls, coeffs) -> "PotentialSpec":
-        """Polynomial in y = 1/(1+r): bounded on [0, inf) with bounded slope."""
-        c = tuple(float(x) for x in coeffs)
-        if not c:
-            raise ConfigError("bounded_poly needs at least one coefficient")
-        # the coefficients of dP/dy and d^2P/dy^2, lowest power first
-        c1 = [j * c[j] for j in range(1, len(c))]
-        c2 = [j * (j - 1) * c[j] for j in range(2, len(c))]
-
-        def Vp(r):
-            y = 1.0 / (1.0 + r)
-            return -_horner(y, c1) * y * y
-
-        def Vpp(r):
-            y = 1.0 / (1.0 + r)
-            return _horner(y, c2) * y**4 + 2.0 * _horner(y, c1) * y**3
-
-        return cls("bounded_poly", sum(abs(x) for x in c),
-                   lambda r: _horner(1.0 / (1.0 + r), c), Vp, Vpp)
 
     # -- evaluation ---------------------------------------------------
 

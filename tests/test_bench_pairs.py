@@ -89,6 +89,32 @@ def test_clear_needs_nine_of_ten_wins_and_a_gap_above_the_spread():
     assert bench_pairs.summarize(parent, nine, "lower")["clear"] is True
 
 
+@pytest.mark.parametrize("drop, clear", [(0.017, False), (0.019, True)])
+def test_a_peak_rss_move_within_heap_layout_noise_is_not_clear(tmp_path, monkeypatch,
+                                                                 drop, clear):
+    # ten wins and no parent spread, but heap layout alone moves peak_rss_mb
+    # by up to 1.8%, so only a larger move is clear
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "peak_rss_mb", "better": "lower"}]}')
+
+    def run_once(checkout, workload, seed):
+        rss = 50.0 if checkout == "parent" else 50.0 * (1.0 - drop)
+        return ({"correct": True, "attempted": 10, "failed": 0,
+                 "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"}}}, {})
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    argv = ["--parent", "parent", "--change", str(tmp_path), "--workload", "w",
+            "--seed", "0", "--pairs", "10", "--tag", "t", "--claim", "none"]
+    assert bench_pairs.main(argv) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    s = doc["workloads"]["w seed 0"]["summary"]["peak_rss_mb"]
+    assert s["change_wins"] == "10/10" and s["clear"] is clear
+    # the same numbers as another metric's are clear either way
+    parent, change = [50.0] * 10, [50.0 * (1.0 - drop)] * 10
+    assert bench_pairs.summarize(parent, change, "lower")["clear"] is True
+
+
 def row(pair, correct=True, failed=0, attempted=46):
     return {"pair": pair, "correct": correct, "failed": failed, "attempted": attempted}
 

@@ -173,12 +173,15 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
 
 
 def test_tabulated_family_exits_2_with_the_families(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, potential={"family": "tabulated", "r": [0.0, 1.0],
-                                         "v": [0.0, 0.0]})
-    rc = main(["mpot", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert ("unknown family 'tabulated' (choose from zero, sine, cosine, poly)"
-            in capsys.readouterr().err)
+    # none of these names a family: a cosine is the sine at phase pi/2
+    for potential in ({"family": "tabulated", "r": [0.0, 1.0], "v": [0.0, 0.0]},
+                      {"family": "cosine", "amplitude": 0.5},
+                      {"family": "poly", "coeffs": [0.0, 1.0]}):
+        cfg = write_cfg(tmp_path, potential=potential)
+        rc = main(["mpot", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert (f"unknown family '{potential['family']}' (choose from zero, sine)"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("bad, why", [
@@ -348,6 +351,38 @@ def test_normalize_ignores_another_configs_store(tmp_path, stored_run, member_so
     err = capsys.readouterr().err.splitlines()
     assert err == ["shellwave: family store not used, solving again: "
                    "written for another config"]
+
+
+def test_normalize_takes_a_store_whose_config_differs_in_fields_it_never_reads(
+        tmp_path, stored_run, member_solves, capsys):
+    # the store is keyed by the continuation's inputs: rho_samples and
+    # beta_floor decide the scan and mpot, never a family member
+    _, run, alone = stored_run
+    cfg = write_cfg(tmp_path, rho_samples=17, beta_floor=0.1)
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    assert normalize_run(cfg, out) == alone
+    assert member_solves == []
+    assert "family store" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, taken, take", [
+    ("continue", "family_store", lambda path: path.write_text("mine")),
+    ("ground", "runs.jsonl", lambda path: path.mkdir()),
+])
+def test_an_output_path_taken_exits_2_naming_it(tmp_path, capsys, stage, taken, take):
+    # a plain file where the store goes, or a directory where the ledger
+    # goes: the stage's writes fail, and that is a bad outdir, not a crash
+    cfg = write_cfg(tmp_path, schedule=[0.5])
+    out = tmp_path / "out"
+    out.mkdir()
+    take(out / taken)
+    assert main([stage, "--config", cfg, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"shellwave: config invalid: outdir: cannot use "
+                           f"{str(out / taken)!r}: ")
+    assert (out / taken).is_dir() if taken == "runs.jsonl" else (
+        (out / taken).read_text() == "mine")
 
 
 def truncate(path):

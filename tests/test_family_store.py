@@ -2,12 +2,15 @@
 continuation takes a stored member only where it would derive the same one."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib import format as npy_format
 
-from shellwave.family_store import INDEX, STORE_DIR, StoreUnusable, load_family, save_family
+from shellwave.config import GridPolicy, RunConfig, Tolerances, load_config
+from shellwave.family_store import (FAMILY_FIELDS, INDEX, STORE_DIR, StoreUnusable,
+                                    family_key, load_family, save_family)
 from shellwave.full_solver import continuation_in_eps
 from shellwave.grids import RadialGrid
 
@@ -66,6 +69,23 @@ def test_a_save_replaces_the_whole_store(tmp_path, sine_family, switched_family)
     save_family(str(tmp_path), "abc", sine_family)
     save_family(str(tmp_path), "abc", switched_family)
     assert len(list((tmp_path / STORE_DIR).iterdir())) == 3
+
+
+def test_family_key_hashes_the_fields_the_continuation_reads():
+    # every RunConfig field is a continuation input or one of these three,
+    # so a new field has to take a side
+    unread = {"rho_samples", "beta_floor", "outdir"}
+    assert {f.name for f in dataclasses.fields(RunConfig)} == set(FAMILY_FIELDS) | unread
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "sine_n2.json"))
+    key = family_key(cfg)
+    for name, value in (("rho_samples", 17), ("beta_floor", 0.1), ("outdir", "elsewhere")):
+        assert family_key(dataclasses.replace(cfg, **{name: value})) == key, name
+    for name, value in (("n", 3), ("p", 3.5), ("schedule", (0.5,)), ("C1", 0.6),
+                        ("C2", 1.6), ("t_bracket", (7.0, 9.5)), ("gamma", 1.5),
+                        ("trunc_K", 3.0), ("grid", GridPolicy(h_solve=1e-3)),
+                        ("tolerances", Tolerances(solve_tol_coeff=1e-9)),
+                        ("potential", {**cfg.potential, "phase": 0.1})):
+        assert family_key(dataclasses.replace(cfg, **{name: value})) != key, name
 
 
 def test_no_store_reads_none(tmp_path):

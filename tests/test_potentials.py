@@ -25,30 +25,21 @@ def test_family_values():
     assert np.all(PotentialSpec.zero().V(r) == 0.0)
     s = PotentialSpec.sine(amplitude=0.3, frequency=2.0, phase=0.5)
     assert np.allclose(s.V(r), 0.3 * np.sin(2.0 * r + 0.5), rtol=1e-15)
-    c = PotentialSpec.cosine(amplitude=0.7)
-    assert np.allclose(c.V(r), 0.7 * np.cos(r), rtol=1e-15)
-    # bounded_poly is a polynomial in y = 1/(1+r)
-    poly = PotentialSpec.bounded_poly([0.1, -0.02, 0.001])
-    y = 1.0 / (1.0 + r)
-    want = 0.1 - 0.02 * y + 0.001 * y**2
-    assert np.allclose(poly.V(r), want, rtol=1e-13)
 
 
 def test_bounds_are_bounds():
     r = np.linspace(0.0, 60.0, 4001)
     for spec in (
         PotentialSpec.sine(amplitude=0.4, frequency=3.0),
-        PotentialSpec.cosine(amplitude=1.2),
+        PotentialSpec.sine(amplitude=1.2, phase=np.pi / 2),
     ):
         assert np.max(np.abs(spec.V(r))) <= spec.bound_V + 1e-12
 
 
 @pytest.mark.parametrize("family", list(config._POTENTIALS))
 def test_every_family_is_differentiated_and_searched(family):
-    # each family the config accepts, its list parameters set to one sample
-    params = config._POTENTIALS[family][1]
-    spec = config.build_potential(
-        {"family": family, **{k: [0.1, 0.2, 0.3] for k, v in params.items() if v is None}})
+    # each family the config accepts, at its default parameters
+    spec = config.build_potential({"family": family})
     r = np.linspace(0.5, 20.0, 40)
     h = 1e-5
     fd1 = (spec.V(r + h) - spec.V(r - h)) / (2 * h)
@@ -238,7 +229,7 @@ def test_critical_radius_last_bit_is_the_sign_change():
     assert abs(mp[1]) == abs(mp[2])
     # on wide brackets over many roots, where a Newton polish from the
     # Illinois root ended one float off the sign change
-    for spec, n, p in ((PotentialSpec.cosine(), 4, 6.0),
+    for spec, n, p in ((PotentialSpec.sine(phase=np.pi / 2), 4, 6.0),
                        (PotentialSpec.sine(0.5, 2.0, 0.3), 4, 2.0)):
         res = find_critical_radius(spec, n, p, 0.4, (2.0, 33.0))
         assert len(res.roots) > 1
